@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import enum
+from functools import cached_property
 import math
 
 import numpy as np
@@ -254,6 +255,8 @@ class KernelMatrix:
     ``data`` has one column per kernel in canonical order.  When warm-up
     rows are dropped, ``row_offset`` records how many leading samples of
     the source are excluded and ``data`` has correspondingly fewer rows.
+    ``build_kernel_matrix`` returns ``data`` read-only, because ``gram``
+    is cached from it.
     """
 
     data: np.ndarray
@@ -261,6 +264,13 @@ class KernelMatrix:
     structure: GmpStructure
     source_length: int
     row_offset: int = 0
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only Gram matrix ``data^H data``, computed on first use."""
+        gram = self.data.conj().T @ self.data
+        gram.setflags(write=False)
+        return gram
 
 
 def _delayed(values: np.ndarray, delay: int) -> np.ndarray:
@@ -341,6 +351,7 @@ def build_kernel_matrix(
                 f"signal of {samples.size} samples too short to drop {offset} warm-up rows"
             )
         data = data[offset:]
+    data.setflags(write=False)
     return KernelMatrix(
         data=data,
         columns=descriptors,

@@ -122,7 +122,23 @@ def _error_db(err: np.ndarray, ref_power: float) -> float:
     power = float(np.real(np.vdot(err, err)))
     if power <= 0.0:
         return DB_FLOOR
-    return max(DB_FLOOR, 10.0 * math.log10(power / ref_power))
+    # max() keeps its first argument when the other is NaN, so a NaN
+    # error survives the clamp and the divergence guard sees it.
+    return max(10.0 * math.log10(power / ref_power), DB_FLOOR)
+
+
+def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> IqSignal:
+    """One amplifier pass of the learning loop; non-finite samples diverge."""
+    if not np.all(np.isfinite(drive)):
+        raise DivergenceError(f"learning loop diverged: drive not finite at iteration {iteration}")
+    try:
+        return pa_forward(IqSignal(drive, rate), model)
+    except ConfigurationError:
+        # The only invalid value pa_forward can produce from a valid
+        # drive is a non-finite output sample.
+        raise DivergenceError(
+            f"learning loop diverged: amplifier output not finite at iteration {iteration}"
+        ) from None
 
 
 def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig()) -> IlcResult:
@@ -133,8 +149,9 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
 
         x <- x + mu * (s - y / G)
 
-    The loop aborts with DivergenceError once the error grows for three
-    consecutive iterations.
+    The loop aborts with DivergenceError once the error grows (or is
+    NaN) for three consecutive iterations, or as soon as the drive or the
+    amplifier output stops being finite.
     """
     target = reference.samples
     ref_power = float(np.real(np.vdot(target, target)))
@@ -144,16 +161,16 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
     rate = reference.sample_rate_hz
 
     drive = target.copy()
-    output = pa_forward(IqSignal(drive, rate), model)
+    output = _forward(drive, rate, model, 0)
     error = target - output.samples / gain
     history = [_error_db(error, ref_power)]
     rising = 0
     for iteration in range(1, config.iterations + 1):
         drive = drive + config.learning_rate * error
-        output = pa_forward(IqSignal(drive, rate), model)
+        output = _forward(drive, rate, model, iteration)
         error = target - output.samples / gain
         history.append(_error_db(error, ref_power))
-        if history[-1] > history[-2]:
+        if not history[-1] <= history[-2]:
             rising += 1
             if rising >= 3:
                 raise DivergenceError(

@@ -47,18 +47,6 @@ from .solver import (
 MATCHED_COUNT_STEPS = 20
 MATCHED_COUNT_SLACK = 0.10
 
-_SECTION_ORDER = (
-    "signal",
-    "pa",
-    "ilc",
-    "dpd",
-    "schedule",
-    "bcd",
-    "standard_lasso",
-    "output",
-    "run",
-)
-
 # (section, key, type, default).  Types: int, float, bool, str,
 # gain (two floats or "none").
 _SCHEMA = (
@@ -505,7 +493,8 @@ def matched_count_lasso(matrix, target, target_count, zero_threshold, bcd):
     matched reports whether the best count landed within 10 percent of
     the target.
     """
-    correlations = np.abs(matrix.data.conj().T @ target.samples)
+    # |S^H x| equals |x^H S|, which reads the matrix without a conjugate copy.
+    correlations = np.abs(target.samples.conj() @ matrix.data)
     lam_hi = 2.0 * float(np.max(correlations))
     lam_lo = lam_hi * 1e-8
     best = None

@@ -12,6 +12,15 @@ weighted ridge solve.
 Solvers accept either a ``KernelMatrix`` or a plain complex matrix; a
 ``KernelMatrix`` input yields a ``CoefficientVector`` result, a plain
 matrix yields a bare array.
+
+The Gram matrix ``S^H S`` of a ``KernelMatrix`` is computed once and
+cached on it (``KernelMatrix.gram``); least squares, ridge, the plain
+Lasso and the all-column block of the block-weighted solver read it
+from there, so repeated fits on one kernel matrix, such as the
+matched-count bisection, build it only once.  Plain matrices and column
+subsets form their Gram per call.  Correlations ``S^H x`` are formed as
+``conj(x^H S)``, which reads ``S`` in place instead of copying its
+conjugate.
 """
 
 from __future__ import annotations
@@ -170,6 +179,16 @@ def _unpack_target(x, matrix, km):
     return arr
 
 
+def _gram(matrix, km):
+    """S^H S, from the kernel matrix's cache when there is one."""
+    return matrix.conj().T @ matrix if km is None else km.gram
+
+
+def _correlate(matrix, vector):
+    """S^H x without an N x P conjugate copy of S."""
+    return (vector.conj() @ matrix).conj()
+
+
 def _wrap(values, km):
     if km is None:
         return values
@@ -202,11 +221,12 @@ def _nmse_db(err_power: float, ref_power: float) -> float:
 # Dense solves.
 
 
-def _normal_solve(matrix, target, what):
+def _normal_solve(matrix, target, what, gram=None):
     """Solve the normal equations with column equilibration and a
-    condition gate."""
-    gram = matrix.conj().T @ matrix
-    rhs = matrix.conj().T @ target
+    condition gate.  ``gram`` is S^H S when the caller already has it."""
+    if gram is None:
+        gram = matrix.conj().T @ matrix
+    rhs = _correlate(matrix, target)
     diag = np.real(np.diagonal(gram)).copy()
     if np.any(diag <= 0):
         dead = int(np.flatnonzero(diag <= 0)[0])
@@ -236,12 +256,15 @@ def least_squares(S, x):
     if matrix.shape[1] == 0:
         raise ConfigurationError("design has no columns")
     target = _unpack_target(x, matrix, km)
-    return _wrap(_normal_solve(matrix, target, _describe(km, matrix)), km)
+    return _wrap(
+        _normal_solve(matrix, target, _describe(km, matrix), _gram(matrix, km)), km
+    )
 
 
 def _ridge_solve(gram, rhs, weights):
     try:
-        return scipy.linalg.solve(gram + np.diag(weights), rhs, assume_a="pos")
+        factor = scipy.linalg.cho_factor(gram + np.diag(weights))
+        return scipy.linalg.cho_solve(factor, rhs)
     except scipy.linalg.LinAlgError as exc:
         raise RankDeficiencyError(f"ridge system failed to factor: {exc}") from exc
 
@@ -257,9 +280,8 @@ def ridge(S, x, per_coefficient_weights):
         )
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ConfigurationError("ridge weights must be positive and finite")
-    gram = matrix.conj().T @ matrix
-    rhs = matrix.conj().T @ target
-    return _wrap(_ridge_solve(gram, rhs, weights), km)
+    rhs = _correlate(matrix, target)
+    return _wrap(_ridge_solve(_gram(matrix, km), rhs, weights), km)
 
 
 def ls_refine(S, x, support):
@@ -303,7 +325,7 @@ def _lasso_core(matrix, target, lam, zero_threshold, config, initial=None, gram=
     omega = np.zeros(n_col, dtype=np.complex128)
     if n_col == 0:
         return omega
-    rhs_full = matrix.conj().T @ target
+    rhs_full = _correlate(matrix, target)
     # Zero is optimal whenever the penalty dominates every correlation.
     if lam >= 2.0 * float(np.max(np.abs(rhs_full))):
         return omega
@@ -353,7 +375,10 @@ def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None, initial=Non
             raise DimensionError(
                 f"initial guess has {init.shape} entries for {matrix.shape[1]} columns"
             )
-    return _wrap(_lasso_core(matrix, target, lam, zero_threshold, config, init), km)
+    gram = None if km is None else km.gram
+    return _wrap(
+        _lasso_core(matrix, target, lam, zero_threshold, config, init, gram), km
+    )
 
 
 @dataclass(frozen=True)
@@ -418,12 +443,14 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
         k: np.flatnonzero([d.order_exponent == k for d in km.columns]) for k in orders
     }
     n_col = matrix.shape[1]
-    # Reuse the original matrix object for an all-column block so the
-    # single-block case reproduces lasso_iterated_ridge bit for bit.
+    # An all-column block uses the matrix itself and its cached Gram, so
+    # the single-block case reproduces lasso_iterated_ridge bit for bit.
+    # No conjugate copy of a block is kept: it would double the memory
+    # the blocks hold.
     subs = {
         k: matrix if blocks[k].size == n_col else matrix[:, blocks[k]] for k in orders
     }
-    grams = {k: subs[k].conj().T @ subs[k] for k in orders}
+    grams = {k: km.gram if subs[k] is matrix else subs[k].conj().T @ subs[k] for k in orders}
 
     omega = np.zeros(n_col, dtype=np.complex128)
     residual = target
@@ -519,7 +546,7 @@ def kkt_check(S, x, coeffs, schedule) -> KktReport:
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
             raise ConfigurationError("penalty weights must be positive and finite")
 
-    correlation = 2.0 * (matrix.conj().T @ (target - matrix @ values))
+    correlation = 2.0 * _correlate(matrix, target - matrix @ values)
     active = values != 0
     if np.any(active):
         phases = values[active] / np.abs(values[active])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dpdkit import pa_sim
 from dpdkit.errors import ConfigurationError, DivergenceError, FormatError
 from dpdkit.gmp import Branch, CoefficientVector, GmpStructure, full_structure
 from dpdkit.pa_sim import (
@@ -161,6 +162,32 @@ def test_ilc_divergence_names_learning_rate():
     with pytest.raises(DivergenceError) as err:
         ilc_learn(IqSignal(samples, 1.0), pa, config)
     assert "0.5" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ilc_overflowing_output_is_divergence(preset):
+    loud = generate_ofdm(OfdmConfig(64, 42, 64, 4, seed=1, target_rms=50.0))
+    with pytest.raises(DivergenceError, match="output not finite"):
+        ilc_learn(loud, preset, IlcConfig(learning_rate=1.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ilc_overflowing_drive_is_divergence():
+    # A subnormal normalization gain blows the first error up to infinity.
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    with pytest.raises(DivergenceError, match="drive not finite"):
+        ilc_learn(IqSignal(samples, 1.0), _linear_pa(1.0), IlcConfig(target_gain=1e-310))
+
+
+def test_ilc_nan_error_counts_as_rising(monkeypatch):
+    assert np.isnan(pa_sim._error_db(np.array([np.nan + 0j]), 1.0))
+    history = iter([-10.0, np.nan, np.nan, np.nan, -20.0])
+    monkeypatch.setattr(pa_sim, "_error_db", lambda err, ref_power: next(history))
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    with pytest.raises(DivergenceError, match="3 consecutive"):
+        ilc_learn(IqSignal(samples, 1.0), _linear_pa(1.0), IlcConfig(iterations=4))
 
 
 def test_ilc_rejects_zero_reference(preset):

@@ -608,6 +608,30 @@ def test_cli_ilc_divergence_is_numerical_error(tmp_path):
     assert not drive.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_ilc_overflow_is_numerical_error(tmp_path):
+    cfg = write_cfg(tmp_path)
+    drive = tmp_path / "x.iq"
+    # a loud reference drives the amplifier's envelope powers past the
+    # float range on the second learning pass
+    code, _, err = run_cli(
+        [
+            "ilc",
+            "--config",
+            str(cfg),
+            "--set",
+            "signal.target_rms=50",
+            "--set",
+            "ilc.learning_rate=1.0",
+            "--out",
+            str(drive),
+        ]
+    )
+    assert code == 3
+    assert "numerical error" in err and "not finite" in err
+    assert not drive.exists()
+
+
 def _fit_inputs(tmp_path):
     cfg = write_cfg(tmp_path)
     s, x = tmp_path / "s.iq", tmp_path / "x.iq"

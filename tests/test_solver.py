@@ -1,7 +1,10 @@
 """Least squares, ridge, Lasso via iterated ridge, BCD, schedules, KKT."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dpdkit import solver
 from dpdkit.errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -14,6 +17,7 @@ from dpdkit.gmp import (
     effective_memory_depth,
     full_structure,
 )
+from dpdkit.pipeline import matched_count_lasso
 from dpdkit.signal import IqSignal
 from dpdkit.solver import (
     BcdConfig,
@@ -535,3 +539,77 @@ def test_bcd_config_validation():
         BcdConfig(inner_tolerance=0.0)
     with pytest.raises(ConfigurationError):
         BcdConfig(ridge_epsilon=0.0)
+
+
+# --- shared Gram and memory ----------------------------------------------
+
+
+def _kernel_problem(seed=31, n=2048):
+    """35-kernel matrix (orders 0-6, depth 4, one lagging offset) and a target."""
+    rng = np.random.default_rng(seed)
+    signal = IqSignal(
+        (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), 1.0
+    )
+    matrix = build_kernel_matrix(signal, full_structure(4, 7, 1))
+    true = np.zeros(matrix.data.shape[1], dtype=np.complex128)
+    true[[0, 6, 21]] = [1.0, 0.2j, -0.05]
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return matrix, IqSignal(matrix.data @ true + 1e-3 * noise, 1.0)
+
+
+def test_kernel_matrix_data_and_gram_are_read_only_and_cached():
+    matrix, _ = _kernel_problem()
+    assert not matrix.data.flags.writeable
+    with pytest.raises(ValueError):
+        matrix.data[0, 0] = 1.0
+    gram = matrix.gram
+    assert gram is matrix.gram
+    assert not gram.flags.writeable
+    assert np.array_equal(gram, matrix.data.conj().T @ matrix.data)
+
+
+def test_cached_gram_solvers_equal_plain_matrix_bitwise():
+    matrix, target = _kernel_problem()
+    x = target.samples
+    assert np.array_equal(least_squares(matrix, x).values, least_squares(matrix.data, x))
+    weights = np.full(matrix.data.shape[1], 1e-3)
+    assert np.array_equal(ridge(matrix, x, weights).values, ridge(matrix.data, x, weights))
+    for lam in (1e-2, 1.0, 30.0):
+        assert np.array_equal(
+            lasso_iterated_ridge(matrix, x, lam, 1e-4).values,
+            lasso_iterated_ridge(matrix.data, x, lam, 1e-4),
+        )
+
+
+def test_ridge_system_not_positive_definite_is_rank_deficiency():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
+    with pytest.raises(RankDeficiencyError):
+        solver._ridge_solve(indefinite, np.ones(2, dtype=np.complex128), np.full(2, 1e-8))
+
+
+def _peak_traced_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matched_count_makes_no_copy_of_the_kernel_matrix():
+    # An N x P conjugate copy per Lasso call would cost data.nbytes.
+    matrix, target = _kernel_problem()
+    matrix.gram  # building the cache makes one transient copy; keep it out
+    peak = _peak_traced_bytes(
+        lambda: matched_count_lasso(matrix, target, 5, 0.0, BcdConfig())
+    )
+    assert peak < matrix.data.nbytes / 2
+
+
+def test_block_weighted_holds_no_conjugate_block_copies():
+    # The order blocks themselves total data.nbytes; conjugate copies of
+    # them kept for the whole descent would double that.
+    matrix, target = _kernel_problem()
+    schedule = default_schedule(matrix.structure, threshold_scale=0.01)
+    peak = _peak_traced_bytes(lambda: block_weighted_lasso(matrix, target, schedule))
+    assert peak < 1.5 * matrix.data.nbytes
