@@ -14,13 +14,18 @@ Solvers accept either a ``KernelMatrix`` or a plain complex matrix; a
 matrix yields a bare array.
 
 The Gram matrix ``S^H S`` of a ``KernelMatrix`` is computed once and
-cached on it (``KernelMatrix.gram``); least squares, ridge, the plain
-Lasso and the all-column block of the block-weighted solver read it
-from there, so repeated fits on one kernel matrix, such as the
-matched-count bisection, build it only once.  Plain matrices and column
-subsets form their Gram per call.  Correlations ``S^H x`` are formed as
-``conj(x^H S)``, which reads ``S`` in place instead of copying its
-conjugate.
+cached on it (``KernelMatrix.gram``).  Least squares, ridge and the
+plain Lasso read it from there, so repeated fits on one kernel matrix,
+such as the matched-count bisection, build it only once.  The
+block-weighted descent and ``ls_refine`` read the sub-blocks of that
+cached Gram for their order blocks and supports, and the descent tracks
+the correlation ``S^H r`` of the residual instead of the N-sample
+residual ``r`` itself, so after one pass over the matrix to form
+``S^H x`` no block update touches the N rows again (the covariance
+update of Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010).
+Plain matrices form their Gram per call.  Correlations ``S^H x`` are
+formed as ``conj(x^H S)``, which reads ``S`` in place instead of
+copying its conjugate.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .gmp import CoefficientVector, KernelMatrix
-from .signal import DB_FLOOR, IqSignal
+from .signal import IqSignal, _power, _ratio_db
 
 CONDITION_LIMIT = 1e12
 
@@ -207,26 +212,13 @@ def _describe(km, matrix):
     )
 
 
-def _power(arr) -> float:
-    return float(np.real(np.vdot(arr, arr)))
-
-
-def _nmse_db(err_power: float, ref_power: float) -> float:
-    if err_power <= 0.0:
-        return DB_FLOOR
-    return max(DB_FLOOR, 10.0 * math.log10(err_power / ref_power))
-
-
 # ---------------------------------------------------------------------------
 # Dense solves.
 
 
-def _normal_solve(matrix, target, what, gram=None):
-    """Solve the normal equations with column equilibration and a
-    condition gate.  ``gram`` is S^H S when the caller already has it."""
-    if gram is None:
-        gram = matrix.conj().T @ matrix
-    rhs = _correlate(matrix, target)
+def _normal_solve(gram, rhs, what):
+    """Solve ``gram w = rhs`` (the normal equations S^H S w = S^H x) with
+    column equilibration and a condition gate."""
     diag = np.real(np.diagonal(gram)).copy()
     if np.any(diag <= 0):
         dead = int(np.flatnonzero(diag <= 0)[0])
@@ -257,7 +249,10 @@ def least_squares(S, x):
         raise ConfigurationError("design has no columns")
     target = _unpack_target(x, matrix, km)
     return _wrap(
-        _normal_solve(matrix, target, _describe(km, matrix), _gram(matrix, km)), km
+        _normal_solve(
+            _gram(matrix, km), _correlate(matrix, target), _describe(km, matrix)
+        ),
+        km,
     )
 
 
@@ -285,7 +280,11 @@ def ridge(S, x, per_coefficient_weights):
 
 
 def ls_refine(S, x, support):
-    """Least squares restricted to ``support``; other coefficients stay zero."""
+    """Least squares restricted to ``support``; other coefficients stay zero.
+
+    A ``KernelMatrix`` input solves on the support's sub-block of the
+    cached Gram, so no copy of the support columns is made.
+    """
     matrix, km = _unpack_design(S)
     target = _unpack_target(x, matrix, km)
     idx = np.asarray(support, dtype=np.intp)
@@ -297,9 +296,14 @@ def ls_refine(S, x, support):
         raise ConfigurationError(
             f"support indices must lie in [0, {matrix.shape[1]}), got {idx.min()}..{idx.max()}"
         )
+    if km is None:
+        sub = matrix[:, idx]
+        gram, rhs = _gram(sub, None), _correlate(sub, target)
+    else:
+        gram, rhs = km.gram[np.ix_(idx, idx)], _correlate(matrix, target)[idx]
     values = np.zeros(matrix.shape[1], dtype=np.complex128)
     values[idx] = _normal_solve(
-        matrix[:, idx], target, f"{idx.size}-kernel support of {_describe(km, matrix)}"
+        gram, rhs, f"{idx.size}-kernel support of {_describe(km, matrix)}"
     )
     return _wrap(values, km)
 
@@ -308,8 +312,9 @@ def ls_refine(S, x, support):
 # l1 solvers.
 
 
-def _lasso_core(matrix, target, lam, zero_threshold, config, initial=None, gram=None):
-    """Iterated ridge regression for one l1 subproblem.
+def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
+    """Iterated ridge regression for one l1 subproblem, given its normal
+    equations: ``gram`` is S^H S and ``rhs`` is S^H x.
 
     Returns the coefficient array.  Coefficients whose modulus falls
     below ``zero_threshold`` after an iterate are clamped to exactly
@@ -321,15 +326,13 @@ def _lasso_core(matrix, target, lam, zero_threshold, config, initial=None, gram=
     as exact zeros: the iteration approaches a vanishing coefficient
     only asymptotically, so anything that small is numerically zero.
     """
-    n_col = matrix.shape[1]
+    n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)
     if n_col == 0:
         return omega
-    rhs_full = _correlate(matrix, target)
     # Zero is optimal whenever the penalty dominates every correlation.
-    if lam >= 2.0 * float(np.max(np.abs(rhs_full))):
+    if lam >= 2.0 * float(np.max(np.abs(rhs))):
         return omega
-    gram_full = matrix.conj().T @ matrix if gram is None else gram
     eps = config.ridge_epsilon
 
     if initial is not None and np.any(initial):
@@ -340,9 +343,7 @@ def _lasso_core(matrix, target, lam, zero_threshold, config, initial=None, gram=
 
     active = np.arange(n_col)
     for _ in range(config.inner_ridge_iterations):
-        solved = _ridge_solve(
-            gram_full[np.ix_(active, active)], rhs_full[active], weights
-        )
+        solved = _ridge_solve(gram[np.ix_(active, active)], rhs[active], weights)
         survivors = np.abs(solved) >= zero_threshold
         new = np.zeros(n_col, dtype=np.complex128)
         new[active[survivors]] = solved[survivors]
@@ -375,15 +376,21 @@ def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None, initial=Non
             raise DimensionError(
                 f"initial guess has {init.shape} entries for {matrix.shape[1]} columns"
             )
-    gram = None if km is None else km.gram
-    return _wrap(
-        _lasso_core(matrix, target, lam, zero_threshold, config, init, gram), km
+    omega = _lasso_core(
+        _gram(matrix, km), _correlate(matrix, target), lam, zero_threshold, config, init
     )
+    return _wrap(omega, km)
 
 
 @dataclass(frozen=True)
 class FitRecord:
-    """State after one outer block-descent iteration."""
+    """State after one outer block-descent iteration.
+
+    ``objective`` is the residual power plus the weighted l1 term, and
+    ``rejected_orders`` lists the orders whose block update the descent
+    rejected in this sweep because it did not strictly lower the
+    objective.
+    """
 
     iteration: int
     nmse_db: float
@@ -391,6 +398,8 @@ class FitRecord:
     effective_memory_depth: int
     lambda_by_order: dict
     coefficients: np.ndarray
+    objective: float
+    rejected_orders: tuple
 
 
 @dataclass(frozen=True)
@@ -418,11 +427,15 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
     Columns are grouped by envelope power; each outer iteration sweeps
     the groups in ascending order, re-solving one group against the
     residual of all others with that group's penalty weight and zero
-    threshold.  A group update that would increase its subproblem
-    objective is rejected, so the overall objective never increases
-    within a sweep.  Returns the coefficient vector of the
-    lowest-training-NMSE iteration (or the last, per config) together
-    with the full trace.
+    threshold.  A group update is accepted only when it strictly lowers
+    the objective (residual power plus weighted l1 term), so the
+    objective never increases and a tie leaves the group as it was.
+    Returns the coefficient vector of the lowest-training-NMSE iteration
+    (or the last, per config) together with the full trace.
+
+    The descent works on the normal equations: it keeps ``c = S^H r``
+    and the residual power, and updates both from the cached Gram, so a
+    block update costs O(P * block size) whatever the row count.
     """
     if config is None:
         config = BcdConfig()
@@ -442,44 +455,46 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
     blocks = {
         k: np.flatnonzero([d.order_exponent == k for d in km.columns]) for k in orders
     }
-    n_col = matrix.shape[1]
-    # An all-column block uses the matrix itself and its cached Gram, so
-    # the single-block case reproduces lasso_iterated_ridge bit for bit.
-    # No conjugate copy of a block is kept: it would double the memory
-    # the blocks hold.
-    subs = {
-        k: matrix if blocks[k].size == n_col else matrix[:, blocks[k]] for k in orders
-    }
-    grams = {k: km.gram if subs[k] is matrix else subs[k].conj().T @ subs[k] for k in orders}
+    gram = km.gram
+    # Each block's Gram S_k^H S_k and cross columns S^H S_k.
+    block_grams = {k: gram[np.ix_(blocks[k], blocks[k])] for k in orders}
+    cross = {k: gram[:, blocks[k]] for k in orders}
 
-    omega = np.zeros(n_col, dtype=np.complex128)
-    residual = target
+    omega = np.zeros(gram.shape[0], dtype=np.complex128)
+    corr = _correlate(matrix, target)  # S^H r for r = x - S omega
+    residual_power = target_power
+    objective = target_power
     records = []
     for iteration in range(1, config.outer_iterations + 1):
+        rejected = []
         for k in orders:
-            cols = blocks[k]
-            sub = subs[k]
+            cols, gram_k = blocks[k], block_grams[k]
             w_old = omega[cols]
-            if np.any(w_old):
-                block_target = residual + sub @ w_old
-            else:
-                block_target = residual
+            corr_k = corr[cols]
+            # A zero block solves against corr_k as it is, so the first
+            # sweep of a single block is lasso_iterated_ridge bit for bit.
+            rhs = corr_k + gram_k @ w_old if np.any(w_old) else corr_k
             w_new = _lasso_core(
-                sub,
-                block_target,
+                gram_k,
+                rhs,
                 lam[k],
                 tau[k],
                 config,
                 initial=w_old if config.warm_start else None,
-                gram=grams[k],
             )
+            d = w_new - w_old
+            # ||r - S_k d||^2 - ||r||^2, given S_k^H r = corr_k.
+            delta = float(np.real(np.vdot(d, gram_k @ d) - 2.0 * np.vdot(d, corr_k)))
             penalty_old = lam[k] * float(np.sum(np.abs(w_old)))
             penalty_new = lam[k] * float(np.sum(np.abs(w_new)))
-            residual_new = block_target - sub @ w_new
-            # Reject any update that worsens the group objective.
-            if _power(residual_new) + penalty_new <= _power(residual) + penalty_old:
+            step = delta + penalty_new - penalty_old
+            if step < 0.0:
                 omega[cols] = w_new
-                residual = residual_new
+                corr -= cross[k] @ d
+                residual_power += delta
+                objective += step
+            else:
+                rejected.append(k)
         snapshot = omega.copy()
         snapshot.setflags(write=False)
         nonzero = np.flatnonzero(snapshot)
@@ -489,11 +504,13 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
         records.append(
             FitRecord(
                 iteration=iteration,
-                nmse_db=_nmse_db(_power(residual), target_power),
+                nmse_db=_ratio_db(residual_power, target_power),
                 kernel_count=int(nonzero.size),
                 effective_memory_depth=depth,
                 lambda_by_order=dict(lam),
                 coefficients=snapshot,
+                objective=objective,
+                rejected_orders=tuple(rejected),
             )
         )
     if config.keep_best_iterate:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from dpdkit.solver import lasso_iterated_ridge
+
 
 def naive_kernel_matrix(samples, structure):
     """Triple-loop kernel matrix in canonical column order.
@@ -117,3 +119,53 @@ def ladder_tables(max_order=14):
         lam[k] = lam[k - 2] * ratio
         tau[k] = tau[k - 2] * ratio
     return lam, tau
+
+
+def residual_domain_block_lasso(matrix, target, schedule, config):
+    """Block coordinate descent carried on the N-sample residual.
+
+    The reference for the block-weighted solver, which works on the
+    normal equations instead. Each order block is copied out of the
+    kernel matrix and its subproblem is solved by the package's
+    plain-matrix Lasso against the residual plus the block's own
+    contribution; the update is kept only when the residual power plus
+    the block's weighted l1 term strictly falls. Returns
+    (records, selected): the coefficient array after each sweep and the
+    index of the record with the lowest residual power (or the last one
+    when the config does not keep the best iterate).
+    """
+    data = matrix.data
+    x = np.asarray(target, dtype=np.complex128)
+    orders = sorted({d.order_exponent for d in matrix.columns})
+    blocks = {
+        k: np.array([j for j, d in enumerate(matrix.columns) if d.order_exponent == k])
+        for k in orders
+    }
+    omega = np.zeros(data.shape[1], dtype=np.complex128)
+    residual = x.copy()
+    records, powers = [], []
+    for _ in range(config.outer_iterations):
+        for k in orders:
+            cols = blocks[k]
+            lam = schedule.lambda_for(k)
+            sub = data[:, cols]
+            w_old = omega[cols]
+            block_target = residual + sub @ w_old
+            w_new = lasso_iterated_ridge(
+                sub,
+                block_target,
+                lam,
+                schedule.threshold_for(k),
+                config,
+                initial=w_old if config.warm_start else None,
+            )
+            new_residual = block_target - sub @ w_new
+            before = np.sum(np.abs(residual) ** 2) + lam * np.sum(np.abs(w_old))
+            after = np.sum(np.abs(new_residual) ** 2) + lam * np.sum(np.abs(w_new))
+            if after < before:
+                omega[cols] = w_new
+                residual = new_residual
+        records.append(omega.copy())
+        powers.append(float(np.sum(np.abs(residual) ** 2)))
+    selected = int(np.argmin(powers)) if config.keep_best_iterate else len(records) - 1
+    return records, selected

@@ -35,6 +35,7 @@ from helpers import (
     block_objective,
     ladder_tables,
     lasso_objective,
+    residual_domain_block_lasso,
     soft_threshold_solution,
 )
 
@@ -498,6 +499,69 @@ def test_trace_selection_modes():
     assert [record.iteration for record in trace2.records] == list(range(1, 7))
 
 
+def _random_block_problem(seed):
+    """A random multi-block fit: structure, planted target, schedule, config."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(256, 1025))
+    structure = full_structure(
+        int(rng.integers(1, 5)), int(rng.choice([3, 5, 7])), int(rng.integers(0, 3))
+    )
+    signal = IqSignal(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), 1.0)
+    matrix = build_kernel_matrix(signal, structure)
+    p = structure.kernel_count
+    true = np.zeros(p, dtype=np.complex128)
+    planted = rng.choice(p, size=min(p, 4), replace=False)
+    true[planted] = rng.standard_normal(planted.size) + 1j * rng.standard_normal(planted.size)
+    x = matrix.data @ true + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    schedule = default_schedule(
+        structure,
+        lambda_scale=10 ** rng.uniform(-2, 3),
+        threshold_scale=rng.uniform(0.0, 1.0),
+    )
+    config = BcdConfig(
+        outer_iterations=int(rng.integers(3, 11)), warm_start=bool(rng.integers(0, 2))
+    )
+    return matrix, x, schedule, config
+
+
+def test_block_descent_matches_residual_domain_reference():
+    rejections = 0
+    for seed in range(10):
+        matrix, x, schedule, config = _random_block_problem(seed)
+        assert len(matrix.structure.orders) > 1
+        coeffs, trace = block_weighted_lasso(matrix, x, schedule, config)
+        records, selected = residual_domain_block_lasso(matrix, x, schedule, config)
+        assert len(trace.records) == len(records)
+        for record, reference in zip(trace.records, records):
+            assert np.array_equal(
+                np.flatnonzero(record.coefficients), np.flatnonzero(reference)
+            )
+            assert record.kernel_count == np.count_nonzero(reference)
+            assert np.max(np.abs(record.coefficients - reference)) < 1e-9
+            rejections += len(record.rejected_orders)
+        assert trace.selected_index == selected
+        assert np.max(np.abs(coeffs.values - records[selected])) < 1e-9
+    assert rejections > 0  # the guard was exercised
+
+
+def test_block_objective_tracked_and_never_rises():
+    for seed in range(10):
+        matrix, x, schedule, config = _random_block_problem(seed)
+        lams = np.array([schedule.lambda_for(d.order_exponent) for d in matrix.columns])
+        target_power = float(np.sum(np.abs(x) ** 2))
+        _, trace = block_weighted_lasso(matrix, x, schedule, config)
+        previous_objective = target_power
+        previous = np.zeros(matrix.data.shape[1], dtype=np.complex128)
+        for record in trace.records:
+            direct = block_objective(matrix.data, x, record.coefficients, lams)
+            assert record.objective == pytest.approx(direct, rel=1e-9, abs=1e-12 * target_power)
+            assert record.objective <= previous_objective
+            assert set(record.rejected_orders) <= set(matrix.structure.orders)
+            if not record.rejected_orders:
+                assert not np.array_equal(record.coefficients, previous)
+            previous_objective, previous = record.objective, record.coefficients
+
+
 def test_block_requires_kernel_matrix():
     with pytest.raises(ConfigurationError):
         block_weighted_lasso(
@@ -613,3 +677,18 @@ def test_block_weighted_holds_no_conjugate_block_copies():
     schedule = default_schedule(matrix.structure, threshold_scale=0.01)
     peak = _peak_traced_bytes(lambda: block_weighted_lasso(matrix, target, schedule))
     assert peak < 1.5 * matrix.data.nbytes
+
+
+def test_gram_domain_solvers_make_no_copy_of_the_kernel_matrix():
+    # Copying the order blocks or the support columns would cost up to
+    # data.nbytes; with the Gram cached, both solvers read only its
+    # sub-blocks and one S^H x.
+    matrix, target = _kernel_problem()
+    matrix.gram  # building the cache makes one transient copy; keep it out
+    schedule = default_schedule(matrix.structure, threshold_scale=0.01)
+    full_support = np.arange(matrix.data.shape[1])
+    for call in (
+        lambda: block_weighted_lasso(matrix, target, schedule),
+        lambda: ls_refine(matrix, target, full_support),
+    ):
+        assert _peak_traced_bytes(call) < matrix.data.nbytes / 2
