@@ -18,14 +18,23 @@ cached on it (``KernelMatrix.gram``).  Least squares, ridge and the
 plain Lasso read it from there, so repeated fits on one kernel matrix,
 such as the matched-count bisection, build it only once.  The
 block-weighted descent and ``ls_refine`` read the sub-blocks of that
-cached Gram for their order blocks and supports, and the descent tracks
-the correlation ``S^H r`` of the residual instead of the N-sample
-residual ``r`` itself, so after one pass over the matrix to form
-``S^H x`` no block update touches the N rows again (the covariance
-update of Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010).
+cached Gram for their order blocks and supports (``ls_refine`` only
+once the Gram is cached; before that it forms the support's own Gram),
+and the descent tracks the correlation ``S^H r`` of the residual
+instead of the N-sample residual ``r`` itself, so after one pass over
+the matrix to form ``S^H x`` no block update touches the N rows again
+(the covariance update of Friedman, Hastie and Tibshirani, J. Stat.
+Softw. 2010).
 Plain matrices form their Gram per call.  Correlations ``S^H x`` are
 formed as ``conj(x^H S)``, which reads ``S`` in place instead of
 copying its conjugate.
+
+Every ridge solve, and so every iterate of the Lasso and of each block,
+is one LAPACK ``zposv`` call on a Fortran-ordered work copy of the Gram
+with the ridge weights added to its diagonal, after one explicit
+finiteness check of that system and its right-hand side.  While no
+coefficient has left the active set, the Lasso passes the Gram through
+without gathering a sub-block.
 """
 
 from __future__ import annotations
@@ -257,11 +266,30 @@ def least_squares(S, x):
 
 
 def _ridge_solve(gram, rhs, weights):
-    try:
-        factor = scipy.linalg.cho_factor(gram + np.diag(weights))
-        return scipy.linalg.cho_solve(factor, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"ridge system failed to factor: {exc}") from exc
+    """Solve ``(gram + diag(weights)) w = rhs`` by Cholesky.
+
+    ``gram`` is copied once into a Fortran-ordered work array, the
+    weights are added to its diagonal in place, and one LAPACK ``zposv``
+    (``potrf`` then ``potrs`` on the upper triangle, the routines behind
+    ``cho_factor``/``cho_solve``) factors and solves it there.  A system
+    or right-hand side that is not finite, or a system that is not
+    positive definite, raises RankDeficiencyError.
+    """
+    n = rhs.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.complex128)
+    system = np.array(gram, dtype=np.complex128, order="F")
+    system.flat[:: n + 1] += weights
+    if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
+        raise RankDeficiencyError("ridge system or right-hand side is not finite")
+    _, solution, info = scipy.linalg.lapack.zposv(system, rhs, overwrite_a=True)
+    if info > 0:
+        raise RankDeficiencyError(
+            f"ridge system failed to factor: leading minor {info} is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"zposv rejected argument {-info}")
+    return solution
 
 
 def ridge(S, x, per_coefficient_weights):
@@ -282,8 +310,11 @@ def ridge(S, x, per_coefficient_weights):
 def ls_refine(S, x, support):
     """Least squares restricted to ``support``; other coefficients stay zero.
 
-    A ``KernelMatrix`` input solves on the support's sub-block of the
-    cached Gram, so no copy of the support columns is made.
+    A ``KernelMatrix`` whose Gram is already cached solves on the
+    support's sub-block of it, so no copy of the support columns is
+    made.  Otherwise, as for a plain matrix, the support columns are
+    copied and only their Gram is formed: building the full P x P Gram
+    to read one sub-block would cost far more than the solve.
     """
     matrix, km = _unpack_design(S)
     target = _unpack_target(x, matrix, km)
@@ -296,7 +327,7 @@ def ls_refine(S, x, support):
         raise ConfigurationError(
             f"support indices must lie in [0, {matrix.shape[1]}), got {idx.min()}..{idx.max()}"
         )
-    if km is None:
+    if km is None or "gram" not in vars(km):
         sub = matrix[:, idx]
         gram, rhs = _gram(sub, None), _correlate(sub, target)
     else:
@@ -343,7 +374,10 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
 
     active = np.arange(n_col)
     for _ in range(config.inner_ridge_iterations):
-        solved = _ridge_solve(gram[np.ix_(active, active)], rhs[active], weights)
+        if active.size == n_col:
+            solved = _ridge_solve(gram, rhs, weights)
+        else:
+            solved = _ridge_solve(gram[np.ix_(active, active)], rhs[active], weights)
         survivors = np.abs(solved) >= zero_threshold
         new = np.zeros(n_col, dtype=np.complex128)
         new[active[survivors]] = solved[survivors]

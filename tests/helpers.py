@@ -7,6 +7,7 @@ implementations under test can be checked against a second opinion.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from dpdkit.solver import lasso_iterated_ridge
 
@@ -169,3 +170,15 @@ def residual_domain_block_lasso(matrix, target, schedule, config):
         powers.append(float(np.sum(np.abs(residual) ** 2)))
     selected = int(np.argmin(powers)) if config.keep_best_iterate else len(records) - 1
     return records, selected
+
+
+def cholesky_ridge_solve(gram, rhs, weights):
+    """Ridge system ``(gram + diag(weights)) w = rhs`` through SciPy's
+    Cholesky wrappers.
+
+    The reference for the solver's direct LAPACK ridge solve: the same
+    factorization (upper-triangular ``potrf``, then ``potrs``) reached
+    through ``cho_factor``/``cho_solve`` on a freshly assembled system.
+    """
+    factor = scipy.linalg.cho_factor(gram + np.diag(weights))
+    return scipy.linalg.cho_solve(factor, rhs)

@@ -1,6 +1,8 @@
 """Least squares, ridge, Lasso via iterated ridge, BCD, schedules, KKT."""
 import tracemalloc
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from dpdkit.solver import (
 
 from helpers import (
     block_objective,
+    cholesky_ridge_solve,
     ladder_tables,
     lasso_objective,
     residual_domain_block_lasso,
@@ -649,6 +652,114 @@ def test_ridge_system_not_positive_definite_is_rank_deficiency():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
     with pytest.raises(RankDeficiencyError):
         solver._ridge_solve(indefinite, np.ones(2, dtype=np.complex128), np.full(2, 1e-8))
+
+
+def test_refine_on_fresh_kernel_matrix_leaves_gram_uncached():
+    matrix, target = _kernel_problem()
+    support = [0, 3, 6, 21]
+    fresh = ls_refine(matrix, target, support)
+    assert "gram" not in vars(matrix)
+    matrix.gram
+    cached = ls_refine(matrix, target, support)
+    assert np.max(np.abs(fresh.values - cached.values)) <= 1e-9
+    assert np.array_equal(np.flatnonzero(fresh.values), support)
+
+
+# --- dense ridge solve ---------------------------------------------------
+
+
+def _hpd_system(rng, n, extra_rows):
+    """Hermitian positive-definite Gram of a random design, a right-hand
+    side, and ridge weights spread over nine decades."""
+    design = _random_design(rng, n + extra_rows, n)
+    gram = design.conj().T @ design
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return gram, rhs, 10.0 ** rng.uniform(-8.0, 1.0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    extra_rows=st.integers(0, 64),
+    keep=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ridge_solve_equals_cholesky_reference_bitwise(n, extra_rows, keep, seed):
+    rng = np.random.default_rng(seed)
+    gram, rhs, weights = _hpd_system(rng, n, extra_rows)
+    assert np.array_equal(
+        solver._ridge_solve(gram, rhs, weights), cholesky_ridge_solve(gram, rhs, weights)
+    )
+    active = np.flatnonzero(rng.random(n) < keep)
+    sub = gram[np.ix_(active, active)]
+    assert np.array_equal(
+        solver._ridge_solve(sub, rhs[active], weights[active]),
+        cholesky_ridge_solve(sub, rhs[active], weights[active]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    extra_rows=st.integers(0, 40),
+    lam_fraction=st.floats(1e-3, 0.9),
+    zero_threshold=st.sampled_from([0.0, 1e-3, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lasso_core_full_active_set_equals_gathered_path_bitwise(
+    n, extra_rows, lam_fraction, zero_threshold, seed
+):
+    # The gathered path cuts every ridge system out of the Gram by index,
+    # even while no coefficient has left the active set, and solves it
+    # through SciPy's Cholesky wrappers.
+    rng = np.random.default_rng(seed)
+    gram, rhs, _ = _hpd_system(rng, n, extra_rows)
+    lam = lam_fraction * 2.0 * float(np.max(np.abs(rhs)))
+    config = BcdConfig()
+    seen = []
+
+    def gathered(system, right, weights):
+        seen.append(system)
+        every = np.arange(right.shape[0])
+        return cholesky_ridge_solve(system[np.ix_(every, every)], right[every], weights)
+
+    direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
+    with mock.patch.object(solver, "_ridge_solve", gathered):
+        reference = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
+    assert seen[0] is gram
+    assert np.array_equal(direct, reference)
+
+
+def test_non_finite_ridge_systems_are_rank_deficiency():
+    rng = np.random.default_rng(41)
+    S = _random_design(rng, 16, 3)
+    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    gram, rhs, weights = S.conj().T @ S, S.conj().T @ x, np.full(3, 1e-3)
+    nan_rhs, inf_gram, nan_weights = rhs.copy(), gram.copy(), weights.copy()
+    nan_rhs[1] = np.nan
+    inf_gram[2, 0] = np.inf  # below the diagonal, where the factorization never reads
+    nan_weights[1] = np.nan
+    for args in ((gram, nan_rhs, weights), (inf_gram, rhs, weights), (gram, rhs, nan_weights)):
+        with pytest.raises(RankDeficiencyError):
+            solver._ridge_solve(*args)
+
+    nan_x, inf_S = x.copy(), S.copy()
+    nan_x[4] = np.nan
+    inf_S[5, 2] = np.inf  # puts non-finite entries in the Gram
+    with np.errstate(invalid="ignore"):  # inf * 0 in the Gram product
+        for call in (
+            lambda: ridge(S, nan_x, weights),
+            lambda: ridge(inf_S, x, weights),
+            lambda: lasso_iterated_ridge(S, nan_x, 1e-3),
+            lambda: lasso_iterated_ridge(inf_S, x, 1e-3),
+            # A NaN starting modulus gives its coefficient a NaN ridge weight.
+            lambda: lasso_iterated_ridge(S, x, 1e-3, initial=[1.0, np.nan, 1.0]),
+        ):
+            with pytest.raises(RankDeficiencyError):
+                call()
+    # ridge validates its caller's weights before solving.
+    with pytest.raises(ConfigurationError):
+        ridge(S, x, nan_weights)
 
 
 def _peak_traced_bytes(call):
