@@ -24,6 +24,7 @@ from functools import cached_property
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigurationError, DimensionError, FormatError
 from .signal import IqSignal
@@ -267,10 +268,36 @@ class KernelMatrix:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Read-only Gram matrix ``data^H data``, computed on first use."""
-        gram = self.data.conj().T @ self.data
+        """Read-only Gram matrix ``data^H data``, computed on first use.
+
+        It comes from one ``zherk`` call (``hermitian_gram``), which reads
+        ``data`` in place: no conjugate copy of the N x P matrix is made.
+        """
+        gram = hermitian_gram(self.data)
         gram.setflags(write=False)
         return gram
+
+
+def hermitian_gram(data: np.ndarray) -> np.ndarray:
+    """Gram matrix ``data^H data`` of a complex N x P matrix, as a new
+    C-ordered P x P array.
+
+    One BLAS ``zherk`` call forms it.  ``data.T`` of a C-ordered ``data``
+    is a Fortran-ordered view, so ``zherk`` reads the matrix in place
+    and does half the flops of the general product.  It fills the upper
+    triangle of ``conj(data^H data)``; the transpose of that array holds
+    the lower triangle of ``data^H data``, and the strict upper triangle
+    is mirrored from it with O(P^2) temporaries.  The result is exactly
+    Hermitian with an exactly real diagonal.
+    """
+    rows, cols = data.shape
+    if rows == 0 or cols == 0:
+        # OpenBLAS rejects a rank-0 update instead of returning zeros.
+        return np.zeros((cols, cols), dtype=np.complex128)
+    gram = scipy.linalg.blas.zherk(1.0, data.T, trans=0).T
+    upper = np.triu_indices(cols, 1)
+    gram[upper] = gram.T[upper].conj()
+    return gram
 
 
 def _delayed(values: np.ndarray, delay: int) -> np.ndarray:

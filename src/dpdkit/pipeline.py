@@ -411,44 +411,56 @@ def load_config(path, overrides=()) -> ExperimentConfig:
 
 
 class _OutputDir:
-    """Writes experiment files; removes everything it wrote on failure."""
+    """Writes experiment files as one set, or none of them.
+
+    Each file is written to a temporary file in the output directory.
+    When the block exits cleanly, every one is renamed over its final
+    name; when it raises, the temporary files are removed.  A run that
+    fails part-way therefore leaves no half-written hash-stamped file,
+    and the files of an earlier run stay as they were.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.root = config.resolved_output_dir()
         self.header = f"config-hash: {config.config_hash}"
-        self.created = []
+        self.pending = []  # (temporary path, final path), in write order
 
     def __enter__(self):
         os.makedirs(self.root, exist_ok=True)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            for path in self.created:
+        try:
+            if exc_type is None:
+                while self.pending:
+                    os.replace(*self.pending[0])
+                    self.pending.pop(0)
+        finally:
+            for temp, _ in self.pending:
                 try:
-                    os.unlink(path)
+                    os.unlink(temp)
                 except OSError:
                     pass
         return False
 
-    def path(self, name) -> Path:
-        return self.root / name
+    def _stage(self, name) -> Path:
+        """Temporary path for ``name``, registered for rename or removal
+        before anything is written to it."""
+        temp = self.root / f".{name}.{os.getpid()}.tmp"
+        self.pending.append((temp, self.root / name))
+        return temp
 
     def write_table(self, name, columns, rows) -> Path:
-        path = self.path(name)
         lines = [f"# {self.header}", ",".join(columns)]
         for row in rows:
             lines.append(",".join(_format_value(v) if v is not None else "-" for v in row))
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(self._stage(name), "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-        self.created.append(path)
-        return path
+        return self.root / name
 
     def write_model(self, name, coeffs) -> Path:
-        path = self.path(name)
-        write_coefficients(path, coeffs, comment=self.header)
-        self.created.append(path)
-        return path
+        write_coefficients(self._stage(name), coeffs, comment=self.header)
+        return self.root / name
 
 
 def _kernel_map_rows(structure, values):

@@ -25,9 +25,10 @@ instead of the N-sample residual ``r`` itself, so after one pass over
 the matrix to form ``S^H x`` no block update touches the N rows again
 (the covariance update of Friedman, Hastie and Tibshirani, J. Stat.
 Softw. 2010).
-Plain matrices form their Gram per call.  Correlations ``S^H x`` are
-formed as ``conj(x^H S)``, which reads ``S`` in place instead of
-copying its conjugate.
+Plain matrices form their Gram per call.  Every Gram comes from one
+BLAS ``zherk`` call (``gmp.hermitian_gram``) and correlations ``S^H x``
+are formed as ``conj(x^H S)``; both read ``S`` in place, so no
+conjugate copy of it is made.
 
 Every ridge solve, and so every iterate of the Lasso and of each block,
 is one LAPACK ``zposv`` call on a Fortran-ordered work copy of the Gram
@@ -51,7 +52,7 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .gmp import CoefficientVector, KernelMatrix
+from .gmp import CoefficientVector, KernelMatrix, hermitian_gram
 from .signal import IqSignal, _power, _ratio_db
 
 CONDITION_LIMIT = 1e12
@@ -195,7 +196,7 @@ def _unpack_target(x, matrix, km):
 
 def _gram(matrix, km):
     """S^H S, from the kernel matrix's cache when there is one."""
-    return matrix.conj().T @ matrix if km is None else km.gram
+    return hermitian_gram(matrix) if km is None else km.gram
 
 
 def _correlate(matrix, vector):

@@ -6,6 +6,7 @@ import io
 import os
 import re
 import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -439,6 +440,24 @@ def test_failed_experiment_removes_partial_outputs(tmp_path):
             out.write_table("partial.csv", ("a",), [(1,)])
             raise RuntimeError("downstream stage failed")
     assert not (tmp_path / "out" / "partial.csv").exists()
+
+
+def test_write_failing_mid_file_keeps_the_earlier_run_and_leaves_no_partial_file(tmp_path):
+    out = tmp_path / "out"
+    run_experiment2(tiny_config(tmp_path))
+    earlier = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    def half_written(path, coeffs, include_zeros=False, comment=None):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(f"# {comment}\nformat = ")
+        raise OSError("device full")
+
+    # Another seed changes every file, config-hash line included.  The
+    # comparison table is written first and the first model second.
+    with mock.patch("dpdkit.pipeline.write_coefficients", half_written):
+        with pytest.raises(OSError, match="device full"):
+            run_experiment2(tiny_config(tmp_path, "run.seed = 9\n"))
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == earlier
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dpdkit.gmp import (
     build_kernel_matrix,
     effective_memory_depth,
     full_structure,
+    hermitian_gram,
 )
 from dpdkit.pipeline import matched_count_lasso
 from dpdkit.signal import IqSignal
@@ -624,6 +625,16 @@ def _kernel_problem(seed=31, n=2048):
     return matrix, IqSignal(matrix.data @ true + 1e-3 * noise, 1.0)
 
 
+def _assert_is_gram_of(gram, S):
+    """Exactly Hermitian with a real diagonal, and within the summation
+    error bound 2 N eps (|S|^T |S|) of the general product S^H S."""
+    assert gram.shape == (S.shape[1], S.shape[1])
+    assert np.array_equal(gram, gram.conj().T)
+    assert not np.any(np.diagonal(gram).imag)
+    bound = 2 * S.shape[0] * np.finfo(np.float64).eps * (np.abs(S).T @ np.abs(S))
+    assert np.all(np.abs(gram - S.conj().T @ S) <= bound)
+
+
 def test_kernel_matrix_data_and_gram_are_read_only_and_cached():
     matrix, _ = _kernel_problem()
     assert not matrix.data.flags.writeable
@@ -632,7 +643,32 @@ def test_kernel_matrix_data_and_gram_are_read_only_and_cached():
     gram = matrix.gram
     assert gram is matrix.gram
     assert not gram.flags.writeable
-    assert np.array_equal(gram, matrix.data.conj().T @ matrix.data)
+    _assert_is_gram_of(gram, matrix.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 7, 64, 300]),
+    p=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_gram_is_hermitian_and_within_rounding_of_product(n, p, seed):
+    # Column scales over six decades, as the envelope powers of a
+    # kernel matrix spread them.
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, p)
+    S = (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))) * scales
+    gram = hermitian_gram(S)
+    _assert_is_gram_of(gram, S)
+    # C order, as the product it replaces had, keeps the BLAS paths of
+    # the products taken from it unchanged.
+    assert gram.flags.c_contiguous
+
+
+def test_first_gram_access_makes_no_copy_of_the_kernel_matrix():
+    # A conjugate copy of data for the product would cost data.nbytes.
+    matrix, _ = _kernel_problem()
+    assert _peak_traced_bytes(lambda: matrix.gram) < matrix.data.nbytes / 2
 
 
 def test_cached_gram_solvers_equal_plain_matrix_bitwise():
@@ -746,7 +782,7 @@ def test_non_finite_ridge_systems_are_rank_deficiency():
     nan_x, inf_S = x.copy(), S.copy()
     nan_x[4] = np.nan
     inf_S[5, 2] = np.inf  # puts non-finite entries in the Gram
-    with np.errstate(invalid="ignore"):  # inf * 0 in the Gram product
+    with np.errstate(invalid="ignore"):  # inf * 0 in the S^H x product
         for call in (
             lambda: ridge(S, nan_x, weights),
             lambda: ridge(inf_S, x, weights),
@@ -774,7 +810,7 @@ def _peak_traced_bytes(call):
 def test_matched_count_makes_no_copy_of_the_kernel_matrix():
     # An N x P conjugate copy per Lasso call would cost data.nbytes.
     matrix, target = _kernel_problem()
-    matrix.gram  # building the cache makes one transient copy; keep it out
+    matrix.gram  # cache the Gram first, as the experiments do
     peak = _peak_traced_bytes(
         lambda: matched_count_lasso(matrix, target, 5, 0.0, BcdConfig())
     )
@@ -795,7 +831,7 @@ def test_gram_domain_solvers_make_no_copy_of_the_kernel_matrix():
     # data.nbytes; with the Gram cached, both solvers read only its
     # sub-blocks and one S^H x.
     matrix, target = _kernel_problem()
-    matrix.gram  # building the cache makes one transient copy; keep it out
+    matrix.gram  # ls_refine reads sub-blocks only of a cached Gram
     schedule = default_schedule(matrix.structure, threshold_scale=0.01)
     full_support = np.arange(matrix.data.shape[1])
     for call in (
