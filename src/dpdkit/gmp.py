@@ -249,100 +249,217 @@ def max_memory_lag(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
     return max(descriptors[j].lag for j in active)
 
 
+# Rows per block of every streamed pass over a kernel matrix.  4096 rows
+# of the 300-kernel wideband structure take 19.7 MB.
+ROW_CHUNK = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Regressor matrix of a structure evaluated on a source signal.
 
-    ``data`` has one column per kernel in canonical order.  When warm-up
-    rows are dropped, ``row_offset`` records how many leading samples of
-    the source are excluded and ``data`` has correspondingly fewer rows.
-    ``build_kernel_matrix`` returns ``data`` read-only, because ``gram``
-    is cached from it.
+    The matrix has one column per kernel in canonical order.  When
+    warm-up rows are dropped, ``row_offset`` records how many leading
+    samples of the source are excluded and the matrix has
+    correspondingly fewer rows.
+
+    Only the source samples are stored.  ``rows`` evaluates a block of
+    rows on demand, and every consumer works through blocks of
+    ``ROW_CHUNK`` rows: the Gram and ``S^H x`` (``normal_equations``)
+    and the product ``S w`` (``dot``).  Memory therefore grows with the
+    block and with P^2, not with N * P.  ``data``, the whole N x P
+    matrix, is evaluated only when a caller reads it; from then on
+    blocks are views of it, which are bitwise equal to evaluated ones.
     """
 
-    data: np.ndarray
+    samples: np.ndarray
     columns: tuple
     structure: GmpStructure
-    source_length: int
     row_offset: int = 0
+
+    @property
+    def source_length(self) -> int:
+        return self.samples.size
+
+    @property
+    def shape(self) -> tuple:
+        return (self.samples.size - self.row_offset, len(self.columns))
+
+    def rows(self, start: int, stop: int, cols=None) -> np.ndarray:
+        """Rows ``start:stop`` of the matrix, C-ordered; only the columns
+        ``cols``, in that order, when given.
+
+        The block is evaluated on a zero-padded window of the samples,
+        widened by the deepest lag behind it and the longest lead ahead
+        of it, or cut from ``data`` once that exists.
+        """
+        n_rows = self.shape[0]
+        if not 0 <= start <= stop <= n_rows:
+            raise DimensionError(f"rows {start}:{stop} outside a {n_rows}-row matrix")
+        if "data" in vars(self):
+            block = self.data[start:stop]
+            return block if cols is None else block.take(cols, axis=1)
+        descriptors = self.columns if cols is None else [self.columns[j] for j in cols]
+        window = _Window(self.samples, descriptors, self.row_offset + start, stop - start)
+        block = np.empty((stop - start, len(descriptors)), dtype=np.complex128)
+        for j, desc in enumerate(descriptors):
+            block[:, j] = window.column(desc)
+        return block
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The whole matrix, read-only, evaluated block by block on first use."""
+        data = np.empty(self.shape, dtype=np.complex128)
+        for start, stop in row_blocks(self.shape[0]):
+            data[start:stop] = self.rows(start, stop)
+        data.setflags(write=False)
+        return data
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Read-only Gram matrix ``data^H data``, computed on first use.
-
-        It comes from one ``zherk`` call (``hermitian_gram``), which reads
-        ``data`` in place: no conjugate copy of the N x P matrix is made.
-        """
-        gram = hermitian_gram(self.data)
+        """Read-only Gram matrix ``S^H S``, formed on first use in one pass
+        over the row blocks (``normal_equations``)."""
+        gram, _ = normal_equations(self)
         gram.setflags(write=False)
         return gram
 
+    def normal_equations(self, target: np.ndarray) -> tuple:
+        """``(S^H S, S^H target)``, both read-only.
 
-def hermitian_gram(data: np.ndarray) -> np.ndarray:
-    """Gram matrix ``data^H data`` of a complex N x P matrix, as a new
-    C-ordered P x P array.
+        The first call makes one pass that forms both and caches the
+        Gram.  ``S^H target`` is kept for the last target, compared by
+        content, so repeated fits to one target (the matched-count
+        bisection, a refit on a support) make no further pass.
+        """
+        known = vars(self)
+        last = known.get("_last_rhs")
+        if last is not None and np.array_equal(last[0], target):
+            return self.gram, last[1]
+        if "gram" in known:
+            _, rhs = normal_equations(self, target, gram=False)
+        else:
+            gram, rhs = normal_equations(self, target)
+            gram.setflags(write=False)
+            known["gram"] = gram
+        rhs.setflags(write=False)
+        known["_last_rhs"] = (np.array(target, dtype=np.complex128), rhs)
+        return self.gram, rhs
 
-    One BLAS ``zherk`` call forms it.  ``data.T`` of a C-ordered ``data``
-    is a Fortran-ordered view, so ``zherk`` reads the matrix in place
-    and does half the flops of the general product.  It fills the upper
-    triangle of ``conj(data^H data)``; the transpose of that array holds
-    the lower triangle of ``data^H data``, and the strict upper triangle
-    is mirrored from it with O(P^2) temporaries.  The result is exactly
-    Hermitian with an exactly real diagonal.
+    def dot(self, values: np.ndarray) -> np.ndarray:
+        """The product ``S w``, formed block by block."""
+        out = np.empty(self.shape[0], dtype=np.complex128)
+        for start, stop in row_blocks(self.shape[0]):
+            out[start:stop] = self.rows(start, stop) @ values
+        return out
+
+
+def row_blocks(n_rows: int) -> list:
+    """``(start, stop)`` of the ``ROW_CHUNK``-row blocks covering ``n_rows`` rows."""
+    return [(start, min(start + ROW_CHUNK, n_rows)) for start in range(0, n_rows, ROW_CHUNK)]
+
+
+def normal_equations(design, target=None, cols=None, gram=True) -> tuple:
+    """Gram ``S^H S`` and correlation ``S^H x`` of a matrix, accumulated
+    over its ``ROW_CHUNK``-row blocks, as ``(gram, rhs)``.
+
+    ``design`` is a ``KernelMatrix`` or a plain 2-D complex array, and
+    ``cols`` restricts S to those columns.  Without a ``target`` the
+    correlation is None; with ``gram=False`` the Gram is None.
+
+    Each block adds to the Gram through one BLAS ``zherk`` call with
+    ``beta=1``.  ``block.T`` of a C-ordered block is a Fortran-ordered
+    view, so ``zherk`` reads the block in place and does half the flops
+    of the general product.  It fills the upper triangle of
+    ``conj(S^H S)``; the transpose of that array holds the lower
+    triangle of ``S^H S``, and the strict upper triangle is mirrored
+    from it with O(P^2) temporaries.  The Gram is a new C-ordered
+    array, exactly Hermitian with an exactly real diagonal.  The
+    correlation is accumulated as ``conj(sum of x_b^H S_b)``, which
+    reads each block without a conjugate copy.
     """
-    rows, cols = data.shape
-    if rows == 0 or cols == 0:
-        # OpenBLAS rejects a rank-0 update instead of returning zeros.
-        return np.zeros((cols, cols), dtype=np.complex128)
-    gram = scipy.linalg.blas.zherk(1.0, data.T, trans=0).T
-    upper = np.triu_indices(cols, 1)
-    gram[upper] = gram.T[upper].conj()
-    return gram
-
-
-def _delayed(values: np.ndarray, delay: int) -> np.ndarray:
-    """Copy of ``values`` shifted ``delay`` samples into the past, zero padded."""
-    n = values.size
-    out = np.zeros(n, dtype=values.dtype)
-    if delay >= 0:
-        if delay < n:
-            out[delay:] = values[: n - delay]
+    n_rows = design.shape[0]
+    n_cols = design.shape[1] if cols is None else len(cols)
+    if target is not None and target.shape != (n_rows,):
+        raise DimensionError(f"target has shape {target.shape} for {n_rows} rows")
+    upper = rhs = None
+    for start, stop in row_blocks(n_rows):
+        if isinstance(design, KernelMatrix):
+            block = design.rows(start, stop, cols)
+        else:
+            block = design[start:stop]
+            if cols is not None:
+                block = block.take(cols, axis=1)
+        if gram and n_cols:
+            if upper is None:
+                upper = scipy.linalg.blas.zherk(1.0, block.T, trans=0)
+            else:
+                upper = scipy.linalg.blas.zherk(
+                    1.0, block.T, beta=1.0, c=upper, trans=0, overwrite_c=1
+                )
+        if target is not None:
+            part = target[start:stop].conj() @ block
+            if rhs is None:
+                rhs = part
+            else:
+                rhs += part
+        # Free this block before the next one is evaluated.
+        del block
+    if gram:
+        if upper is None:
+            # No rows or no columns: OpenBLAS rejects a rank-0 update.
+            gram = np.zeros((n_cols, n_cols), dtype=np.complex128)
+        else:
+            gram = upper.T
+            mirror = np.triu_indices(n_cols, 1)
+            gram[mirror] = gram.T[mirror].conj()
     else:
-        if -delay < n:
-            out[: n + delay] = values[-delay:]
-    return out
+        gram = None
+    if target is not None:
+        rhs = np.zeros(n_cols, dtype=np.complex128) if rhs is None else rhs.conj()
+    return gram, rhs
 
 
-class _KernelColumns:
-    """Shared per-signal caches for kernel column evaluation."""
+class _Window:
+    """Kernel columns at the ``count`` source positions from ``first`` on.
 
-    def __init__(self, samples: np.ndarray):
-        self.samples = samples
-        self.envelope = np.abs(samples)
-        self._carriers = {}
-        self._env_powers = {}
+    Samples outside the source are zero.  Every carrier and envelope
+    factor is a slice of one zero-padded window of the samples, widened
+    by the deepest lag of ``descriptors`` behind the positions and by
+    their longest lead ahead of them, and each envelope power is taken
+    once over the whole window.
+    """
 
-    def carrier(self, lag: int) -> np.ndarray:
-        if lag not in self._carriers:
-            self._carriers[lag] = _delayed(self.samples, lag)
-        return self._carriers[lag]
-
-    def envelope_power(self, delay: int, k: int) -> np.ndarray:
-        key = (delay, k)
-        if key not in self._env_powers:
-            self._env_powers[key] = _delayed(self.envelope, delay) ** k
-        return self._env_powers[key]
+    def __init__(self, samples: np.ndarray, descriptors, first: int, count: int):
+        behind = max((d.deepest_sample for d in descriptors), default=0)
+        ahead = max(
+            [d.envelope_offset - d.lag for d in descriptors if d.branch is Branch.LEADING]
+            + [0]
+        )
+        lo, hi = first - behind, first + count + ahead
+        self.window = np.zeros(hi - lo, dtype=np.complex128)
+        src_lo, src_hi = max(lo, 0), min(hi, samples.size)
+        if src_hi > src_lo:
+            self.window[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+        self.envelope = np.abs(self.window)
+        self.behind = behind
+        self.count = count
+        self._powers = {}
 
     def column(self, desc: KernelDescriptor) -> np.ndarray:
+        at = self.behind - desc.lag
+        carrier = self.window[at : at + self.count]
         if desc.order_exponent == 0 and desc.branch is Branch.ALIGNED:
-            return self.carrier(desc.lag)
+            return carrier
         if desc.branch is Branch.ALIGNED:
-            env_delay = desc.lag
+            env_at = at
         elif desc.branch is Branch.LAGGING:
-            env_delay = desc.lag + desc.envelope_offset
+            env_at = at - desc.envelope_offset
         else:
-            env_delay = desc.lag - desc.envelope_offset
-        return self.carrier(desc.lag) * self.envelope_power(env_delay, desc.order_exponent)
+            env_at = at + desc.envelope_offset
+        k = desc.order_exponent
+        if k not in self._powers:
+            self._powers[k] = self.envelope**k
+        return carrier * self._powers[k][env_at : env_at + self.count]
 
 
 def _signal_samples(signal) -> np.ndarray:
@@ -357,19 +474,21 @@ def _signal_samples(signal) -> np.ndarray:
 def build_kernel_matrix(
     signal, structure: GmpStructure, drop_warmup: bool = False
 ) -> KernelMatrix:
-    """Evaluate every kernel of ``structure`` on ``signal``.
+    """The kernel matrix of ``structure`` on ``signal``.
 
-    With ``drop_warmup`` the rows whose kernels would reach before the
-    first sample are removed instead of zero padded.
+    No column is evaluated here: the returned ``KernelMatrix`` keeps a
+    read-only copy of the samples and evaluates blocks of rows as its
+    consumers ask for them.  With ``drop_warmup`` the rows whose kernels
+    would reach before the first sample are removed instead of zero
+    padded.
     """
     samples = _signal_samples(signal)
     descriptors = structure.descriptors()
     if not descriptors:
         raise ConfigurationError("structure contains no kernels")
-    cache = _KernelColumns(samples)
-    data = np.empty((samples.size, len(descriptors)), dtype=np.complex128)
-    for j, desc in enumerate(descriptors):
-        data[:, j] = cache.column(desc)
+    if not isinstance(signal, IqSignal):
+        samples = samples.copy()
+        samples.setflags(write=False)
     offset = 0
     if drop_warmup:
         offset = max(d.deepest_sample for d in descriptors)
@@ -377,14 +496,8 @@ def build_kernel_matrix(
             raise DimensionError(
                 f"signal of {samples.size} samples too short to drop {offset} warm-up rows"
             )
-        data = data[offset:]
-    data.setflags(write=False)
     return KernelMatrix(
-        data=data,
-        columns=descriptors,
-        structure=structure,
-        source_length=samples.size,
-        row_offset=offset,
+        samples=samples, columns=descriptors, structure=structure, row_offset=offset
     )
 
 
@@ -396,11 +509,12 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     kernel-matrix product.
     """
     samples = _signal_samples(signal)
-    cache = _KernelColumns(samples)
     descriptors = coeffs.structure.descriptors()
+    support = coeffs.support()
+    window = _Window(samples, [descriptors[j] for j in support], 0, samples.size)
     out = np.zeros(samples.size, dtype=np.complex128)
-    for j in coeffs.support():
-        out += coeffs.values[j] * cache.column(descriptors[j])
+    for j in support:
+        out += coeffs.values[j] * window.column(descriptors[j])
     rate = signal.sample_rate_hz if isinstance(signal, IqSignal) else 1.0
     return IqSignal(out, rate)
 

@@ -26,7 +26,7 @@ from .gmp import (
     values_from_records,
     _AXIS_KEYS,
 )
-from .signal import DB_FLOOR, IqSignal
+from .signal import IqSignal, _power, _ratio_db
 
 _PA_FORMAT_TAG = "pa-model/1"
 _PRESET_NAME = "presets/pa_default.txt"
@@ -118,15 +118,6 @@ class IlcResult:
     error_db: tuple
 
 
-def _error_db(err: np.ndarray, ref_power: float) -> float:
-    power = float(np.real(np.vdot(err, err)))
-    if power <= 0.0:
-        return DB_FLOOR
-    # max() keeps its first argument when the other is NaN, so a NaN
-    # error survives the clamp and the divergence guard sees it.
-    return max(10.0 * math.log10(power / ref_power), DB_FLOOR)
-
-
 def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> IqSignal:
     """One amplifier pass of the learning loop; non-finite samples diverge."""
     if not np.all(np.isfinite(drive)):
@@ -154,7 +145,7 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
     amplifier output stops being finite.
     """
     target = reference.samples
-    ref_power = float(np.real(np.vdot(target, target)))
+    ref_power = _power(target)
     if ref_power == 0.0:
         raise ConfigurationError("reference signal has zero power")
     gain = config.target_gain if config.target_gain is not None else model.smallsignal_gain
@@ -163,13 +154,13 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
     drive = target.copy()
     output = _forward(drive, rate, model, 0)
     error = target - output.samples / gain
-    history = [_error_db(error, ref_power)]
+    history = [_ratio_db(_power(error), ref_power)]
     rising = 0
     for iteration in range(1, config.iterations + 1):
         drive = drive + config.learning_rate * error
         output = _forward(drive, rate, model, iteration)
         error = target - output.samples / gain
-        history.append(_error_db(error, ref_power))
+        history.append(_ratio_db(_power(error), ref_power))
         if not history[-1] <= history[-2]:
             rising += 1
             if rising >= 3:

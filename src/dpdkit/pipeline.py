@@ -492,8 +492,7 @@ def _training_stage(config: ExperimentConfig):
 
 
 def _residual_nmse_db(matrix, target, coeffs) -> float:
-    estimate = matrix.data @ coeffs.values
-    return nmse_db_arrays(estimate, target.samples)
+    return nmse_db_arrays(matrix.dot(coeffs.values), target.samples)
 
 
 def matched_count_lasso(matrix, target, target_count, zero_threshold, bcd):
@@ -505,9 +504,8 @@ def matched_count_lasso(matrix, target, target_count, zero_threshold, bcd):
     matched reports whether the best count landed within 10 percent of
     the target.
     """
-    # |S^H x| equals |x^H S|, which reads the matrix without a conjugate copy.
-    correlations = np.abs(target.samples.conj() @ matrix.data)
-    lam_hi = 2.0 * float(np.max(correlations))
+    _, correlations = matrix.normal_equations(target.samples)
+    lam_hi = 2.0 * float(np.max(np.abs(correlations)))
     lam_lo = lam_hi * 1e-8
     best = None
     for step in range(MATCHED_COUNT_STEPS):

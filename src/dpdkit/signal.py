@@ -192,7 +192,9 @@ def _power(arr: np.ndarray) -> float:
 def _ratio_db(err_power: float, ref_power: float) -> float:
     if err_power <= 0.0:
         return DB_FLOOR
-    return max(DB_FLOOR, 10.0 * math.log10(err_power / ref_power))
+    # max() keeps its first argument when the other is NaN, so a NaN
+    # ratio survives the clamp instead of reading as a perfect match.
+    return max(10.0 * math.log10(err_power / ref_power), DB_FLOOR)
 
 
 def nmse_db_arrays(estimate: np.ndarray, reference: np.ndarray) -> float:

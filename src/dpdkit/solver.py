@@ -13,22 +13,24 @@ Solvers accept either a ``KernelMatrix`` or a plain complex matrix; a
 ``KernelMatrix`` input yields a ``CoefficientVector`` result, a plain
 matrix yields a bare array.
 
-The Gram matrix ``S^H S`` of a ``KernelMatrix`` is computed once and
-cached on it (``KernelMatrix.gram``).  Least squares, ridge and the
-plain Lasso read it from there, so repeated fits on one kernel matrix,
-such as the matched-count bisection, build it only once.  The
-block-weighted descent and ``ls_refine`` read the sub-blocks of that
-cached Gram for their order blocks and supports (``ls_refine`` only
-once the Gram is cached; before that it forms the support's own Gram),
+Every solver works on the normal equations ``S^H S w = S^H x``, which
+``gmp.normal_equations`` forms in one pass over blocks of rows of S,
+for a ``KernelMatrix`` and for a plain matrix alike.  A
+``KernelMatrix`` evaluates each block of kernel columns as the pass
+reaches it, so the fit path never holds the N x P matrix.  Its first
+request makes one pass that forms both ``S^H S`` and ``S^H x``; the
+Gram is cached on it and ``S^H x`` is kept for the last target, so
+the fits that follow on one kernel matrix and one target, such as the
+matched-count bisection and the refit on a support, make no further
+pass.  The block-weighted descent and ``ls_refine`` read the
+sub-blocks of that cached Gram for their order blocks and supports
+(``ls_refine`` only once the Gram is cached; before that it forms the
+support's own normal equations from blocks of the support columns),
 and the descent tracks the correlation ``S^H r`` of the residual
-instead of the N-sample residual ``r`` itself, so after one pass over
-the matrix to form ``S^H x`` no block update touches the N rows again
-(the covariance update of Friedman, Hastie and Tibshirani, J. Stat.
-Softw. 2010).
-Plain matrices form their Gram per call.  Every Gram comes from one
-BLAS ``zherk`` call (``gmp.hermitian_gram``) and correlations ``S^H x``
-are formed as ``conj(x^H S)``; both read ``S`` in place, so no
-conjugate copy of it is made.
+instead of the N-sample residual ``r`` itself, so no block update
+touches the N rows (the covariance update of Friedman, Hastie and
+Tibshirani, J. Stat. Softw. 2010).  Plain matrices form their normal
+equations per call.
 
 Every ridge solve, and so every iterate of the Lasso and of each block,
 is one LAPACK ``zposv`` call on a Fortran-ordered work copy of the Gram
@@ -52,7 +54,7 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .gmp import CoefficientVector, KernelMatrix, hermitian_gram
+from .gmp import CoefficientVector, KernelMatrix, normal_equations
 from .signal import IqSignal, _power, _ratio_db
 
 CONDITION_LIMIT = 1e12
@@ -173,35 +175,35 @@ def default_schedule(
 
 
 def _unpack_design(S):
+    """``(design, km)``: the matrix as given, and the ``KernelMatrix``
+    itself or None for a plain matrix."""
     if isinstance(S, KernelMatrix):
-        return S.data, S
+        return S, S
     arr = np.asarray(S, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"design matrix must be 2-D, got shape {arr.shape}")
     return arr, None
 
 
-def _unpack_target(x, matrix, km):
+def _unpack_target(x, design, km):
     arr = x.samples if isinstance(x, IqSignal) else np.asarray(x, dtype=np.complex128)
     if arr.ndim != 1:
         raise DimensionError(f"target must be 1-D, got shape {arr.shape}")
     if km is not None and km.row_offset and arr.size == km.source_length:
         arr = arr[km.row_offset:]
-    if arr.size != matrix.shape[0]:
+    if arr.size != design.shape[0]:
         raise DimensionError(
-            f"target has {arr.size} samples but design has {matrix.shape[0]} rows"
+            f"target has {arr.size} samples but design has {design.shape[0]} rows"
         )
     return arr
 
 
-def _gram(matrix, km):
-    """S^H S, from the kernel matrix's cache when there is one."""
-    return hermitian_gram(matrix) if km is None else km.gram
-
-
-def _correlate(matrix, vector):
-    """S^H x without an N x P conjugate copy of S."""
-    return (vector.conj() @ matrix).conj()
+def _system(design, km, target):
+    """``(S^H S, S^H x)``: cached on a kernel matrix, formed in one
+    pass over the rows of a plain one."""
+    if km is None:
+        return normal_equations(design, target)
+    return km.normal_equations(target)
 
 
 def _wrap(values, km):
@@ -257,13 +259,8 @@ def least_squares(S, x):
     matrix, km = _unpack_design(S)
     if matrix.shape[1] == 0:
         raise ConfigurationError("design has no columns")
-    target = _unpack_target(x, matrix, km)
-    return _wrap(
-        _normal_solve(
-            _gram(matrix, km), _correlate(matrix, target), _describe(km, matrix)
-        ),
-        km,
-    )
+    gram, rhs = _system(matrix, km, _unpack_target(x, matrix, km))
+    return _wrap(_normal_solve(gram, rhs, _describe(km, matrix)), km)
 
 
 def _ridge_solve(gram, rhs, weights):
@@ -304,18 +301,18 @@ def ridge(S, x, per_coefficient_weights):
         )
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ConfigurationError("ridge weights must be positive and finite")
-    rhs = _correlate(matrix, target)
-    return _wrap(_ridge_solve(_gram(matrix, km), rhs, weights), km)
+    gram, rhs = _system(matrix, km, target)
+    return _wrap(_ridge_solve(gram, rhs, weights), km)
 
 
 def ls_refine(S, x, support):
     """Least squares restricted to ``support``; other coefficients stay zero.
 
     A ``KernelMatrix`` whose Gram is already cached solves on the
-    support's sub-block of it, so no copy of the support columns is
-    made.  Otherwise, as for a plain matrix, the support columns are
-    copied and only their Gram is formed: building the full P x P Gram
-    to read one sub-block would cost far more than the solve.
+    support's sub-blocks of it and of ``S^H x``.  Otherwise, as for a
+    plain matrix, one pass over row blocks of the support columns forms
+    only the support's own normal equations: building the full P x P
+    Gram to read one sub-block would cost far more than the solve.
     """
     matrix, km = _unpack_design(S)
     target = _unpack_target(x, matrix, km)
@@ -329,10 +326,10 @@ def ls_refine(S, x, support):
             f"support indices must lie in [0, {matrix.shape[1]}), got {idx.min()}..{idx.max()}"
         )
     if km is None or "gram" not in vars(km):
-        sub = matrix[:, idx]
-        gram, rhs = _gram(sub, None), _correlate(sub, target)
+        gram, rhs = normal_equations(matrix, target, cols=idx)
     else:
-        gram, rhs = km.gram[np.ix_(idx, idx)], _correlate(matrix, target)[idx]
+        gram, rhs = km.normal_equations(target)
+        gram, rhs = gram[np.ix_(idx, idx)], rhs[idx]
     values = np.zeros(matrix.shape[1], dtype=np.complex128)
     values[idx] = _normal_solve(
         gram, rhs, f"{idx.size}-kernel support of {_describe(km, matrix)}"
@@ -411,9 +408,8 @@ def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None, initial=Non
             raise DimensionError(
                 f"initial guess has {init.shape} entries for {matrix.shape[1]} columns"
             )
-    omega = _lasso_core(
-        _gram(matrix, km), _correlate(matrix, target), lam, zero_threshold, config, init
-    )
+    gram, rhs = _system(matrix, km, target)
+    omega = _lasso_core(gram, rhs, lam, zero_threshold, config, init)
     return _wrap(omega, km)
 
 
@@ -490,13 +486,13 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
     blocks = {
         k: np.flatnonzero([d.order_exponent == k for d in km.columns]) for k in orders
     }
-    gram = km.gram
+    gram, rhs = km.normal_equations(target)
     # Each block's Gram S_k^H S_k and cross columns S^H S_k.
     block_grams = {k: gram[np.ix_(blocks[k], blocks[k])] for k in orders}
     cross = {k: gram[:, blocks[k]] for k in orders}
 
     omega = np.zeros(gram.shape[0], dtype=np.complex128)
-    corr = _correlate(matrix, target)  # S^H r for r = x - S omega
+    corr = rhs.copy()  # S^H r for r = x - S omega
     residual_power = target_power
     objective = target_power
     records = []
@@ -598,7 +594,9 @@ def kkt_check(S, x, coeffs, schedule) -> KktReport:
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
             raise ConfigurationError("penalty weights must be positive and finite")
 
-    correlation = 2.0 * _correlate(matrix, target - matrix @ values)
+    estimate = matrix @ values if km is None else km.dot(values)
+    _, correlation = normal_equations(matrix, target - estimate, gram=False)
+    correlation *= 2.0
     active = values != 0
     if np.any(active):
         phases = values[active] / np.abs(values[active])

@@ -1,9 +1,11 @@
 """GMP structures, kernel matrices, model application, coefficient files."""
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from dpdkit.errors import ConfigurationError, DimensionError, FormatError
 from dpdkit.gmp import (
+    ROW_CHUNK,
     Branch,
     CoefficientVector,
     GmpStructure,
@@ -15,6 +17,7 @@ from dpdkit.gmp import (
     kernel_count,
     max_memory_lag,
     read_coefficients,
+    row_blocks,
     write_coefficients,
 )
 from dpdkit.signal import IqSignal, OfdmConfig, generate_ofdm
@@ -151,6 +154,48 @@ def test_drop_warmup_rows():
     deepest = 4  # max lag 3 plus cross offset 1
     assert trimmed.row_offset == deepest
     assert np.array_equal(trimmed.data, full.data[deepest:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # Below, at and just above one row block, and several blocks with a
+    # partial last one.
+    n=st.sampled_from([37, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 515]),
+    memory_depth=st.integers(0, 4),
+    max_order=st.sampled_from([1, 3, 5, 7]),
+    lagging_depth=st.integers(0, 2),
+    leading_depth=st.integers(0, 3),
+    drop_warmup=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    draw=st.data(),
+)
+def test_row_blocks_concatenate_to_data_bitwise(
+    n, memory_depth, max_order, lagging_depth, leading_depth, drop_warmup, seed, draw
+):
+    rng = np.random.default_rng(seed)
+    signal = _sig((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2))
+    structure = full_structure(
+        memory_depth,
+        max_order,
+        lagging_depth,
+        include_leading=leading_depth > 0,
+        leading_depth=leading_depth,
+    )
+    streamed = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup)
+    data = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup).data
+    n_rows, n_cols = data.shape
+    assert streamed.shape == data.shape
+    blocks = [streamed.rows(start, stop) for start, stop in row_blocks(n_rows)]
+    assert np.array_equal(np.concatenate(blocks), data)
+    # Blocks cut anywhere, over any subset of the columns in any order.
+    cuts = sorted(draw.draw(st.lists(st.integers(0, n_rows), max_size=4)))
+    bounds = [0, *cuts, n_rows]
+    cols = draw.draw(st.lists(st.integers(0, n_cols - 1), min_size=1, unique=True))
+    pieces = [streamed.rows(start, stop, cols) for start, stop in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces), data[:, cols])
+    assert "data" not in vars(streamed)
+    with pytest.raises(DimensionError):
+        streamed.rows(0, n_rows + 1)
 
 
 # --- model application ---------------------------------------------------

@@ -181,9 +181,9 @@ def test_ilc_overflowing_drive_is_divergence():
 
 
 def test_ilc_nan_error_counts_as_rising(monkeypatch):
-    assert np.isnan(pa_sim._error_db(np.array([np.nan + 0j]), 1.0))
+    assert np.isnan(pa_sim._ratio_db(pa_sim._power(np.array([np.nan + 0j])), 1.0))
     history = iter([-10.0, np.nan, np.nan, np.nan, -20.0])
-    monkeypatch.setattr(pa_sim, "_error_db", lambda err, ref_power: next(history))
+    monkeypatch.setattr(pa_sim, "_ratio_db", lambda err_power, ref_power: next(history))
     rng = np.random.default_rng(3)
     samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     with pytest.raises(DivergenceError, match="3 consecutive"):

@@ -15,6 +15,7 @@ from dpdkit.cli import cli
 from dpdkit.errors import ConfigurationError
 from dpdkit.gmp import (
     CoefficientVector,
+    KernelMatrix,
     build_kernel_matrix,
     effective_memory_depth,
     full_structure,
@@ -431,6 +432,16 @@ def test_experiments_rerun_byte_identical(tmp_path):
     first = snapshot()
     second = snapshot()
     assert first == second
+
+
+def test_experiments_never_form_the_kernel_matrix(tmp_path, monkeypatch):
+    def formed(matrix):
+        raise AssertionError("the N x P kernel matrix was formed")
+
+    monkeypatch.setattr(KernelMatrix, "data", property(formed))
+    config = tiny_config(tmp_path)
+    run_experiment1(config)
+    run_experiment2(config)
 
 
 def test_failed_experiment_removes_partial_outputs(tmp_path):

@@ -95,6 +95,12 @@ def test_nmse_exact_match_hits_clamp():
     assert nmse_db(ref, ref) == DB_FLOOR
 
 
+def test_nmse_nan_estimate_is_nan_not_the_floor():
+    # A broken estimate must not read as a perfect reconstruction.
+    ref = np.array([1.0, 1.0j, -2.0])
+    assert np.isnan(nmse_db_arrays(np.array([1.0, np.nan, -2.0]), ref))
+
+
 def test_nmse_zero_estimate_is_zero_db():
     ref = _sig([1.0, 1.0j, -2.0])
     est = _sig([0.0, 0.0, 0.0])

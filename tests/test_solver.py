@@ -13,12 +13,14 @@ from dpdkit.errors import (
     RankDeficiencyError,
 )
 from dpdkit.gmp import (
+    ROW_CHUNK,
     Branch,
     CoefficientVector,
+    apply_model,
     build_kernel_matrix,
     effective_memory_depth,
     full_structure,
-    hermitian_gram,
+    normal_equations,
 )
 from dpdkit.pipeline import matched_count_lasso
 from dpdkit.signal import IqSignal
@@ -658,7 +660,7 @@ def test_hermitian_gram_is_hermitian_and_within_rounding_of_product(n, p, seed):
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-3.0, 3.0, p)
     S = (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))) * scales
-    gram = hermitian_gram(S)
+    gram, _ = normal_equations(S)
     _assert_is_gram_of(gram, S)
     # C order, as the product it replaces had, keeps the BLAS paths of
     # the products taken from it unchanged.
@@ -818,12 +820,13 @@ def test_matched_count_makes_no_copy_of_the_kernel_matrix():
 
 
 def test_block_weighted_holds_no_conjugate_block_copies():
-    # The order blocks themselves total data.nbytes; conjugate copies of
-    # them kept for the whole descent would double that.
+    # The descent reads only the Gram and S^H x; a conjugate copy of the
+    # order blocks, which together hold every column, would cost
+    # data.nbytes.
     matrix, target = _kernel_problem()
     schedule = default_schedule(matrix.structure, threshold_scale=0.01)
     peak = _peak_traced_bytes(lambda: block_weighted_lasso(matrix, target, schedule))
-    assert peak < 1.5 * matrix.data.nbytes
+    assert peak < matrix.data.nbytes / 2
 
 
 def test_gram_domain_solvers_make_no_copy_of_the_kernel_matrix():
@@ -839,3 +842,72 @@ def test_gram_domain_solvers_make_no_copy_of_the_kernel_matrix():
         lambda: ls_refine(matrix, target, full_support),
     ):
         assert _peak_traced_bytes(call) < matrix.data.nbytes / 2
+
+
+# --- streamed kernel matrix ------------------------------------------------
+
+
+def _streamed_problem(n):
+    """Signal, 35-kernel structure and a target built without evaluating
+    the kernel matrix."""
+    rng = np.random.default_rng(47)
+    signal = IqSignal(
+        (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), 1.0
+    )
+    structure = full_structure(4, 7, 1)
+    true = np.zeros(structure.kernel_count, dtype=np.complex128)
+    true[[0, 6, 21]] = [1.0, 0.2j, -0.05]
+    clean = apply_model(signal, CoefficientVector(structure, true)).samples
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return signal, structure, IqSignal(clean + 1e-3 * noise, 1.0)
+
+
+def test_fits_agree_bitwise_whether_or_not_data_was_read_first():
+    signal, structure, target = _streamed_problem(2 * ROW_CHUNK + 515)
+    schedule = default_schedule(structure, threshold_scale=0.01)
+    runs = []
+    for read_data in (False, True):
+        matrix = build_kernel_matrix(signal, structure)
+        if read_data:
+            matrix.data
+        # A fresh matrix refines from the support's own normal equations.
+        fresh = ls_refine(matrix, target, [0, 3, 6, 21])
+        gram, rhs = matrix.normal_equations(target.samples)
+        coeffs, trace = block_weighted_lasso(matrix, target, schedule)
+        refined = ls_refine(matrix, target, coeffs.support())
+        runs.append(
+            (
+                fresh.values,
+                gram,
+                rhs,
+                coeffs.values,
+                [r.nmse_db for r in trace.records],
+                refined.values,
+                matrix.dot(refined.values),
+            )
+        )
+        assert ("data" in vars(matrix)) == read_data
+    for streamed, materialized in zip(*runs):
+        assert np.array_equal(streamed, materialized)
+
+
+def test_fit_path_never_forms_the_kernel_matrix():
+    # Several row blocks with a partial last one; the matrix would take
+    # N * P * 16 bytes, a row block a fifth of the bound below.
+    signal, structure, target = _streamed_problem(8 * ROW_CHUNK + 1234)
+    schedule = default_schedule(structure, threshold_scale=0.01)
+    built = []
+
+    def fit():
+        matrix = build_kernel_matrix(signal, structure)
+        built.append(matrix)
+        coeffs, _ = block_weighted_lasso(matrix, target, schedule)
+        ls_refine(matrix, target, coeffs.support())
+        least_squares(matrix, target)
+        lasso_iterated_ridge(matrix, target, 1e-2, 1e-4)
+        matched_count_lasso(matrix, target, 5, 0.0, BcdConfig())
+
+    peak = _peak_traced_bytes(fit)
+    (matrix,) = built
+    assert peak < matrix.shape[0] * matrix.shape[1] * 16 / 4
+    assert "data" not in vars(matrix)
