@@ -32,7 +32,7 @@ from .gmp import (
     write_coefficients,
 )
 from .pa_sim import ilc_learn, pa_forward
-from .pipeline import load_config, run_experiment1, run_experiment2
+from .pipeline import load_config, run_experiment1, run_experiment2, write_table
 from .signal import evm_db, generate_ofdm, read_iq, write_iq
 from .solver import (
     block_weighted_lasso,
@@ -145,14 +145,6 @@ def _with_suggestion(message: str, flags) -> str:
     return message
 
 
-def _write_trace_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _cmd_gen_signal(args):
     config = load_config(args.config, args.set)
     signal_config = config.validation_signal() if args.validation else config.signal
@@ -176,9 +168,7 @@ def _cmd_ilc(args):
     result = ilc_learn(reference, model, config.ilc)
     write_iq(result.drive, args.out)
     if args.trace:
-        _write_trace_csv(
-            args.trace, ("iteration", "error_db"), list(enumerate(result.error_db))
-        )
+        write_table(args.trace, ("iteration", "error_db"), enumerate(result.error_db))
     print(f"wrote {args.out}: final error {result.error_db[-1]!r} dB")
 
 
@@ -202,7 +192,7 @@ def _cmd_fit(args):
     else:
         coeffs, trace = block_weighted_lasso(matrix, target, config.schedule(), config.bcd)
         if args.trace:
-            _write_trace_csv(
+            write_table(
                 args.trace,
                 ("iteration", "nmse_db", "kernel_count", "effective_memory_depth"),
                 trace.rows(),

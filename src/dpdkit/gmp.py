@@ -18,10 +18,11 @@ by (k, l, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import enum
 from functools import cached_property
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -520,111 +521,122 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient file format: line-oriented text with the structure axes as
-# key = value headers, then one whitespace-separated record per kernel.
+# Coefficient file format: line-oriented ASCII text.  A ``format = <tag>``
+# header, the extra headers of that tag, and the structure axes as
+# ``key = value`` headers come first; after a ``[coefficients]`` marker
+# follows one whitespace-separated record per kernel: branch, k, l, m
+# (``-`` on the aligned branch), real part, imaginary part.  ``#`` starts
+# a comment.  Coefficient files (``gmp-coeff/1``) and amplifier models
+# (``pa-model/1``, see ``pa_sim``) share this layout.
 
 _COEFF_FORMAT_TAG = "gmp-coeff/1"
 
-_AXIS_KEYS = (
-    "aligned_orders",
-    "aligned_lags",
-    "lagging_orders",
-    "lagging_lags",
-    "lagging_cross",
-    "leading_orders",
-    "leading_lags",
-    "leading_cross",
-)
+_AXIS_KEYS = tuple(f.name for f in fields(GmpStructure))
 
 
-def _format_int_list(values) -> str:
-    return " ".join(str(v) for v in values)
-
-
-def structure_header_lines(structure: GmpStructure) -> list:
-    return [f"{key} = {_format_int_list(getattr(structure, key))}" for key in _AXIS_KEYS]
-
-
-def coefficient_record_lines(coeffs: CoefficientVector, include_zeros: bool = False) -> list:
-    lines = []
-    for desc, value in zip(coeffs.structure.descriptors(), coeffs.values):
-        if not include_zeros and value == 0:
-            continue
-        m = "-" if desc.envelope_offset is None else str(desc.envelope_offset)
-        lines.append(
-            f"{desc.branch.value} {desc.order_exponent} {desc.lag} {m} "
-            f"{float(value.real)!r} {float(value.imag)!r}"
-        )
-    return lines
-
-
-def write_coefficients(
-    path, coeffs: CoefficientVector, include_zeros: bool = False, comment: str | None = None
+def write_coefficient_file(
+    path, tag, coeffs: CoefficientVector, headers=(), include_zeros=False, comment=None
 ) -> None:
-    """Write coefficients as structured text; zero entries are omitted."""
+    """Write ``coeffs`` in the layout of format ``tag``.
+
+    ``headers`` are extra ``(key, value)`` pairs written after the
+    format line, ``comment`` becomes a leading ``#`` line, and zero
+    coefficients are omitted unless ``include_zeros``.
+    """
+    structure = coeffs.structure
     lines = [] if comment is None else [f"# {comment}"]
-    lines.append(f"format = {_COEFF_FORMAT_TAG}")
-    lines += structure_header_lines(coeffs.structure)
+    lines.append(f"format = {tag}")
+    lines += [f"{key} = {value}" for key, value in headers]
+    lines += [
+        f"{key} = {' '.join(str(v) for v in getattr(structure, key))}" for key in _AXIS_KEYS
+    ]
     lines.append("[coefficients]")
-    lines += coefficient_record_lines(coeffs, include_zeros)
+    for desc, value in zip(structure.descriptors(), coeffs.values):
+        if include_zeros or value != 0:
+            m = "-" if desc.envelope_offset is None else desc.envelope_offset
+            lines.append(
+                f"{desc.branch.value} {desc.order_exponent} {desc.lag} {m} "
+                f"{float(value.real)!r} {float(value.imag)!r}"
+            )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def split_header_and_records(path):
-    """Parse a coefficient-style file into (headers, records).
+def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
+    """Read a file of format ``tag`` as ``(extras, coefficients)``.
 
-    headers: list of (line_number, key, value); records: list of
-    (line_number, token list) following the ``[coefficients]`` marker.
+    Every key of ``extra_keys`` is a required header; ``extras`` maps it
+    to ``(line number, raw value)`` for the caller to parse.  Kernels
+    without a record are zero.  Anything else that is not this layout
+    raises FormatError: a non-ASCII byte, a missing or repeated marker,
+    a missing, wrong, repeated or unknown header, an axis that is not a
+    valid integer list, and a record that is malformed, repeated,
+    outside the declared structure, or not finite.
     """
-    headers = []
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"non-ASCII byte {raw[exc.start]:#04x}",
+            path=path,
+            offset=exc.start,
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    headers = {}
     records = []
     in_records = False
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line == "[coefficients]":
-                if in_records:
-                    raise FormatError("duplicate [coefficients] marker", path=path, line=lineno)
-                in_records = True
-                continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == "[coefficients]":
             if in_records:
-                records.append((lineno, line.split()))
-            else:
-                if "=" not in line:
-                    raise FormatError(
-                        f"expected 'key = value', got {line!r}", path=path, line=lineno
-                    )
-                key, _, value = line.partition("=")
-                headers.append((lineno, key.strip(), value.strip()))
+                raise FormatError("duplicate [coefficients] marker", path=path, line=lineno)
+            in_records = True
+        elif in_records:
+            records.append((lineno, line.split()))
+        else:
+            key, equals, value = line.partition("=")
+            key = key.strip()
+            if not equals:
+                raise FormatError(
+                    f"expected 'key = value', got {line!r}", path=path, line=lineno
+                )
+            if key in headers:
+                raise FormatError(f"duplicate header key {key!r}", path=path, line=lineno)
+            headers[key] = (lineno, value.strip())
     if not in_records:
         raise FormatError("missing [coefficients] marker", path=path)
-    return headers, records
+    if "format" not in headers:
+        raise FormatError("missing format header", path=path)
+    found = headers.pop("format")[1]
+    if found != tag:
+        raise FormatError(f"unsupported format tag {found!r}", path=path)
+    for key in extra_keys:
+        if key not in headers:
+            raise FormatError(f"missing {key} header", path=path)
+    extras = {key: headers.pop(key) for key in extra_keys}
+    unknown = set(headers) - set(_AXIS_KEYS)
+    if unknown:
+        raise FormatError(f"unknown header keys {sorted(unknown)}", path=path)
 
-
-def _parse_int_list(value, path, lineno):
-    try:
-        return tuple(int(tok) for tok in value.split())
-    except ValueError:
-        raise FormatError(f"expected integers, got {value!r}", path=path, line=lineno) from None
-
-
-def structure_from_headers(header_map, path):
     axes = {}
     for key in _AXIS_KEYS:
-        if key not in header_map:
+        if key not in headers:
             raise FormatError(f"missing structure key {key!r}", path=path)
-        lineno, value = header_map[key]
-        axes[key] = _parse_int_list(value, path, lineno)
+        lineno, value = headers[key]
+        try:
+            axes[key] = tuple(int(tok) for tok in value.split())
+        except ValueError:
+            raise FormatError(
+                f"expected integers, got {value!r}", path=path, line=lineno
+            ) from None
     try:
-        return GmpStructure(**axes)
+        structure = GmpStructure(**axes)
     except ConfigurationError as exc:
         raise FormatError(f"invalid structure: {exc}", path=path) from exc
 
-
-def values_from_records(structure, records, path):
     index = {
         (d.branch, d.order_exponent, d.lag, d.envelope_offset): j
         for j, d in enumerate(structure.descriptors())
@@ -648,6 +660,10 @@ def values_from_records(structure, records, path):
             value = complex(float(re_tok), float(im_tok))
         except ValueError:
             raise FormatError(f"malformed record {tokens}", path=path, line=lineno) from None
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise FormatError(
+                f"coefficient must be finite, got {re_tok} {im_tok}", path=path, line=lineno
+            )
         key = (branch, k, l, m)
         if key not in index:
             raise FormatError(
@@ -663,25 +679,18 @@ def values_from_records(structure, records, path):
             )
         seen.add(key)
         values[index[key]] = value
-    return values
+    return extras, CoefficientVector(structure, values)
+
+
+def write_coefficients(
+    path, coeffs: CoefficientVector, include_zeros: bool = False, comment: str | None = None
+) -> None:
+    """Write coefficients as structured text; zero entries are omitted."""
+    write_coefficient_file(
+        path, _COEFF_FORMAT_TAG, coeffs, include_zeros=include_zeros, comment=comment
+    )
 
 
 def read_coefficients(path) -> CoefficientVector:
     """Read a coefficient file; kernels without a record are zero."""
-    headers, records = split_header_and_records(path)
-    header_map = {}
-    for lineno, key, value in headers:
-        if key in header_map:
-            raise FormatError(f"duplicate header key {key!r}", path=path, line=lineno)
-        header_map[key] = (lineno, value)
-    if "format" not in header_map:
-        raise FormatError("missing format header", path=path)
-    tag = header_map.pop("format")[1]
-    if tag != _COEFF_FORMAT_TAG:
-        raise FormatError(f"unsupported format tag {tag!r}", path=path)
-    unknown = set(header_map) - set(_AXIS_KEYS)
-    if unknown:
-        raise FormatError(f"unknown header keys {sorted(unknown)}", path=path)
-    structure = structure_from_headers(header_map, path)
-    values = values_from_records(structure, records, path)
-    return CoefficientVector(structure, values)
+    return read_coefficient_file(path, _COEFF_FORMAT_TAG)[1]

@@ -19,12 +19,8 @@ from .errors import ConfigurationError, DivergenceError, FormatError
 from .gmp import (
     CoefficientVector,
     apply_model,
-    coefficient_record_lines,
-    split_header_and_records,
-    structure_from_headers,
-    structure_header_lines,
-    values_from_records,
-    _AXIS_KEYS,
+    read_coefficient_file,
+    write_coefficient_file,
 )
 from .signal import IqSignal, _power, _ratio_db
 
@@ -174,41 +170,23 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
 
 
 # ---------------------------------------------------------------------------
-# Amplifier model files share the coefficient-file layout with two extra
-# headers for the gain and the clip level.
+# Amplifier model files use the coefficient-file layout of ``gmp`` under
+# their own format tag, with two extra headers: the small-signal gain as
+# two floats and the clip level as a float or ``none``.
 
 
 def write_pa_model(path, model: PaModel) -> None:
     gain = model.smallsignal_gain
     level = "none" if model.saturation_level is None else repr(model.saturation_level)
-    lines = [
-        f"format = {_PA_FORMAT_TAG}",
-        f"smallsignal_gain = {gain.real!r} {gain.imag!r}",
-        f"saturation_level = {level}",
-    ]
-    lines += structure_header_lines(model.coefficients.structure)
-    lines.append("[coefficients]")
-    lines += coefficient_record_lines(model.coefficients)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    headers = (("smallsignal_gain", f"{gain.real!r} {gain.imag!r}"), ("saturation_level", level))
+    write_coefficient_file(path, _PA_FORMAT_TAG, model.coefficients, headers)
 
 
 def read_pa_model(path) -> PaModel:
-    headers, records = split_header_and_records(path)
-    header_map = {}
-    for lineno, key, value in headers:
-        if key in header_map:
-            raise FormatError(f"duplicate header key {key!r}", path=path, line=lineno)
-        header_map[key] = (lineno, value)
-    if "format" not in header_map:
-        raise FormatError("missing format header", path=path)
-    tag = header_map.pop("format")[1]
-    if tag != _PA_FORMAT_TAG:
-        raise FormatError(f"unsupported format tag {tag!r}", path=path)
-
-    if "smallsignal_gain" not in header_map:
-        raise FormatError("missing smallsignal_gain header", path=path)
-    lineno, value = header_map.pop("smallsignal_gain")
+    extras, coeffs = read_coefficient_file(
+        path, _PA_FORMAT_TAG, ("smallsignal_gain", "saturation_level")
+    )
+    lineno, value = extras["smallsignal_gain"]
     tokens = value.split()
     try:
         if len(tokens) != 2:
@@ -219,9 +197,7 @@ def read_pa_model(path) -> PaModel:
             f"smallsignal_gain needs two floats, got {value!r}", path=path, line=lineno
         ) from None
 
-    if "saturation_level" not in header_map:
-        raise FormatError("missing saturation_level header", path=path)
-    lineno, value = header_map.pop("saturation_level")
+    lineno, value = extras["saturation_level"]
     if value == "none":
         level = None
     else:
@@ -234,13 +210,8 @@ def read_pa_model(path) -> PaModel:
                 line=lineno,
             ) from None
 
-    unknown = set(header_map) - set(_AXIS_KEYS)
-    if unknown:
-        raise FormatError(f"unknown header keys {sorted(unknown)}", path=path)
-    structure = structure_from_headers(header_map, path)
-    values = values_from_records(structure, records, path)
     try:
-        return PaModel(CoefficientVector(structure, values), gain, level)
+        return PaModel(coeffs, gain, level)
     except ConfigurationError as exc:
         raise FormatError(f"invalid amplifier model: {exc}", path=path) from exc
 

@@ -184,47 +184,30 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         """Fully resolved, ordered serialization; hashes and files use this."""
-        s, d, ilc, spec = self.signal, self.structure, self.ilc, self.schedule_spec
-        gain = (
-            "none"
-            if ilc.target_gain is None
-            else f"{ilc.target_gain.real!r} {ilc.target_gain.imag!r}"
-        )
-        values = {
-            ("signal", "n_subcarriers"): s.n_subcarriers,
-            ("signal", "n_active"): s.n_active,
-            ("signal", "n_symbols"): s.n_symbols,
-            ("signal", "oversampling_factor"): s.oversampling_factor,
-            ("signal", "constellation"): s.constellation,
-            ("signal", "seed"): s.seed,
-            ("signal", "target_rms"): s.target_rms,
-            ("signal", "sample_rate_hz"): s.sample_rate_hz,
+        d, spec, gain = self.structure, self.schedule_spec, self.ilc.target_gain
+        # Keys that are not a field of their section's object; every other
+        # key is read from it by name.
+        derived = {
             ("pa", "preset"): self.pa_preset,
-            ("ilc", "iterations"): ilc.iterations,
-            ("ilc", "learning_rate"): ilc.learning_rate,
-            ("ilc", "target_gain"): gain,
+            ("ilc", "target_gain"): "none" if gain is None else f"{gain.real!r} {gain.imag!r}",
             ("dpd", "memory_depth"): max(d.aligned_lags),
             ("dpd", "max_order"): max(d.aligned_orders) + 1,
             ("dpd", "lagging_depth"): max(d.lagging_cross, default=0),
             ("dpd", "include_leading"): bool(d.leading_cross),
             ("dpd", "leading_depth"): max(d.leading_cross, default=0),
-            ("schedule", "mode"): spec.mode,
-            ("schedule", "lambda_scale"): spec.lambda_scale,
-            ("schedule", "threshold_scale"): spec.threshold_scale,
-            ("bcd", "outer_iterations"): self.bcd.outer_iterations,
-            ("bcd", "inner_ridge_iterations"): self.bcd.inner_ridge_iterations,
-            ("bcd", "inner_tolerance"): self.bcd.inner_tolerance,
-            ("bcd", "keep_best_iterate"): self.bcd.keep_best_iterate,
-            ("bcd", "ridge_epsilon"): self.bcd.ridge_epsilon,
-            ("bcd", "warm_start"): self.bcd.warm_start,
             ("standard_lasso", "lambda"): self.standard_lasso_lambda,
             ("standard_lasso", "zero_threshold"): self.standard_lasso_zero_threshold,
             ("output", "dir"): self.output_dir,
             ("run", "seed"): self.seed,
         }
+        sections = {"signal": self.signal, "ilc": self.ilc, "schedule": spec, "bcd": self.bcd}
         lines = []
         for section, key, _, _ in _SCHEMA:
-            lines.append(f"{section}.{key} = {_format_value(values[(section, key)])}")
+            if (section, key) in derived:
+                value = derived[(section, key)]
+            else:
+                value = getattr(sections[section], key)
+            lines.append(f"{section}.{key} = {_format_value(value)}")
             if section == "schedule" and key == "threshold_scale":
                 for k, v in spec.lambda_by_order:
                     lines.append(f"schedule.lambda_{k} = {v!r}")
@@ -243,6 +226,18 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def write_table(path, columns, rows, comment=None) -> None:
+    """Write a CSV table: an optional ``# comment`` line, the column
+    names, then one line per row.  Floats are written with ``repr``,
+    booleans as ``true``/``false`` and None as ``-``."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join("-" if v is None else _format_value(v) for v in row))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _parse_bool(raw, where):
@@ -273,26 +268,29 @@ def _parse_typed(raw, kind, where):
         raise ConfigurationError(f"{where} expects a {kind}, got {raw!r}") from None
 
 
+def _parse_entry(line, where):
+    """``((section, key), value)`` of one ``section.key = value`` entry;
+    ``where`` prefixes the error messages."""
+    name, equals, value = line.partition("=")
+    name = name.strip()
+    if not equals:
+        raise ConfigurationError(f"{where}expected 'section.key = value', got {line!r}")
+    if name.count(".") != 1:
+        raise ConfigurationError(f"{where}keys are 'section.key', got {name!r}")
+    section, key = name.split(".")
+    return (section, key), value.strip()
+
+
 def _parse_lines(text, source):
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigurationError(
-                f"{source}:{lineno}: expected 'section.key = value', got {line!r}"
-            )
-        name, _, value = line.partition("=")
-        name = name.strip()
-        if name.count(".") != 1:
-            raise ConfigurationError(
-                f"{source}:{lineno}: keys are 'section.key', got {name!r}"
-            )
-        section, key = name.split(".")
-        if (section, key) in entries:
-            raise ConfigurationError(f"{source}:{lineno}: duplicate key {name}")
-        entries[(section, key)] = value.strip()
+        name, value = _parse_entry(line, f"{source}:{lineno}: ")
+        if name in entries:
+            raise ConfigurationError(f"{source}:{lineno}: duplicate key {'.'.join(name)}")
+        entries[name] = value
     return entries
 
 
@@ -309,66 +307,34 @@ def _schedule_order_key(section, key):
 
 
 def config_from_entries(entries, base_dir=".", source="<config>") -> ExperimentConfig:
-    known = {(s, k): (kind, default) for s, k, kind, default in _SCHEMA}
-    values = {name: default for name, (_, default) in known.items()}
-    lambda_by_order, threshold_by_order = {}, {}
+    kinds = {(s, k): kind for s, k, kind, _ in _SCHEMA}
+    values = {(s, k): default for s, k, _, default in _SCHEMA}
+    by_order = {"lambda": {}, "threshold": {}}
     for (section, key), raw in entries.items():
         dynamic = _schedule_order_key(section, key)
         if dynamic is not None:
             kind, order = dynamic
-            target = lambda_by_order if kind == "lambda" else threshold_by_order
-            target[order] = _parse_typed(raw, "float", f"{section}.{key}")
-            continue
-        if (section, key) not in known:
+            by_order[kind][order] = _parse_typed(raw, "float", f"{section}.{key}")
+        elif (section, key) in kinds:
+            values[(section, key)] = _parse_typed(raw, kinds[(section, key)], f"{section}.{key}")
+        else:
             raise ConfigurationError(f"{source}: unknown config key {section}.{key}")
-        values[(section, key)] = _parse_typed(
-            raw, known[(section, key)][0], f"{section}.{key}"
-        )
 
-    signal = OfdmConfig(
-        n_subcarriers=values[("signal", "n_subcarriers")],
-        n_active=values[("signal", "n_active")],
-        n_symbols=values[("signal", "n_symbols")],
-        oversampling_factor=values[("signal", "oversampling_factor")],
-        constellation=values[("signal", "constellation")],
-        seed=values[("signal", "seed")],
-        target_rms=values[("signal", "target_rms")],
-        sample_rate_hz=values[("signal", "sample_rate_hz")],
-    )
-    ilc = IlcConfig(
-        iterations=values[("ilc", "iterations")],
-        learning_rate=values[("ilc", "learning_rate")],
-        target_gain=values[("ilc", "target_gain")],
-    )
-    structure = full_structure(
-        memory_depth=values[("dpd", "memory_depth")],
-        max_order=values[("dpd", "max_order")],
-        lagging_depth=values[("dpd", "lagging_depth")],
-        include_leading=values[("dpd", "include_leading")],
-        leading_depth=values[("dpd", "leading_depth")],
-    )
-    spec = ScheduleSpec(
-        mode=values[("schedule", "mode")],
-        lambda_scale=values[("schedule", "lambda_scale")],
-        threshold_scale=values[("schedule", "threshold_scale")],
-        lambda_by_order=tuple(sorted(lambda_by_order.items())),
-        threshold_by_order=tuple(sorted(threshold_by_order.items())),
-    )
-    bcd = BcdConfig(
-        outer_iterations=values[("bcd", "outer_iterations")],
-        inner_ridge_iterations=values[("bcd", "inner_ridge_iterations")],
-        inner_tolerance=values[("bcd", "inner_tolerance")],
-        keep_best_iterate=values[("bcd", "keep_best_iterate")],
-        ridge_epsilon=values[("bcd", "ridge_epsilon")],
-        warm_start=values[("bcd", "warm_start")],
-    )
+    def section(name):
+        """The keys of section ``name`` as keyword arguments."""
+        return {key: value for (s, key), value in values.items() if s == name}
+
     return ExperimentConfig(
-        signal=signal,
+        signal=OfdmConfig(**section("signal")),
         pa_preset=values[("pa", "preset")],
-        ilc=ilc,
-        structure=structure,
-        schedule_spec=spec,
-        bcd=bcd,
+        ilc=IlcConfig(**section("ilc")),
+        structure=full_structure(**section("dpd")),
+        schedule_spec=ScheduleSpec(
+            **section("schedule"),
+            lambda_by_order=tuple(sorted(by_order["lambda"].items())),
+            threshold_by_order=tuple(sorted(by_order["threshold"].items())),
+        ),
+        bcd=BcdConfig(**section("bcd")),
         standard_lasso_lambda=values[("standard_lasso", "lambda")],
         standard_lasso_zero_threshold=values[("standard_lasso", "zero_threshold")],
         output_dir=values[("output", "dir")],
@@ -380,14 +346,8 @@ def config_from_entries(entries, base_dir=".", source="<config>") -> ExperimentC
 def parse_config(text, base_dir=".", source="<config>", overrides=()) -> ExperimentConfig:
     entries = _parse_lines(text, source)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"override {item!r} is not of the form section.key=value")
-        name, _, value = item.partition("=")
-        name = name.strip()
-        if name.count(".") != 1:
-            raise ConfigurationError(f"override keys are 'section.key', got {name!r}")
-        section, key = name.split(".")
-        entries[(section, key)] = value.strip()
+        name, value = _parse_entry(item, "override: ")
+        entries[name] = value
     return config_from_entries(entries, base_dir=base_dir, source=source)
 
 
@@ -399,8 +359,14 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     relative to the caller's working directory.
     """
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(
+            f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x}"
+        ) from None
     return parse_config(
         text, base_dir=path.parent, source=str(path), overrides=overrides
     )
@@ -451,11 +417,7 @@ class _OutputDir:
         return temp
 
     def write_table(self, name, columns, rows) -> Path:
-        lines = [f"# {self.header}", ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_format_value(v) if v is not None else "-" for v in row))
-        with open(self._stage(name), "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_table(self._stage(name), columns, rows, comment=self.header)
         return self.root / name
 
     def write_model(self, name, coeffs) -> Path:

@@ -588,9 +588,12 @@ def kkt_check(S, x, coeffs, schedule) -> KktReport:
             )
         lam = np.array([schedule.lambda_for(d.order_exponent) for d in km.columns])
     else:
-        lam = np.broadcast_to(
-            np.asarray(schedule, dtype=np.float64), (matrix.shape[1],)
-        ).copy()
+        lam = np.asarray(schedule, dtype=np.float64)
+        if lam.ndim and lam.shape != (matrix.shape[1],):
+            raise DimensionError(
+                f"need one penalty per column, got {lam.shape} for {matrix.shape[1]} columns"
+            )
+        lam = np.broadcast_to(lam, (matrix.shape[1],)).copy()
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
             raise ConfigurationError("penalty weights must be positive and finite")
 

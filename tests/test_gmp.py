@@ -1,4 +1,6 @@
 """GMP structures, kernel matrices, model application, coefficient files."""
+import re
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dpdkit.gmp import (
     row_blocks,
     write_coefficients,
 )
+from dpdkit.pa_sim import PaModel, read_pa_model, write_pa_model
 from dpdkit.signal import IqSignal, OfdmConfig, generate_ofdm
 
 from helpers import naive_kernel_matrix
@@ -362,6 +365,112 @@ def test_coefficient_file_bad_tag(tmp_path):
     path.write_text("format = something-else/9\n[coefficients]\n")
     with pytest.raises(FormatError):
         read_coefficients(path)
+
+
+# --- one reader and one writer for both file formats -------------------------
+
+_ORDERS = st.lists(st.sampled_from([0, 2, 4, 6]), max_size=3, unique=True)
+_LAGS = st.lists(st.integers(0, 5), max_size=3, unique=True)
+_CROSS = st.lists(st.integers(1, 3), max_size=2, unique=True)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def _coefficients(draw):
+    """Coefficients over a random structure; a cross branch may be empty."""
+    structure = GmpStructure(
+        draw(_ORDERS), draw(_LAGS),
+        draw(_ORDERS), draw(_LAGS), draw(_CROSS),
+        draw(_ORDERS), draw(_LAGS), draw(_CROSS),
+    )
+    n = structure.kernel_count
+    values = np.zeros(n, dtype=np.complex128)
+    values.real = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+    values.imag = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+    return CoefficientVector(structure, values)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.complex128).view(np.uint64)
+
+
+def _as_read_back(coeffs, include_zeros):
+    """What a round trip keeps: omitted zeros, signed or not, read as +0."""
+    values = coeffs.values.copy()
+    if not include_zeros:
+        values[values == 0] = 0.0
+    return values
+
+
+@settings(max_examples=75, deadline=None)
+@given(coeffs=_coefficients(), include_zeros=st.booleans())
+def test_coefficient_file_round_trip_is_bitwise(tmp_path_factory, coeffs, include_zeros):
+    path = tmp_path_factory.mktemp("coeffs") / "model.txt"
+    write_coefficients(path, coeffs, include_zeros=include_zeros, comment="any comment")
+    back = read_coefficients(path)
+    assert back.structure == coeffs.structure
+    assert np.array_equal(_bits(back.values), _bits(_as_read_back(coeffs, include_zeros)))
+
+
+@settings(max_examples=75, deadline=None)
+@given(
+    coeffs=_coefficients(),
+    gain=st.tuples(_FLOATS, _FLOATS).filter(lambda g: complex(*g) != 0),
+    level=st.one_of(st.none(), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+)
+def test_pa_model_file_round_trip_is_bitwise(tmp_path_factory, coeffs, gain, level):
+    model = PaModel(coeffs, complex(*gain), level)
+    path = tmp_path_factory.mktemp("pa") / "model.txt"
+    write_pa_model(path, model)
+    back = read_pa_model(path)
+    assert back.coefficients.structure == coeffs.structure
+    assert np.array_equal(
+        _bits(back.coefficients.values), _bits(_as_read_back(coeffs, False))
+    )
+    assert np.array_equal(_bits([back.smallsignal_gain]), _bits([model.smallsignal_gain]))
+    assert back.saturation_level == level
+
+
+def _insert_after_format(line):
+    return lambda text: re.sub(r"(format = \S+\n)", rf"\g<1>{line}\n", text)
+
+
+# (name, edit of a valid file's text, part of the expected message)
+MALFORMED = [
+    ("missing marker", lambda t: t.split("[coefficients]")[0], r"missing \[coefficients\]"),
+    ("duplicate marker", lambda t: t + "[coefficients]\n", r"duplicate \[coefficients\]"),
+    ("missing tag", lambda t: re.sub(r"format = \S+\n", "", t), "missing format"),
+    ("wrong tag", lambda t: re.sub(r"format = \S+", "format = gmp-coeff/9", t), "unsupported"),
+    ("duplicate key", _insert_after_format("aligned_lags = 0 1"), "duplicate header key"),
+    ("unknown key", _insert_after_format("colour = blue"), "unknown header keys"),
+    ("bad integer axis", lambda t: t.replace("aligned_lags = 0 1", "aligned_lags = 0 one"),
+     "expected integers"),
+    ("5-field record", lambda t: t + "aligned 2 1 - 1.0\n", "expected 6 fields"),
+    ("unknown branch", lambda t: t + "sideways 2 1 - 1.0 0.0\n", "unknown branch"),
+    ("duplicate record", lambda t: t + "aligned 0 0 - 2.0 0.0\n", "duplicate record"),
+    ("NaN record", lambda t: t + "aligned 2 1 - nan 0.0\n", "finite"),
+    ("non-ASCII byte", lambda t: t.replace("[coeff", "# caf\u00e9\n[coeff"), "non-ASCII"),
+]
+
+
+@pytest.mark.parametrize("tag", ["gmp-coeff/1", "pa-model/1"])
+@pytest.mark.parametrize("name, edit, message", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_file_is_format_error(tmp_path, tag, name, edit, message):
+    coeffs = CoefficientVector(full_structure(1, 3, 1), [1.0, 0, 0, 0, 0.5j, 0])
+    path = tmp_path / "model.txt"
+    if tag == "pa-model/1":
+        write_pa_model(path, PaModel(coeffs))
+        reader = read_pa_model
+    else:
+        write_coefficients(path, coeffs)
+        reader = read_coefficients
+    reader(path)
+    path.write_bytes(edit(path.read_text()).encode("utf-8"))
+    with pytest.raises(FormatError, match=message):
+        reader(path)
 
 
 def test_coefficient_vector_length_checked():

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+from pathlib import Path
 import re
 import subprocess
 from unittest import mock
@@ -21,11 +22,13 @@ from dpdkit.gmp import (
     full_structure,
     kernel_count,
     read_coefficients,
+    write_coefficients,
 )
 from dpdkit.pa_sim import PaModel, default_pa_model, pa_forward, write_pa_model
 from dpdkit.pipeline import (
     METHODS,
     _OutputDir,
+    _SCHEMA,
     load_config,
     matched_count_lasso,
     parse_config,
@@ -69,6 +72,9 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+SHIPPED_CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def read_table(path):
@@ -230,10 +236,69 @@ def test_config_hash_is_sha256_of_canonical_text(tmp_path):
     assert config.config_hash == digest
 
 
+# The hash stamps every output file, so a change to canonical_text that
+# moves it changes every file a shipped config produces.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("desk-scale", "8ca510c244d3c76e2a9a779eddcb55d0244f317138321f8a94eef280d73a642d"),
+        ("wideband", "c41f32e5fb913ef531e19976e6b5995e129127274a91dfad2c9367ded026102f"),
+    ],
+)
+def test_shipped_config_hashes_are_pinned(name, digest):
+    assert load_config(SHIPPED_CONFIGS / f"{name}.cfg").config_hash == digest
+
+
+# One value per schema key that differs from the base below.  The base
+# enables the leading branch, since without it dpd.leading_depth is
+# ignored; a custom schedule needs its per-order entries.
+SETTING_CHANGES = {
+    "signal.n_subcarriers": ["signal.n_subcarriers=128"],
+    "signal.n_active": ["signal.n_active=40"],
+    "signal.n_symbols": ["signal.n_symbols=16"],
+    "signal.oversampling_factor": ["signal.oversampling_factor=2"],
+    "signal.constellation": ["signal.constellation=qam16"],
+    "signal.seed": ["signal.seed=5"],
+    "signal.target_rms": ["signal.target_rms=0.5"],
+    "signal.sample_rate_hz": ["signal.sample_rate_hz=2e6"],
+    "pa.preset": ["pa.preset=pa.txt"],
+    "ilc.iterations": ["ilc.iterations=4"],
+    "ilc.learning_rate": ["ilc.learning_rate=0.25"],
+    "ilc.target_gain": ["ilc.target_gain=0.5 -0.25"],
+    "dpd.memory_depth": ["dpd.memory_depth=4"],
+    "dpd.max_order": ["dpd.max_order=5"],
+    "dpd.lagging_depth": ["dpd.lagging_depth=2"],
+    "dpd.include_leading": ["dpd.include_leading=false"],
+    "dpd.leading_depth": ["dpd.leading_depth=2"],
+    "schedule.mode": [
+        "schedule.mode=custom", "schedule.lambda_0=0.01", "schedule.lambda_2=0.04"
+    ],
+    "schedule.lambda_scale": ["schedule.lambda_scale=2.0"],
+    "schedule.threshold_scale": ["schedule.threshold_scale=0.01"],
+    "bcd.outer_iterations": ["bcd.outer_iterations=5"],
+    "bcd.inner_ridge_iterations": ["bcd.inner_ridge_iterations=60"],
+    "bcd.inner_tolerance": ["bcd.inner_tolerance=1e-9"],
+    "bcd.keep_best_iterate": ["bcd.keep_best_iterate=false"],
+    "bcd.ridge_epsilon": ["bcd.ridge_epsilon=1e-9"],
+    "bcd.warm_start": ["bcd.warm_start=false"],
+    "standard_lasso.lambda": ["standard_lasso.lambda=0.3"],
+    "standard_lasso.zero_threshold": ["standard_lasso.zero_threshold=1e-6"],
+    "output.dir": ["output.dir=elsewhere"],
+    "run.seed": ["run.seed=7"],
+}
+
+
 def test_any_setting_change_changes_hash(tmp_path):
-    base = tiny_config(tmp_path)
-    for extra in ("run.seed = 7\n", "bcd.inner_tolerance = 1e-9\n"):
-        assert tiny_config(tmp_path, extra).config_hash != base.config_hash
+    assert set(SETTING_CHANGES) == {f"{s}.{k}" for s, k, _, _ in _SCHEMA}
+    text = TINY + f"output.dir = {tmp_path / 'out'}\n"
+    text += "dpd.include_leading = true\ndpd.leading_depth = 1\n"
+    hashes = {parse_config(text).config_hash}
+    for key, overrides in SETTING_CHANGES.items():
+        config = parse_config(text, overrides=overrides)
+        assert config.config_hash not in hashes, key
+        hashes.add(config.config_hash)
+        again = parse_config(config.canonical_text())
+        assert again.canonical_text() == config.canonical_text(), key
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +635,24 @@ def test_cli_bad_config_value_is_usage_error(tmp_path):
     assert "n_symbols" in err
 
 
+def test_cli_non_ascii_config_is_usage_error(tmp_path):
+    cfg = write_cfg(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + "# r\u00e9glage\n".encode("utf-8"))
+    code, _, err = run_cli(["exp1", "--config", str(cfg)])
+    assert code == 1
+    assert "usage error" in err and "non-ASCII" in err
+
+
+def test_cli_non_ascii_pa_model_is_data_error(tmp_path):
+    pa = tmp_path / "pa.txt"
+    write_pa_model(pa, default_pa_model())
+    pa.write_bytes(("# mod\u00e8le\n" + pa.read_text()).encode("utf-8"))
+    cfg = write_cfg(tmp_path, extra=f"pa.preset = {pa}\n")
+    code, _, err = run_cli(["exp1", "--config", str(cfg)])
+    assert code == 2
+    assert "data error" in err and "non-ASCII" in err
+
+
 def test_cli_gen_signal_matches_library(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "s.iq"
@@ -748,6 +831,25 @@ def test_cli_refine_rejects_empty_support(tmp_path):
     )
     assert code == 1
     assert "no active kernels" in err
+
+
+@pytest.mark.parametrize(
+    "record", ["aligned 0 0 - nan 0.0", "aligned 0 0 - 1.0 0.0  # caf\u00e9"]
+)
+def test_cli_bad_coefficient_record_is_data_error(tmp_path, record):
+    _, s, x = _fit_inputs(tmp_path)
+    bad = tmp_path / "bad.txt"
+    write_coefficients(bad, CoefficientVector(full_structure(1, 3, 0), [1.0, 0, 0, 0]))
+    text = bad.read_text().replace("aligned 0 0 - 1.0 0.0", record)
+    bad.write_bytes(text.encode("utf-8"))
+    for argv in (
+        ["refine", "--signal", str(s), "--target", str(x),
+         "--coeffs", str(bad), "--out", str(tmp_path / "wr.txt")],
+        ["evaluate", "--model", str(bad), "--signal", str(s), "--reference", str(x)],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert "data error" in err and "line 11" in err
 
 
 def test_cli_evaluate_prints_single_metric_line(tmp_path):

@@ -10,6 +10,7 @@ from dpdkit import solver
 from dpdkit.errors import (
     ConfigurationError,
     DegenerateInputError,
+    DimensionError,
     RankDeficiencyError,
 )
 from dpdkit.gmp import (
@@ -342,6 +343,14 @@ def test_kkt_accepts_per_column_weights():
     lams = np.full(3, 2.0 * float(np.max(np.abs(S.conj().T @ x))))
     report = kkt_check(S, x, w, lams)
     assert report.max_violation == 0.0
+
+
+def test_kkt_rejects_wrong_number_of_penalties():
+    S = np.eye(3, dtype=np.complex128)
+    w = np.zeros(3, dtype=np.complex128)
+    for lams in ([1.0, 1.0], np.ones(4), np.ones((3, 1))):
+        with pytest.raises(DimensionError, match="penalty"):
+            kkt_check(S, np.ones(3), w, lams)
 
 
 # --- block-weighted lasso ----------------------------------------------------
