@@ -177,6 +177,11 @@ def full_structure(
         raise ConfigurationError(
             f"leading_depth must be >= 1 when the leading branch is enabled, got {leading_depth}"
         )
+    if not include_leading and leading_depth != 0:
+        raise ConfigurationError(
+            f"leading_depth = {leading_depth} needs include_leading = true; "
+            "with the leading branch off leave leading_depth at 0"
+        )
     lags = tuple(range(memory_depth + 1))
     aligned_orders = tuple(range(0, max_order, 2))
     cross_orders = tuple(range(2, max_order, 2))
@@ -251,7 +256,8 @@ def max_memory_lag(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
 
 
 # Rows per block of every streamed pass over a kernel matrix.  4096 rows
-# of the 300-kernel wideband structure take 19.7 MB.
+# of the 300-kernel wideband structure take 19.7 MB, and 4096 samples of
+# its 15 base sequences 1.0 MB.
 ROW_CHUNK = 4096
 
 
@@ -264,13 +270,19 @@ class KernelMatrix:
     samples of the source are excluded and the matrix has
     correspondingly fewer rows.
 
-    Only the source samples are stored.  ``rows`` evaluates a block of
-    rows on demand, and every consumer works through blocks of
-    ``ROW_CHUNK`` rows: the Gram and ``S^H x`` (``normal_equations``)
-    and the product ``S w`` (``dot``).  Memory therefore grows with the
-    block and with P^2, not with N * P.  ``data``, the whole N x P
-    matrix, is evaluated only when a caller reads it; from then on
-    blocks are views of it, which are bitwise equal to evaluated ones.
+    Only the source samples are stored.  Every column is a delayed copy
+    ``psi_b(n - l)`` of one of a few base sequences
+    ``psi_b(q) = s(q) |s(q -+ m)|^k``, one per (branch, k, m): 15 bases
+    carry the 300 columns of the wideband structure.  The normal
+    equations (``normal_equations``) and the product ``S w`` (``dot``)
+    are formed from blocks of ``ROW_CHUNK`` samples of the bases, so
+    their memory grows with the block and with P^2, not with N * P, and
+    their work with N * B * P rather than N * P^2.  ``rows`` evaluates
+    a block of kernel columns on demand for the callers that need them.
+    ``data``, the whole N x P matrix, is evaluated only when a caller
+    reads it; from then on ``rows`` cuts blocks from it, which are
+    bitwise equal to evaluated ones.  No product reads ``data``, so the
+    normal equations and ``S w`` are the same whether or not it exists.
     """
 
     samples: np.ndarray
@@ -319,7 +331,7 @@ class KernelMatrix:
     @cached_property
     def gram(self) -> np.ndarray:
         """Read-only Gram matrix ``S^H S``, formed on first use in one pass
-        over the row blocks (``normal_equations``)."""
+        over the base sequences (``normal_equations``)."""
         gram, _ = normal_equations(self)
         gram.setflags(write=False)
         return gram
@@ -327,10 +339,11 @@ class KernelMatrix:
     def normal_equations(self, target: np.ndarray) -> tuple:
         """``(S^H S, S^H target)``, both read-only.
 
-        The first call makes one pass that forms both and caches the
-        Gram.  ``S^H target`` is kept for the last target, compared by
-        content, so repeated fits to one target (the matched-count
-        bisection, a refit on a support) make no further pass.
+        The first call makes one pass over the base sequences that forms
+        both and caches the Gram.  ``S^H target`` is kept for the last
+        target, compared by content, so repeated fits to one target (the
+        matched-count bisection, a refit on a support) make no further
+        pass.
         """
         known = vars(self)
         last = known.get("_last_rhs")
@@ -347,10 +360,34 @@ class KernelMatrix:
         return self.gram, rhs
 
     def dot(self, values: np.ndarray) -> np.ndarray:
-        """The product ``S w``, formed block by block."""
-        out = np.empty(self.shape[0], dtype=np.complex128)
-        for start, stop in row_blocks(self.shape[0]):
-            out[start:stop] = self.rows(start, stop) @ values
+        """The product ``S w = sum over l of Psi(n - l) W_l``.
+
+        ``W_l`` holds, for each base, the coefficient of its column at
+        lag l (zero if it has none), and ``Psi`` is the B-row block of
+        base sequences.  Each ``ROW_CHUNK``-row block of the result
+        evaluates the B bases once, over the block widened by the lag
+        span, and adds one B-vector product per lag: N * B * L work
+        where the product of kernel columns costs N * P.
+        """
+        values = np.asarray(values, dtype=np.complex128)
+        n_rows, n_cols = self.shape
+        if values.shape != (n_cols,):
+            raise DimensionError(f"need {n_cols} coefficients, got shape {values.shape}")
+        bases, base, lag = _bases_of(self.columns)
+        lags = np.unique(lag)
+        lo, hi = int(lags[0]), int(lags[-1])
+        weights = np.zeros((lags.size, len(bases)), dtype=np.complex128)
+        weights[np.searchsorted(lags, lag), base] = values
+        used = [i for i in range(lags.size) if weights[i].any()]
+        out = np.zeros(n_rows, dtype=np.complex128)
+        for start, stop in row_blocks(n_rows):
+            count = stop - start
+            # psi[:, i] is psi(row_offset + start - hi + i).
+            psi = _base_block(self.samples, bases, self.row_offset + start - hi, count + hi - lo)
+            for i in used:
+                at = hi - int(lags[i])
+                out[start:stop] += weights[i] @ psi[:, at : at + count]
+            del psi
         return out
 
 
@@ -360,36 +397,39 @@ def row_blocks(n_rows: int) -> list:
 
 
 def normal_equations(design, target=None, cols=None, gram=True) -> tuple:
-    """Gram ``S^H S`` and correlation ``S^H x`` of a matrix, accumulated
-    over its ``ROW_CHUNK``-row blocks, as ``(gram, rhs)``.
+    """Gram ``S^H S`` and correlation ``S^H x`` of a matrix, as
+    ``(gram, rhs)``.
 
     ``design`` is a ``KernelMatrix`` or a plain 2-D complex array, and
     ``cols`` restricts S to those columns.  Without a ``target`` the
-    correlation is None; with ``gram=False`` the Gram is None.
+    correlation is None; with ``gram=False`` the Gram is None.  The
+    Gram is a new C-ordered array, exactly Hermitian with an exactly
+    real diagonal.
 
-    Each block adds to the Gram through one BLAS ``zherk`` call with
-    ``beta=1``.  ``block.T`` of a C-ordered block is a Fortran-ordered
-    view, so ``zherk`` reads the block in place and does half the flops
-    of the general product.  It fills the upper triangle of
-    ``conj(S^H S)``; the transpose of that array holds the lower
+    A ``KernelMatrix`` forms both from its base sequences in one pass
+    (``_kernel_normal_equations``): N * B * P work, against N * P^2 / 2
+    for the kernel columns.  A plain matrix is read in ``ROW_CHUNK``-row
+    blocks, and each block adds to the Gram through one BLAS ``zherk``
+    call with ``beta=1``.  ``block.T`` of a C-ordered block is a
+    Fortran-ordered view, so ``zherk`` reads the block in place and does
+    half the flops of the general product.  It fills the upper triangle
+    of ``conj(S^H S)``; the transpose of that array holds the lower
     triangle of ``S^H S``, and the strict upper triangle is mirrored
-    from it with O(P^2) temporaries.  The Gram is a new C-ordered
-    array, exactly Hermitian with an exactly real diagonal.  The
-    correlation is accumulated as ``conj(sum of x_b^H S_b)``, which
-    reads each block without a conjugate copy.
+    from it with O(P^2) temporaries.  The correlation is accumulated as
+    ``conj(sum of x_b^H S_b)``, which reads each block without a
+    conjugate copy.
     """
     n_rows = design.shape[0]
     n_cols = design.shape[1] if cols is None else len(cols)
     if target is not None and target.shape != (n_rows,):
         raise DimensionError(f"target has shape {target.shape} for {n_rows} rows")
+    if isinstance(design, KernelMatrix):
+        return _kernel_normal_equations(design, target, cols, gram)
     upper = rhs = None
     for start, stop in row_blocks(n_rows):
-        if isinstance(design, KernelMatrix):
-            block = design.rows(start, stop, cols)
-        else:
-            block = design[start:stop]
-            if cols is not None:
-                block = block.take(cols, axis=1)
+        block = design[start:stop]
+        if cols is not None:
+            block = block.take(cols, axis=1)
         if gram and n_cols:
             if upper is None:
                 upper = scipy.linalg.blas.zherk(1.0, block.T, trans=0)
@@ -403,8 +443,6 @@ def normal_equations(design, target=None, cols=None, gram=True) -> tuple:
                 rhs = part
             else:
                 rhs += part
-        # Free this block before the next one is evaluated.
-        del block
     if gram:
         if upper is None:
             # No rows or no columns: OpenBLAS rejects a rank-0 update.
@@ -418,6 +456,133 @@ def normal_equations(design, target=None, cols=None, gram=True) -> tuple:
     if target is not None:
         rhs = np.zeros(n_cols, dtype=np.complex128) if rhs is None else rhs.conj()
     return gram, rhs
+
+
+def _bases_of(descriptors) -> tuple:
+    """``(bases, base, lag)`` of a list of kernel columns.
+
+    Column j is the base sequence ``bases[base[j]]``, a lag-0
+    descriptor, delayed by ``lag[j]`` samples.  Bases are listed in the
+    order of their first column.
+    """
+    index = {}
+    for d in descriptors:
+        index.setdefault((d.branch, d.order_exponent, d.envelope_offset), len(index))
+    base = [index[(d.branch, d.order_exponent, d.envelope_offset)] for d in descriptors]
+    lag = [d.lag for d in descriptors]
+    bases = tuple(KernelDescriptor(branch, k, 0, m) for branch, k, m in index)
+    return bases, np.array(base, dtype=np.intp), np.array(lag, dtype=np.intp)
+
+
+def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
+    """``psi_b(q)`` for q = first .. first + count - 1, one row per base,
+    zero outside the source."""
+    window = _Window(samples, bases, first, count)
+    block = np.empty((len(bases), count), dtype=np.complex128)
+    for b, desc in enumerate(bases):
+        block[b] = window.column(desc)
+    return block
+
+
+def _kernel_normal_equations(km, target, cols, gram) -> tuple:
+    """``normal_equations`` of a ``KernelMatrix``, from its base sequences.
+
+    Row n of column (b, l) is ``psi_b(n - l)`` for n from ``row_offset``
+    to N - 1, so in terms of q = n - l1, with d = l2 - l1 >= 0,
+
+        S^H S[(b1, l1), (b2, l2)] = sum of conj(psi_b1(q)) psi_b2(q - d)
+                                    over q in [row_offset - l1, N - l1)
+        S^H x[(b, l)]             = sum of conj(psi_b(q)) x(q + l)
+
+    with x zero outside its rows.  Entries with d < 0 are the conjugate
+    mirror.  The window of q depends on l1 only through its ends, so
+    the q axis is cut at every window end into segments, each inside or
+    outside each window.  One pass over ``ROW_CHUNK``-sample blocks of
+    the bases, widened by the lag span D, adds one B x B product per
+    segment piece and per lag difference d; each Gram entry then sums
+    the products of the segments inside its window.  Every term of an
+    entry is a term of the column product, and no term is added and
+    taken off again, so the summation error stays within that of the
+    column product.  ``S^H x`` takes one B-vector product per lag and
+    block.  Only blocks of the bases exist at any time.
+    """
+    descriptors = km.columns if cols is None else [km.columns[j] for j in cols]
+    n_cols = len(descriptors)
+    if not n_cols:
+        return (
+            np.zeros((0, 0), dtype=np.complex128) if gram else None,
+            None if target is None else np.zeros(0, dtype=np.complex128),
+        )
+    bases, base, lag = _bases_of(descriptors)
+    lags = np.unique(lag)
+    lo, hi = int(lags[0]), int(lags[-1])
+    span = hi - lo
+    diffs = np.unique(lags[None, :] - lags[:, None])
+    diffs = diffs[diffs >= 0]
+    first, end = km.row_offset, km.source_length
+    q_lo = max(first - hi, 0)
+    q_hi = max(end - lo, q_lo)
+    ends = {min(max(e, q_lo), q_hi) for l in lags.tolist() for e in (first - l, end - l)}
+    cuts = sorted(ends | {q_lo, q_hi})
+    # (start, stop, inside): inside[i] tells whether lag lags[i] sees q
+    # in start..stop-1.
+    segments = [
+        (start, stop, [first - l <= start and stop <= end - l for l in lags.tolist()])
+        for start, stop in zip(cuts, cuts[1:])
+    ]
+    segments = [segment for segment in segments if any(segment[2])]
+    n_bases = len(bases)
+    if gram:
+        products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
+    correlation = np.zeros((n_bases, lags.size), dtype=np.complex128)
+    for q0 in range(q_lo, q_hi, ROW_CHUNK):
+        count = min(ROW_CHUNK, q_hi - q0)
+        # psi[:, i] is psi(q0 - span + i) and head[:, i] is conj(psi(q0 + i)),
+        # conjugated row by row: a ufunc on the strided block would take
+        # a 128 kB buffer.
+        psi = _base_block(km.samples, bases, q0 - span, count + span)
+        head = np.empty((n_bases, count), dtype=np.complex128)
+        for b in range(n_bases):
+            np.conjugate(psi[b, span:], out=head[b])
+        if gram:
+            for s, (start, stop, _) in enumerate(segments):
+                # This block's piece of the segment, as indices into head.
+                i0, i1 = max(start, q0) - q0, min(stop, q0 + count) - q0
+                if i0 >= i1:
+                    continue
+                for t, d in enumerate(diffs.tolist()):
+                    products[s, t] += head[:, i0:i1] @ psi[:, i0 + span - d : i1 + span - d].T
+        if target is not None:
+            # shifted[i] is x(q0 + lo + i), zero outside the matrix rows.
+            shifted = np.zeros(count + span, dtype=np.complex128)
+            n_lo, n_hi = max(q0 + lo, first), min(q0 + lo + count + span, end)
+            if n_hi > n_lo:
+                shifted[n_lo - q0 - lo : n_hi - q0 - lo] = target[n_lo - first : n_hi - first]
+            for i, l in enumerate(lags.tolist()):
+                correlation[:, i] += head @ shifted[l - lo : l - lo + count]
+        del psi, head
+    rhs = None if target is None else correlation[base, np.searchsorted(lags, lag)]
+    if not gram:
+        return None, rhs
+    # by_lag[i, t]: the products over the window of lag lags[i].
+    by_lag = np.zeros((lags.size, diffs.size, n_bases, n_bases), dtype=np.complex128)
+    for s, (_, _, inside) in enumerate(segments):
+        by_lag[np.flatnonzero(inside)] += products[s]
+    # Lower triangle, each entry read with its shallower column first.
+    rows, columns = np.tril_indices(n_cols)
+    forward = lag[columns] >= lag[rows]
+    a = np.where(forward, rows, columns)
+    b = np.where(forward, columns, rows)
+    values = by_lag[
+        np.searchsorted(lags, lag[a]), np.searchsorted(diffs, lag[b] - lag[a]), base[a], base[b]
+    ]
+    values = np.where(forward, values, values.conj())
+    result = np.empty((n_cols, n_cols), dtype=np.complex128)
+    result[columns, rows] = values.conj()
+    result[rows, columns] = values
+    diagonal = np.arange(n_cols)
+    result[diagonal, diagonal] = result[diagonal, diagonal].real
+    return result, rhs
 
 
 class _Window:

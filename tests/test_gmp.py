@@ -71,6 +71,11 @@ def test_even_max_order_rejected():
         full_structure(4, 6, 1)
 
 
+def test_leading_depth_without_leading_branch_rejected():
+    with pytest.raises(ConfigurationError, match="leading_depth.*include_leading"):
+        full_structure(4, 7, 1, leading_depth=2)
+
+
 def test_canonical_descriptor_order():
     structure = full_structure(1, 3, 1, include_leading=True, leading_depth=1)
     descriptors = structure.descriptors()

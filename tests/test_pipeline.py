@@ -250,8 +250,9 @@ def test_shipped_config_hashes_are_pinned(name, digest):
 
 
 # One value per schema key that differs from the base below.  The base
-# enables the leading branch, since without it dpd.leading_depth is
-# ignored; a custom schedule needs its per-order entries.
+# enables the leading branch, since without it dpd.leading_depth must
+# stay 0, and so turning the branch off resets the depth too; a custom
+# schedule needs its per-order entries.
 SETTING_CHANGES = {
     "signal.n_subcarriers": ["signal.n_subcarriers=128"],
     "signal.n_active": ["signal.n_active=40"],
@@ -268,7 +269,7 @@ SETTING_CHANGES = {
     "dpd.memory_depth": ["dpd.memory_depth=4"],
     "dpd.max_order": ["dpd.max_order=5"],
     "dpd.lagging_depth": ["dpd.lagging_depth=2"],
-    "dpd.include_leading": ["dpd.include_leading=false"],
+    "dpd.include_leading": ["dpd.include_leading=false", "dpd.leading_depth=0"],
     "dpd.leading_depth": ["dpd.leading_depth=2"],
     "schedule.mode": [
         "schedule.mode=custom", "schedule.lambda_0=0.01", "schedule.lambda_2=0.04"
@@ -633,6 +634,15 @@ def test_cli_bad_config_value_is_usage_error(tmp_path):
     code, _, err = run_cli(["exp1", "--config", str(cfg)])
     assert code == 1
     assert "n_symbols" in err
+
+
+def test_cli_leading_depth_without_leading_branch_is_usage_error(tmp_path):
+    cfg = write_cfg(tmp_path, extra="dpd.leading_depth = 5\n")
+    code, _, err = run_cli(["exp1", "--config", str(cfg)])
+    assert code == 1
+    assert "usage error" in err
+    assert "leading_depth" in err and "include_leading" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_non_ascii_config_is_usage_error(tmp_path):
