@@ -255,9 +255,9 @@ def max_memory_lag(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
     return max(descriptors[j].lag for j in active)
 
 
-# Rows per block of every streamed pass over a kernel matrix.  4096 rows
-# of the 300-kernel wideband structure take 19.7 MB, and 4096 samples of
-# its 15 base sequences 1.0 MB.
+# Rows per block of every streamed pass over a kernel matrix or a model
+# output.  4096 rows of the 300-kernel wideband structure take 19.7 MB,
+# and 4096 samples of its 15 base sequences 1.0 MB.
 ROW_CHUNK = 4096
 
 
@@ -274,11 +274,13 @@ class KernelMatrix:
     ``psi_b(n - l)`` of one of a few base sequences
     ``psi_b(q) = s(q) |s(q -+ m)|^k``, one per (branch, k, m): 15 bases
     carry the 300 columns of the wideband structure.  The normal
-    equations (``normal_equations``) and the product ``S w`` (``dot``)
-    are formed from blocks of ``ROW_CHUNK`` samples of the bases, so
-    their memory grows with the block and with P^2, not with N * P, and
-    their work with N * B * P rather than N * P^2.  ``rows`` evaluates
-    a block of kernel columns on demand for the callers that need them.
+    equations (``normal_equations``), the product ``S w`` (``dot``) and
+    the model output of ``apply_model`` are formed from blocks of
+    ``ROW_CHUNK`` samples of the bases (``_base_blocks``), so their
+    memory grows with the block and with P^2, not with N * P, and the
+    work of the first two with N * B * P rather than N * P^2.  ``rows``
+    evaluates a block of kernel columns on demand for the callers that
+    need them.
     ``data``, the whole N x P matrix, is evaluated only when a caller
     reads it; from then on ``rows`` cuts blocks from it, which are
     bitwise equal to evaluated ones.  No product reads ``data``, so the
@@ -375,18 +377,15 @@ class KernelMatrix:
             raise DimensionError(f"need {n_cols} coefficients, got shape {values.shape}")
         bases, base, lag = _bases_of(self.columns)
         lags = np.unique(lag)
-        lo, hi = int(lags[0]), int(lags[-1])
+        hi = int(lags[-1])
         weights = np.zeros((lags.size, len(bases)), dtype=np.complex128)
         weights[np.searchsorted(lags, lag), base] = values
         used = [i for i in range(lags.size) if weights[i].any()]
         out = np.zeros(n_rows, dtype=np.complex128)
-        for start, stop in row_blocks(n_rows):
-            count = stop - start
-            # psi[:, i] is psi(row_offset + start - hi + i).
-            psi = _base_block(self.samples, bases, self.row_offset + start - hi, count + hi - lo)
+        for start, stop, psi in _base_blocks(self.samples, bases, lags, self.row_offset, n_rows):
             for i in used:
                 at = hi - int(lags[i])
-                out[start:stop] += weights[i] @ psi[:, at : at + count]
+                out[start:stop] += weights[i] @ psi[:, at : at + stop - start]
             del psi
         return out
 
@@ -484,6 +483,21 @@ def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
     return block
 
 
+def _base_blocks(samples, bases, lag, first: int, n_rows: int):
+    """``(start, stop, psi)`` for each ``ROW_CHUNK``-row block of the
+    rows ``first .. first + n_rows - 1`` of columns at the lags ``lag``.
+
+    ``psi`` holds the bases over the block widened by the lag span:
+    ``psi[:, i]`` is ``psi(first + start - max(lag) + i)``, so the column
+    of base b at lag l is ``psi[b, max(lag) - l :]`` cut to
+    ``stop - start`` samples.  Only one block exists at a time if the
+    caller drops each before asking for the next.
+    """
+    lo, hi = int(np.min(lag)), int(np.max(lag))
+    for start, stop in row_blocks(n_rows):
+        yield start, stop, _base_block(samples, bases, first + start - hi, stop - start + hi - lo)
+
+
 def _kernel_normal_equations(km, target, cols, gram) -> tuple:
     """``normal_equations`` of a ``KernelMatrix``, from its base sequences.
 
@@ -535,12 +549,12 @@ def _kernel_normal_equations(km, target, cols, gram) -> tuple:
     if gram:
         products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
     correlation = np.zeros((n_bases, lags.size), dtype=np.complex128)
-    for q0 in range(q_lo, q_hi, ROW_CHUNK):
-        count = min(ROW_CHUNK, q_hi - q0)
+    # The bases delayed by each lag difference d, over blocks of q.
+    for block_start, block_stop, psi in _base_blocks(km.samples, bases, diffs, q_lo, q_hi - q_lo):
+        q0, count = q_lo + block_start, block_stop - block_start
         # psi[:, i] is psi(q0 - span + i) and head[:, i] is conj(psi(q0 + i)),
         # conjugated row by row: a ufunc on the strided block would take
         # a 128 kB buffer.
-        psi = _base_block(km.samples, bases, q0 - span, count + span)
         head = np.empty((n_bases, count), dtype=np.complex128)
         for b in range(n_bases):
             np.conjugate(psi[b, span:], out=head[b])
@@ -668,19 +682,32 @@ def build_kernel_matrix(
 
 
 def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
-    """Synthesize the model output for ``signal``.
+    """Synthesize the model output ``sum over the support of c_j S[:, j]``.
 
-    Columns are evaluated on the fly and accumulated over the active
-    support only, so sparse models cost proportionally less than a full
-    kernel-matrix product.
+    Only the active columns are added, so sparse models cost
+    proportionally less than a full kernel-matrix product.  Every
+    column is a delayed base sequence (see ``KernelMatrix``): each
+    ``ROW_CHUNK``-sample block of the output evaluates the support's
+    bases once, over the block widened by the support's lag span, and
+    adds ``c_j psi_b(n - l_j)`` column by column in support order.  Each
+    output sample is thus the same sum of the same products as the column
+    sum taken in that order, bit for bit, while only blocks of the bases
+    exist and the envelope powers are taken once per base, not per
+    column.
     """
     samples = _signal_samples(signal)
     descriptors = coeffs.structure.descriptors()
     support = coeffs.support()
-    window = _Window(samples, [descriptors[j] for j in support], 0, samples.size)
     out = np.zeros(samples.size, dtype=np.complex128)
-    for j in support:
-        out += coeffs.values[j] * window.column(descriptors[j])
+    if support.size:
+        bases, base, lag = _bases_of([descriptors[j] for j in support])
+        shifts = (lag.max() - lag).tolist()
+        values = coeffs.values[support]
+        for start, stop, psi in _base_blocks(samples, bases, lag, 0, samples.size):
+            block = out[start:stop]
+            for c, b, at in zip(values, base.tolist(), shifts):
+                block += c * psi[b, at : at + stop - start]
+            del psi
     rate = signal.sample_rate_hz if isinstance(signal, IqSignal) else 1.0
     return IqSignal(out, rate)
 

@@ -299,10 +299,10 @@ def read_iq(path) -> IqSignal:
             offset=_HEADER.size + min(len(payload), expected),
         )
     pairs = np.frombuffer(payload, dtype="<f8").reshape(count, 2)
-    samples = pairs[:, 0] + 1j * pairs[:, 1]
     if not np.all(np.isfinite(pairs)):
         bad = int(np.flatnonzero(~np.isfinite(pairs).all(axis=1))[0])
         raise FormatError(
             f"non-finite sample at index {bad}", path=path, offset=_HEADER.size + 16 * bad
         )
-    return IqSignal(samples, rate)
+    # Viewed, not summed from its parts: re + 1j * im turns a -0.0 part into +0.0.
+    return IqSignal(np.frombuffer(payload, dtype="<c16"), rate)

@@ -32,7 +32,9 @@ and the descent tracks the correlation ``S^H r`` of the residual
 instead of the N-sample residual ``r`` itself, so no block update
 touches the N rows (the covariance update of Friedman, Hastie and
 Tibshirani, J. Stat. Softw. 2010).  Plain matrices form their normal
-equations per call, in blocks of rows through ``zherk``.
+equations per call, in blocks of rows through ``zherk``.  The fitted
+model's output, ``gmp.apply_model``, is added up from the same blocks
+of the bases of its support.
 
 Every ridge solve, and so every iterate of the Lasso and of each block,
 is one LAPACK ``zposv`` call on a Fortran-ordered work copy of the Gram

@@ -1,10 +1,12 @@
 """GMP structures, kernel matrices, model application, coefficient files."""
 import re
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from dpdkit import gmp
 from dpdkit.errors import ConfigurationError, DimensionError, FormatError
 from dpdkit.gmp import (
     ROW_CHUNK,
@@ -22,7 +24,7 @@ from dpdkit.gmp import (
     row_blocks,
     write_coefficients,
 )
-from dpdkit.pa_sim import PaModel, read_pa_model, write_pa_model
+from dpdkit.pa_sim import PaModel, default_pa_model, read_pa_model, write_pa_model
 from dpdkit.signal import IqSignal, OfdmConfig, generate_ofdm
 
 from helpers import naive_kernel_matrix
@@ -234,6 +236,76 @@ def test_apply_model_matches_matrix_path():
     matrix = build_kernel_matrix(_sig(samples), structure)
     direct = matrix.data @ values
     assert np.max(np.abs(streamed.samples - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _column_sum(signal, coeffs):
+    """``sum of c_j S[:, j]`` over the support, added column by column in order."""
+    data = build_kernel_matrix(signal, coeffs.structure).data
+    out = np.zeros(len(signal), dtype=np.complex128)
+    for j in coeffs.support():
+        out += coeffs.values[j] * np.ascontiguousarray(data[:, j])
+    return out
+
+
+def _sparse_coefficients(structure, rng, density=0.6):
+    p = structure.kernel_count
+    values = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    values[rng.random(p) > density] = 0
+    return CoefficientVector(structure, values)
+
+
+_BLOCK_STRUCTURES = {
+    "aligned": GmpStructure(aligned_orders=(0, 2, 4), aligned_lags=(0, 1, 3)),
+    "lagging": GmpStructure(
+        aligned_orders=(0,), aligned_lags=(2,),
+        lagging_orders=(0, 2), lagging_lags=(1, 4), lagging_cross=(1, 3),
+    ),
+    "leading": GmpStructure(
+        aligned_orders=(2,), aligned_lags=(1,),
+        leading_orders=(2, 4), leading_lags=(0, 2), leading_cross=(1, 5),
+    ),
+    "all": full_structure(3, 5, 2, include_leading=True, leading_depth=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_STRUCTURES))
+@pytest.mark.parametrize("n", [1, 3, 6, 7, 8, 29, 50])
+def test_apply_model_is_the_column_sum_bitwise_across_blocks(monkeypatch, name, n):
+    # 7-sample blocks: the longer signals cross many and end in a short
+    # tail; the shorter ones are shorter than the lag span.  Density 0
+    # leaves the support empty.
+    monkeypatch.setattr(gmp, "ROW_CHUNK", 7)
+    structure = _BLOCK_STRUCTURES[name]
+    rng = np.random.default_rng(n)
+    signal = _sig(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for density in (1.0, 0.5, 0.2, 0.0):
+        coeffs = _sparse_coefficients(structure, rng, density)
+        out = apply_model(signal, coeffs).samples
+        assert np.array_equal(_bits(out), _bits(_column_sum(signal, coeffs)))
+
+
+def test_apply_model_is_the_column_sum_bitwise_at_full_blocks():
+    structure = full_structure(4, 7, 2, include_leading=True, leading_depth=2)
+    signal = generate_ofdm(OfdmConfig(64, 52, 17, 8, seed=10))
+    assert len(signal) > 2 * ROW_CHUNK
+    coeffs = _sparse_coefficients(structure, np.random.default_rng(10))
+    out = apply_model(signal, coeffs).samples
+    assert np.array_equal(_bits(out), _bits(_column_sum(signal, coeffs)))
+
+
+def test_apply_model_memory_stays_near_its_output():
+    # The output and the copy IqSignal makes of it take 2x its bytes;
+    # whole-signal columns and their products took about 6x.
+    signal = generate_ofdm(OfdmConfig(64, 52, 512, 4, seed=11))
+    assert len(signal) == 131072
+    coeffs = default_pa_model().coefficients
+    tracemalloc.start()
+    try:
+        out = apply_model(signal, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * out.samples.nbytes
 
 
 def test_apply_model_linear_in_coefficients():

@@ -6,6 +6,7 @@ import io
 import os
 from pathlib import Path
 import re
+import struct
 import subprocess
 from unittest import mock
 
@@ -690,6 +691,33 @@ def test_cli_sim_pa_matches_library(tmp_path):
     assert code == 0
     expected = pa_forward(read_iq(s), default_pa_model())
     assert np.array_equal(read_iq(y).samples, expected.samples)
+
+
+def _sim_pa_on_damaged_input(tmp_path, damage):
+    """Run sim-pa on a generated signal whose IQ file ``damage`` rewrote."""
+    cfg = write_cfg(tmp_path)
+    s, y = tmp_path / "s.iq", tmp_path / "y.iq"
+    run_cli(["gen-signal", "--config", str(cfg), "--out", str(s)])
+    s.write_bytes(damage(s.read_bytes()))
+    code, _, err = run_cli(["sim-pa", "--config", str(cfg), "--in", str(s), "--out", str(y)])
+    assert not y.exists()
+    return code, err
+
+
+def test_cli_sim_pa_truncated_input_is_data_error(tmp_path):
+    # 2048 samples of 16 bytes after the 24-byte header; the last 8 are cut.
+    code, err = _sim_pa_on_damaged_input(tmp_path, lambda raw: raw[:-8])
+    assert code == 2
+    assert "data error" in err and f"byte {24 + 16 * 2048 - 8}" in err
+
+
+def test_cli_sim_pa_nan_sample_is_data_error(tmp_path):
+    at = 24 + 16 * 1000 + 8  # the imaginary part of sample 1000
+    code, err = _sim_pa_on_damaged_input(
+        tmp_path, lambda raw: raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8 :]
+    )
+    assert code == 2
+    assert "data error" in err and "index 1000" in err and f"byte {24 + 16 * 1000}" in err
 
 
 def test_cli_ilc_writes_drive_and_trace(tmp_path):

@@ -1,4 +1,5 @@
 """Signal generation, metrics, and IQ file format."""
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -177,6 +178,33 @@ def test_iq_round_trip(tmp_path):
     back = read_iq(path)
     assert np.array_equal(back.samples, signal.samples)
     assert back.sample_rate_hz == signal.sample_rate_hz
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=75, deadline=None)
+@given(
+    parts=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=40),
+    rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_iq_round_trip_is_bitwise(tmp_path_factory, parts, rate):
+    # Signed zeros and subnormals included: the payload is read as it was written.
+    samples = np.empty(len(parts), dtype=np.complex128)
+    samples.real, samples.imag = np.array(parts).T
+    path = tmp_path_factory.mktemp("iq") / "sig.iq"
+    write_iq(IqSignal(samples, rate), path)
+    back = read_iq(path)
+    assert np.array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+    assert back.sample_rate_hz == rate
+
+
+def test_iq_round_trip_keeps_negative_zero(tmp_path):
+    path = tmp_path / "sig.iq"
+    write_iq(IqSignal([complex(-0.0, 1.0), complex(2.0, -0.0)], 1.0), path)
+    back = read_iq(path).samples
+    assert np.signbit(back.real).tolist() == [True, False]
+    assert np.signbit(back.imag).tolist() == [False, True]
 
 
 def test_iq_truncated_payload(tmp_path):
