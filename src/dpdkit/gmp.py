@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .signal import IqSignal
+from .signal import IqSignal, _power
 
 
 class Branch(enum.Enum):
@@ -274,17 +274,15 @@ class KernelMatrix:
     ``psi_b(n - l)`` of one of a few base sequences
     ``psi_b(q) = s(q) |s(q -+ m)|^k``, one per (branch, k, m): 15 bases
     carry the 300 columns of the wideband structure.  The normal
-    equations (``normal_equations``), the product ``S w`` (``dot``) and
+    equations (``normal_system``), the product ``S w`` (``dot``) and
     the model output of ``apply_model`` are formed from blocks of
     ``ROW_CHUNK`` samples of the bases (``_base_blocks``), so their
     memory grows with the block and with P^2, not with N * P, and the
-    work of the first two with N * B * P rather than N * P^2.  ``rows``
-    evaluates a block of kernel columns on demand for the callers that
-    need them.
-    ``data``, the whole N x P matrix, is evaluated only when a caller
-    reads it; from then on ``rows`` cuts blocks from it, which are
-    bitwise equal to evaluated ones.  No product reads ``data``, so the
-    normal equations and ``S w`` are the same whether or not it exists.
+    work of the first two with N * B * P rather than N * P^2.  The
+    matrix caches one ``NormalSystem``, for the last target it was
+    asked about.  ``rows`` evaluates a block of kernel columns, and
+    ``data``, the whole N x P matrix, is evaluated from such blocks
+    only when a caller reads it; no product reads it.
     """
 
     samples: np.ndarray
@@ -300,24 +298,16 @@ class KernelMatrix:
     def shape(self) -> tuple:
         return (self.samples.size - self.row_offset, len(self.columns))
 
-    def rows(self, start: int, stop: int, cols=None) -> np.ndarray:
-        """Rows ``start:stop`` of the matrix, C-ordered; only the columns
-        ``cols``, in that order, when given.
-
-        The block is evaluated on a zero-padded window of the samples,
-        widened by the deepest lag behind it and the longest lead ahead
-        of it, or cut from ``data`` once that exists.
-        """
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the matrix, C-ordered, evaluated on a
+        zero-padded window of the samples widened by the deepest lag
+        behind it and the longest lead ahead of it."""
         n_rows = self.shape[0]
         if not 0 <= start <= stop <= n_rows:
             raise DimensionError(f"rows {start}:{stop} outside a {n_rows}-row matrix")
-        if "data" in vars(self):
-            block = self.data[start:stop]
-            return block if cols is None else block.take(cols, axis=1)
-        descriptors = self.columns if cols is None else [self.columns[j] for j in cols]
-        window = _Window(self.samples, descriptors, self.row_offset + start, stop - start)
-        block = np.empty((stop - start, len(descriptors)), dtype=np.complex128)
-        for j, desc in enumerate(descriptors):
+        window = _Window(self.samples, self.columns, self.row_offset + start, stop - start)
+        block = np.empty((stop - start, len(self.columns)), dtype=np.complex128)
+        for j, desc in enumerate(self.columns):
             block[:, j] = window.column(desc)
         return block
 
@@ -329,37 +319,6 @@ class KernelMatrix:
             data[start:stop] = self.rows(start, stop)
         data.setflags(write=False)
         return data
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Read-only Gram matrix ``S^H S``, formed on first use in one pass
-        over the base sequences (``normal_equations``)."""
-        gram, _ = normal_equations(self)
-        gram.setflags(write=False)
-        return gram
-
-    def normal_equations(self, target: np.ndarray) -> tuple:
-        """``(S^H S, S^H target)``, both read-only.
-
-        The first call makes one pass over the base sequences that forms
-        both and caches the Gram.  ``S^H target`` is kept for the last
-        target, compared by content, so repeated fits to one target (the
-        matched-count bisection, a refit on a support) make no further
-        pass.
-        """
-        known = vars(self)
-        last = known.get("_last_rhs")
-        if last is not None and np.array_equal(last[0], target):
-            return self.gram, last[1]
-        if "gram" in known:
-            _, rhs = normal_equations(self, target, gram=False)
-        else:
-            gram, rhs = normal_equations(self, target)
-            gram.setflags(write=False)
-            known["gram"] = gram
-        rhs.setflags(write=False)
-        known["_last_rhs"] = (np.array(target, dtype=np.complex128), rhs)
-        return self.gram, rhs
 
     def dot(self, values: np.ndarray) -> np.ndarray:
         """The product ``S w = sum over l of Psi(n - l) W_l``.
@@ -395,15 +354,14 @@ def row_blocks(n_rows: int) -> list:
     return [(start, min(start + ROW_CHUNK, n_rows)) for start in range(0, n_rows, ROW_CHUNK)]
 
 
-def normal_equations(design, target=None, cols=None, gram=True) -> tuple:
+def normal_equations(design, target=None, gram=True) -> tuple:
     """Gram ``S^H S`` and correlation ``S^H x`` of a matrix, as
     ``(gram, rhs)``.
 
-    ``design`` is a ``KernelMatrix`` or a plain 2-D complex array, and
-    ``cols`` restricts S to those columns.  Without a ``target`` the
-    correlation is None; with ``gram=False`` the Gram is None.  The
-    Gram is a new C-ordered array, exactly Hermitian with an exactly
-    real diagonal.
+    ``design`` is a ``KernelMatrix`` or a plain 2-D complex array.
+    Without a ``target`` the correlation is None; with ``gram=False``
+    the Gram is None.  The Gram is a new C-ordered array, exactly
+    Hermitian with an exactly real diagonal.
 
     A ``KernelMatrix`` forms both from its base sequences in one pass
     (``_kernel_normal_equations``): N * B * P work, against N * P^2 / 2
@@ -418,17 +376,14 @@ def normal_equations(design, target=None, cols=None, gram=True) -> tuple:
     ``conj(sum of x_b^H S_b)``, which reads each block without a
     conjugate copy.
     """
-    n_rows = design.shape[0]
-    n_cols = design.shape[1] if cols is None else len(cols)
+    n_rows, n_cols = design.shape
     if target is not None and target.shape != (n_rows,):
         raise DimensionError(f"target has shape {target.shape} for {n_rows} rows")
     if isinstance(design, KernelMatrix):
-        return _kernel_normal_equations(design, target, cols, gram)
+        return _kernel_normal_equations(design, target, gram)
     upper = rhs = None
     for start, stop in row_blocks(n_rows):
         block = design[start:stop]
-        if cols is not None:
-            block = block.take(cols, axis=1)
         if gram and n_cols:
             if upper is None:
                 upper = scipy.linalg.blas.zherk(1.0, block.T, trans=0)
@@ -455,6 +410,72 @@ def normal_equations(design, target=None, cols=None, gram=True) -> tuple:
     if target is not None:
         rhs = np.zeros(n_cols, dtype=np.complex128) if rhs is None else rhs.conj()
     return gram, rhs
+
+
+@dataclass(frozen=True, eq=False)
+class NormalSystem:
+    """The normal equations ``S^H S w = S^H x`` of a design and a target.
+
+    ``gram`` is ``S^H S`` and ``rhs`` is ``S^H x``, both read-only, and
+    ``target_power`` is ``||x||^2``.  ``structure`` is the structure of
+    a ``KernelMatrix`` design, whose columns are its kernels in
+    canonical order, and None for a plain matrix.  A fit needs nothing
+    else of the N samples.
+    """
+
+    gram: np.ndarray
+    rhs: np.ndarray
+    target_power: float
+    structure: GmpStructure | None
+
+    def coefficients(self, values: np.ndarray):
+        """``values`` as a ``CoefficientVector`` of ``structure``, or the
+        bare array for a plain matrix."""
+        return values if self.structure is None else CoefficientVector(self.structure, values)
+
+
+def normal_system(design, target) -> NormalSystem:
+    """The ``NormalSystem`` of a design and a target.
+
+    ``design`` is a ``KernelMatrix`` or a plain 2-D complex matrix, and
+    ``target`` an ``IqSignal`` or a 1-D array with one sample per row.
+    The target of a ``KernelMatrix`` that dropped warm-up rows may also
+    span the whole source; its first ``row_offset`` samples are then
+    cut.  A plain matrix forms its system in one pass per call.  A
+    ``KernelMatrix`` caches the system of the last target it was given,
+    compared by content, so the fits that follow on one matrix and one
+    target (the matched-count bisection, the refit on a support) share
+    one system and make no further pass; a new target reuses the
+    cached Gram at the cost of one ``gram=False`` pass for ``S^H x``.
+    """
+    km = design if isinstance(design, KernelMatrix) else None
+    if km is None:
+        design = np.asarray(design, dtype=np.complex128)
+        if design.ndim != 2:
+            raise DimensionError(f"design matrix must be 2-D, got shape {design.shape}")
+    x = target.samples if isinstance(target, IqSignal) else np.asarray(target, dtype=np.complex128)
+    if x.ndim != 1:
+        raise DimensionError(f"target must be 1-D, got shape {x.shape}")
+    if km is not None and km.row_offset and x.size == km.source_length:
+        x = x[km.row_offset :]
+    if x.size != design.shape[0]:
+        raise DimensionError(f"target has {x.size} samples but design has {design.shape[0]} rows")
+    if km is None:
+        gram, rhs = normal_equations(design, x)
+    else:
+        last = vars(km).get("_normal_system")
+        if last is not None and np.array_equal(last[0], x):
+            return last[1]
+        if last is None:
+            gram, rhs = normal_equations(km, x)
+        else:
+            gram, rhs = last[1].gram, normal_equations(km, x, gram=False)[1]
+    gram.setflags(write=False)
+    rhs.setflags(write=False)
+    system = NormalSystem(gram, rhs, _power(x), None if km is None else km.structure)
+    if km is not None:
+        vars(km)["_normal_system"] = (np.array(x, dtype=np.complex128), system)
+    return system
 
 
 def _bases_of(descriptors) -> tuple:
@@ -498,7 +519,7 @@ def _base_blocks(samples, bases, lag, first: int, n_rows: int):
         yield start, stop, _base_block(samples, bases, first + start - hi, stop - start + hi - lo)
 
 
-def _kernel_normal_equations(km, target, cols, gram) -> tuple:
+def _kernel_normal_equations(km, target, gram) -> tuple:
     """``normal_equations`` of a ``KernelMatrix``, from its base sequences.
 
     Row n of column (b, l) is ``psi_b(n - l)`` for n from ``row_offset``
@@ -520,14 +541,8 @@ def _kernel_normal_equations(km, target, cols, gram) -> tuple:
     column product.  ``S^H x`` takes one B-vector product per lag and
     block.  Only blocks of the bases exist at any time.
     """
-    descriptors = km.columns if cols is None else [km.columns[j] for j in cols]
-    n_cols = len(descriptors)
-    if not n_cols:
-        return (
-            np.zeros((0, 0), dtype=np.complex128) if gram else None,
-            None if target is None else np.zeros(0, dtype=np.complex128),
-        )
-    bases, base, lag = _bases_of(descriptors)
+    n_cols = len(km.columns)
+    bases, base, lag = _bases_of(km.columns)
     lags = np.unique(lag)
     lo, hi = int(lags[0]), int(lags[-1])
     span = hi - lo

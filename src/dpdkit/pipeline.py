@@ -30,6 +30,7 @@ from .gmp import (
     effective_memory_depth,
     full_structure,
     kernel_count,
+    normal_system,
     write_coefficients,
 )
 from .pa_sim import IlcConfig, PaModel, default_pa_model, ilc_learn, pa_forward, read_pa_model
@@ -217,7 +218,15 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("ascii")).hexdigest()
+        """SHA-256 of ``canonical_text``.  A preset file's own SHA-256 is
+        hashed with it, so two runs on different amplifiers behind one
+        path get different hashes; a missing preset file raises OSError.
+        """
+        text = self.canonical_text()
+        if self.pa_preset != "default":
+            preset = hashlib.sha256(self._resolve(self.pa_preset).read_bytes()).hexdigest()
+            text += f"pa.preset_sha256 = {preset}\n"
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def _format_value(value) -> str:
@@ -466,8 +475,7 @@ def matched_count_lasso(matrix, target, target_count, zero_threshold, bcd):
     matched reports whether the best count landed within 10 percent of
     the target.
     """
-    _, correlations = matrix.normal_equations(target.samples)
-    lam_hi = 2.0 * float(np.max(np.abs(correlations)))
+    lam_hi = 2.0 * float(np.max(np.abs(normal_system(matrix, target).rhs)))
     lam_lo = lam_hi * 1e-8
     best = None
     for step in range(MATCHED_COUNT_STEPS):

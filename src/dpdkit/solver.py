@@ -13,28 +13,19 @@ Solvers accept either a ``KernelMatrix`` or a plain complex matrix; a
 ``KernelMatrix`` input yields a ``CoefficientVector`` result, a plain
 matrix yields a bare array.
 
-Every solver works on the normal equations ``S^H S w = S^H x``, which
-``gmp.normal_equations`` forms in one pass.  A ``KernelMatrix`` forms
-them from blocks of its B base sequences, of which every kernel column
-is a delayed copy (15 bases for the 300 wideband columns): N * B * P
-work, about 0.06 s for the wideband Gram and ``S^H x`` on one thread
-where the ``zherk`` of the kernel columns took 0.26 s.  The fit path
-therefore never holds the N x P matrix, nor even the N x B bases.
-Its first request makes one pass that forms both ``S^H S`` and
-``S^H x``; the Gram is cached on it and ``S^H x`` is kept for the last
-target, so the fits that follow on one kernel matrix and one target,
-such as the matched-count bisection and the refit on a support, make
-no further pass.  The block-weighted descent and ``ls_refine`` read the
-sub-blocks of that cached Gram for their order blocks and supports
-(``ls_refine`` only once the Gram is cached; before that it forms the
-support's own normal equations from the bases of the support columns),
-and the descent tracks the correlation ``S^H r`` of the residual
-instead of the N-sample residual ``r`` itself, so no block update
-touches the N rows (the covariance update of Friedman, Hastie and
-Tibshirani, J. Stat. Softw. 2010).  Plain matrices form their normal
-equations per call, in blocks of rows through ``zherk``.  The fitted
-model's output, ``gmp.apply_model``, is added up from the same blocks
-of the bases of its support.
+Every solver reads one ``gmp.NormalSystem`` and nothing else of its
+design: the Gram ``S^H S``, the correlation ``S^H x`` and ``||x||^2``,
+from ``gmp.normal_system``.  That function owns the checks of the
+design and the target, and the cache: a ``KernelMatrix`` keeps the
+system of its last target, so the fits that follow on one kernel
+matrix and one target, such as the matched-count bisection and the
+refit on a support, make no further pass over the samples.  The
+block-weighted descent and ``ls_refine`` read sub-blocks of that Gram
+for their order blocks and supports, and the descent tracks the
+correlation ``S^H r`` of the residual instead of the N-sample residual
+``r`` itself, so no block update touches the N rows (the covariance
+update of Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010);
+``kkt_check`` forms ``S^H r`` the same way.
 
 Every ridge solve, and so every iterate of the Lasso and of each block,
 is one LAPACK ``zposv`` call on a Fortran-ordered work copy of the Gram
@@ -58,8 +49,8 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .gmp import CoefficientVector, KernelMatrix, normal_equations
-from .signal import IqSignal, _power, _ratio_db
+from .gmp import CoefficientVector, normal_system
+from .signal import _ratio_db
 
 CONDITION_LIMIT = 1e12
 _EPS = float(np.finfo(np.float64).eps)
@@ -175,52 +166,10 @@ def default_schedule(
     return RegularizationSchedule(lam, tau)
 
 
-# ---------------------------------------------------------------------------
-# Input adapters.
-
-
-def _unpack_design(S):
-    """``(design, km)``: the matrix as given, and the ``KernelMatrix``
-    itself or None for a plain matrix."""
-    if isinstance(S, KernelMatrix):
-        return S, S
-    arr = np.asarray(S, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionError(f"design matrix must be 2-D, got shape {arr.shape}")
-    return arr, None
-
-
-def _unpack_target(x, design, km):
-    arr = x.samples if isinstance(x, IqSignal) else np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise DimensionError(f"target must be 1-D, got shape {arr.shape}")
-    if km is not None and km.row_offset and arr.size == km.source_length:
-        arr = arr[km.row_offset:]
-    if arr.size != design.shape[0]:
-        raise DimensionError(
-            f"target has {arr.size} samples but design has {design.shape[0]} rows"
-        )
-    return arr
-
-
-def _system(design, km, target):
-    """``(S^H S, S^H x)``: cached on a kernel matrix, formed in one
-    pass over the rows of a plain one."""
-    if km is None:
-        return normal_equations(design, target)
-    return km.normal_equations(target)
-
-
-def _wrap(values, km):
-    if km is None:
-        return values
-    return CoefficientVector(km.structure, values)
-
-
-def _describe(km, matrix):
-    if km is None:
-        return f"{matrix.shape[1]}-column design"
-    s = km.structure
+def _describe(system):
+    s = system.structure
+    if s is None:
+        return f"{system.rhs.shape[0]}-column design"
     return (
         f"structure with {s.kernel_count} kernels "
         f"(aligned {len(s.aligned_orders)}x{len(s.aligned_lags)}, "
@@ -261,11 +210,10 @@ def least_squares(S, x):
     Raises RankDeficiencyError when the (equilibrated) Gram matrix has a
     condition estimate above 1e12, naming the offending structure.
     """
-    matrix, km = _unpack_design(S)
-    if matrix.shape[1] == 0:
+    system = normal_system(S, x)
+    if system.rhs.shape[0] == 0:
         raise ConfigurationError("design has no columns")
-    gram, rhs = _system(matrix, km, _unpack_target(x, matrix, km))
-    return _wrap(_normal_solve(gram, rhs, _describe(km, matrix)), km)
+    return system.coefficients(_normal_solve(system.gram, system.rhs, _describe(system)))
 
 
 def _ridge_solve(gram, rhs, weights):
@@ -297,49 +245,43 @@ def _ridge_solve(gram, rhs, weights):
 
 def ridge(S, x, per_coefficient_weights):
     """Solve (S^H S + diag(d)) w = S^H x for positive weights d."""
-    matrix, km = _unpack_design(S)
-    target = _unpack_target(x, matrix, km)
+    system = normal_system(S, x)
+    n_cols = system.rhs.shape[0]
     weights = np.asarray(per_coefficient_weights, dtype=np.float64)
-    if weights.shape != (matrix.shape[1],):
+    if weights.shape != (n_cols,):
         raise DimensionError(
-            f"need one weight per column, got {weights.shape} for {matrix.shape[1]} columns"
+            f"need one weight per column, got {weights.shape} for {n_cols} columns"
         )
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ConfigurationError("ridge weights must be positive and finite")
-    gram, rhs = _system(matrix, km, target)
-    return _wrap(_ridge_solve(gram, rhs, weights), km)
+    return system.coefficients(_ridge_solve(system.gram, system.rhs, weights))
 
 
 def ls_refine(S, x, support):
     """Least squares restricted to ``support``; other coefficients stay zero.
 
-    A ``KernelMatrix`` whose Gram is already cached solves on the
-    support's sub-blocks of it and of ``S^H x``.  Otherwise, as for a
-    plain matrix, one pass over row blocks of the support columns forms
-    only the support's own normal equations: building the full P x P
-    Gram to read one sub-block would cost far more than the solve.
+    One path for every design: the support's sub-blocks of the system's
+    Gram and of ``S^H x`` are solved, so a refit on a fresh kernel
+    matrix equals, bit for bit, the refit after a fit on it.
     """
-    matrix, km = _unpack_design(S)
-    target = _unpack_target(x, matrix, km)
+    system = normal_system(S, x)
+    n_cols = system.rhs.shape[0]
     idx = np.asarray(support, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ConfigurationError("support must be a non-empty index list")
     if np.unique(idx).size != idx.size:
         raise ConfigurationError("support contains duplicate indices")
-    if np.any(idx < 0) or np.any(idx >= matrix.shape[1]):
+    if np.any(idx < 0) or np.any(idx >= n_cols):
         raise ConfigurationError(
-            f"support indices must lie in [0, {matrix.shape[1]}), got {idx.min()}..{idx.max()}"
+            f"support indices must lie in [0, {n_cols}), got {idx.min()}..{idx.max()}"
         )
-    if km is None or "gram" not in vars(km):
-        gram, rhs = normal_equations(matrix, target, cols=idx)
-    else:
-        gram, rhs = km.normal_equations(target)
-        gram, rhs = gram[np.ix_(idx, idx)], rhs[idx]
-    values = np.zeros(matrix.shape[1], dtype=np.complex128)
+    values = np.zeros(n_cols, dtype=np.complex128)
     values[idx] = _normal_solve(
-        gram, rhs, f"{idx.size}-kernel support of {_describe(km, matrix)}"
+        system.gram[np.ix_(idx, idx)],
+        system.rhs[idx],
+        f"{idx.size}-kernel support of {_describe(system)}",
     )
-    return _wrap(values, km)
+    return system.coefficients(values)
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +346,15 @@ def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None, initial=Non
         raise ConfigurationError(f"zero_threshold must be >= 0, got {zero_threshold}")
     if config is None:
         config = BcdConfig()
-    matrix, km = _unpack_design(S)
-    target = _unpack_target(x, matrix, km)
+    system = normal_system(S, x)
+    n_cols = system.rhs.shape[0]
     init = None
     if initial is not None:
         init = initial.values if isinstance(initial, CoefficientVector) else np.asarray(initial)
-        if init.shape != (matrix.shape[1],):
-            raise DimensionError(
-                f"initial guess has {init.shape} entries for {matrix.shape[1]} columns"
-            )
-    gram, rhs = _system(matrix, km, target)
-    omega = _lasso_core(gram, rhs, lam, zero_threshold, config, init)
-    return _wrap(omega, km)
+        if init.shape != (n_cols,):
+            raise DimensionError(f"initial guess has {init.shape} entries for {n_cols} columns")
+    omega = _lasso_core(system.gram, system.rhs, lam, zero_threshold, config, init)
+    return system.coefficients(omega)
 
 
 @dataclass(frozen=True)
@@ -478,23 +417,21 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
     """
     if config is None:
         config = BcdConfig()
-    matrix, km = _unpack_design(S)
-    if km is None:
+    system = normal_system(S, x)
+    if system.structure is None:
         raise ConfigurationError(
             "block_weighted_lasso needs a KernelMatrix; plain matrices carry no orders"
         )
-    target = _unpack_target(x, matrix, km)
-    target_power = _power(target)
+    target_power = system.target_power
     if target_power == 0.0:
         raise DegenerateInputError("target signal has zero power")
 
-    orders = sorted({d.order_exponent for d in km.columns})
+    columns = system.structure.descriptors()
+    orders = sorted({d.order_exponent for d in columns})
     lam = {k: schedule.lambda_for(k) for k in orders}
     tau = {k: schedule.threshold_for(k) for k in orders}
-    blocks = {
-        k: np.flatnonzero([d.order_exponent == k for d in km.columns]) for k in orders
-    }
-    gram, rhs = km.normal_equations(target)
+    blocks = {k: np.flatnonzero([d.order_exponent == k for d in columns]) for k in orders}
+    gram, rhs = system.gram, system.rhs
     # Each block's Gram S_k^H S_k and cross columns S^H S_k.
     block_grams = {k: gram[np.ix_(blocks[k], blocks[k])] for k in orders}
     cross = {k: gram[:, blocks[k]] for k in orders}
@@ -545,7 +482,7 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
         snapshot.setflags(write=False)
         nonzero = np.flatnonzero(snapshot)
         depth = (
-            max(km.columns[j].deepest_sample for j in nonzero) if nonzero.size else -1
+            max(columns[j].deepest_sample for j in nonzero) if nonzero.size else -1
         )
         records.append(
             FitRecord(
@@ -564,7 +501,7 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
     else:
         selected = len(records) - 1
     trace = FitTrace(records=tuple(records), selected_index=selected)
-    return _wrap(records[selected].coefficients.copy(), km), trace
+    return system.coefficients(records[selected].coefficients.copy()), trace
 
 
 @dataclass(frozen=True)
@@ -587,34 +524,34 @@ def kkt_check(S, x, coeffs, schedule) -> KktReport:
     """Evaluate the Lasso stationarity conditions for a solution.
 
     ``schedule`` may be a RegularizationSchedule (kernel matrices only),
-    a scalar penalty, or one penalty per column.
+    a scalar penalty, or one penalty per column.  The correlation
+    ``2 S^H (x - S w)`` is formed from the normal equations as
+    ``2 (S^H x - S^H S w)``, with no pass over the N samples.
     """
-    matrix, km = _unpack_design(S)
-    target = _unpack_target(x, matrix, km)
+    system = normal_system(S, x)
+    n_cols = system.rhs.shape[0]
     values = coeffs.values if isinstance(coeffs, CoefficientVector) else np.asarray(coeffs)
-    if values.shape != (matrix.shape[1],):
-        raise DimensionError(
-            f"solution has {values.shape} entries for {matrix.shape[1]} columns"
-        )
+    if values.shape != (n_cols,):
+        raise DimensionError(f"solution has {values.shape} entries for {n_cols} columns")
     if isinstance(schedule, RegularizationSchedule):
-        if km is None:
+        if system.structure is None:
             raise ConfigurationError(
                 "per-order schedule lookup needs a KernelMatrix with descriptors"
             )
-        lam = np.array([schedule.lambda_for(d.order_exponent) for d in km.columns])
+        lam = np.array(
+            [schedule.lambda_for(d.order_exponent) for d in system.structure.descriptors()]
+        )
     else:
         lam = np.asarray(schedule, dtype=np.float64)
-        if lam.ndim and lam.shape != (matrix.shape[1],):
+        if lam.ndim and lam.shape != (n_cols,):
             raise DimensionError(
-                f"need one penalty per column, got {lam.shape} for {matrix.shape[1]} columns"
+                f"need one penalty per column, got {lam.shape} for {n_cols} columns"
             )
-        lam = np.broadcast_to(lam, (matrix.shape[1],)).copy()
+        lam = np.broadcast_to(lam, (n_cols,)).copy()
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
             raise ConfigurationError("penalty weights must be positive and finite")
 
-    estimate = matrix @ values if km is None else km.dot(values)
-    _, correlation = normal_equations(matrix, target - estimate, gram=False)
-    correlation *= 2.0
+    correlation = 2.0 * (system.rhs - system.gram @ values)
     active = values != 0
     if np.any(active):
         phases = values[active] / np.abs(values[active])

@@ -263,7 +263,8 @@ SETTING_CHANGES = {
     "signal.seed": ["signal.seed=5"],
     "signal.target_rms": ["signal.target_rms=0.5"],
     "signal.sample_rate_hz": ["signal.sample_rate_hz=2e6"],
-    "pa.preset": ["pa.preset=pa.txt"],
+    # The hash reads the preset file: the test writes it there.
+    "pa.preset": ["pa.preset={tmp_path}/pa.txt"],
     "ilc.iterations": ["ilc.iterations=4"],
     "ilc.learning_rate": ["ilc.learning_rate=0.25"],
     "ilc.target_gain": ["ilc.target_gain=0.5 -0.25"],
@@ -294,13 +295,39 @@ def test_any_setting_change_changes_hash(tmp_path):
     assert set(SETTING_CHANGES) == {f"{s}.{k}" for s, k, _, _ in _SCHEMA}
     text = TINY + f"output.dir = {tmp_path / 'out'}\n"
     text += "dpd.include_leading = true\ndpd.leading_depth = 1\n"
+    write_pa_model(tmp_path / "pa.txt", default_pa_model())
     hashes = {parse_config(text).config_hash}
     for key, overrides in SETTING_CHANGES.items():
+        overrides = [item.format(tmp_path=tmp_path) for item in overrides]
         config = parse_config(text, overrides=overrides)
         assert config.config_hash not in hashes, key
         hashes.add(config.config_hash)
         again = parse_config(config.canonical_text())
         assert again.canonical_text() == config.canonical_text(), key
+
+
+def test_config_hash_covers_the_preset_file_contents(tmp_path):
+    # Two configs that name pa.txt next to themselves: the same text,
+    # different amplifiers.
+    configs = []
+    for name, gain in (("a", 1.0), ("b", 2.0)):
+        (tmp_path / name).mkdir()
+        model = PaModel(
+            CoefficientVector(full_structure(0, 1, 0), np.array([gain + 0.0j])),
+            smallsignal_gain=gain + 0.0j,
+        )
+        write_pa_model(tmp_path / name / "pa.txt", model)
+        (tmp_path / name / "run.cfg").write_text("pa.preset = pa.txt\n")
+        configs.append(load_config(tmp_path / name / "run.cfg"))
+    first, second = configs
+    assert first.canonical_text() == second.canonical_text()
+    assert first.config_hash != second.config_hash
+    assert parse_config(second.canonical_text(), base_dir=tmp_path / "b").config_hash == (
+        second.config_hash
+    )
+    (tmp_path / "b" / "pa.txt").unlink()
+    with pytest.raises(OSError):
+        second.config_hash
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +837,29 @@ def test_cli_fit_and_refine_round_trip(tmp_path):
     assert code == 0
     refined = read_coefficients(wr)
     assert np.array_equal(refined.support(), fitted.support())
+
+
+def test_cli_refine_reproduces_the_experiment_refined_model_bitwise(tmp_path):
+    # The refit of a fresh kernel matrix solves the support's sub-block
+    # of the whole system, as exp2 does after its fit, so the refined
+    # model read back equals exp2's bwlasso-r file bit for bit.  At the
+    # desk-scale run point, normal equations formed from the support
+    # columns alone differ from that sub-block in the last bits.
+    cfg = SHIPPED_CONFIGS / "desk-scale.cfg"
+    s, x, w, wr = (tmp_path / name for name in ("s.iq", "x.iq", "w.txt", "wr.txt"))
+    for argv in (
+        ["gen-signal", "--config", str(cfg), "--out", str(s)],
+        ["ilc", "--config", str(cfg), "--out", str(x)],
+        ["fit", "bwlasso", "--config", str(cfg), "--signal", str(s),
+         "--target", str(x), "--out", str(w)],
+        ["refine", "--signal", str(s), "--target", str(x),
+         "--coeffs", str(w), "--out", str(wr)],
+    ):
+        assert run_cli(argv)[0] == 0
+    run_experiment2(load_config(cfg, [f"output.dir={tmp_path / 'out'}"]))
+    expected = read_coefficients(tmp_path / "out" / "exp2_coeffs_bwlasso-r.txt")
+    assert kernel_count(expected) > 0
+    assert np.array_equal(read_coefficients(wr).values, expected.values)
 
 
 def test_cli_fit_bwlasso_writes_iteration_trace(tmp_path):

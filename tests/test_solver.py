@@ -23,6 +23,7 @@ from dpdkit.gmp import (
     effective_memory_depth,
     full_structure,
     normal_equations,
+    normal_system,
 )
 from dpdkit.pipeline import matched_count_lasso
 from dpdkit.signal import IqSignal
@@ -344,6 +345,55 @@ def test_kkt_accepts_per_column_weights():
     lams = np.full(3, 2.0 * float(np.max(np.abs(S.conj().T @ x))))
     report = kkt_check(S, x, w, lams)
     assert report.max_violation == 0.0
+
+
+def _kkt_from_correlation(correlation, w, lam):
+    """(active, inactive) violations of ``correlation = 2 S^H r``."""
+    active = w != 0
+    phases = w[active] / np.abs(w[active])
+    return (
+        float(np.max(np.abs(correlation[active] - lam[active] * phases), initial=0.0)),
+        float(max(0.0, np.max(np.abs(correlation[~active]) - lam[~active], initial=0.0))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.booleans(),
+    n=st.integers(1, 200),
+    p=st.integers(1, 30),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kkt_certificate_from_normal_equations_matches_data_residual(
+    kernel, n, p, density, seed
+):
+    # kkt_check forms 2 (S^H x - S^H S w); the reference forms
+    # 2 S^H (x - S w) from the data.  Each side's S^H r is within
+    # (2 N + P + 1) eps of the exact one, per entry of
+    # |S|^T |x| + |S|^T |S| |w|: the summation bound of
+    # _assert_is_gram_of, 2 N eps, plus the rounding of the product with
+    # w and of the difference.  So the two correlations 2 S^H r differ
+    # by at most 2 * 2 times that, and a violation moves by at most the
+    # largest change of an entry.
+    rng = np.random.default_rng(seed)
+    if kernel:
+        design, target = _kernel_problem(seed % 7, 512)
+        S, x = design.data, target.samples
+    else:
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        S = design = _random_design(rng, n, p) * scales
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    n, p = S.shape
+    w = (rng.standard_normal(p) + 1j * rng.standard_normal(p)) * (rng.random(p) < density)
+    lam = 10.0 ** rng.uniform(-2.0, 1.0, p) * float(np.max(np.abs(S.conj().T @ x)))
+    report = kkt_check(design, x, w, lam)
+    expected = _kkt_from_correlation(2.0 * (S.conj().T @ (x - S @ w)), w, lam)
+    eps = np.finfo(np.float64).eps
+    scale = np.abs(S).T @ np.abs(x) + np.abs(S).T @ (np.abs(S) @ np.abs(w))
+    bound = 2.0 * 2.0 * (2 * n + p + 1) * eps * float(np.max(scale))
+    assert abs(report.max_violation_active - expected[0]) <= bound
+    assert abs(report.max_violation_inactive - expected[1]) <= bound
 
 
 def test_kkt_rejects_wrong_number_of_penalties():
@@ -669,14 +719,15 @@ def _assert_is_gram_of(gram, S):
 
 
 def test_kernel_matrix_data_and_gram_are_read_only_and_cached():
-    matrix, _ = _kernel_problem()
+    matrix, target = _kernel_problem()
     assert not matrix.data.flags.writeable
     with pytest.raises(ValueError):
         matrix.data[0, 0] = 1.0
-    gram = matrix.gram
-    assert gram is matrix.gram
-    assert not gram.flags.writeable
-    _assert_is_gram_of(gram, matrix.data)
+    system = normal_system(matrix, target)
+    assert system is normal_system(matrix, target)
+    assert not system.gram.flags.writeable
+    assert not system.rhs.flags.writeable
+    _assert_is_gram_of(system.gram, matrix.data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -700,24 +751,30 @@ def test_hermitian_gram_is_hermitian_and_within_rounding_of_product(n, p, seed):
 
 def test_first_gram_access_makes_no_copy_of_the_kernel_matrix():
     # A conjugate copy of data for the product would cost data.nbytes.
-    matrix, _ = _kernel_problem()
-    assert _peak_traced_bytes(lambda: matrix.gram) < matrix.data.nbytes / 2
+    matrix, target = _kernel_problem()
+    assert _peak_traced_bytes(lambda: normal_system(matrix, target)) < matrix.data.nbytes / 2
 
 
 def test_kernel_matrix_solvers_solve_its_cached_system_bitwise():
-    # Each solver solves the one system km.normal_equations(x) and forms
+    # Each solver solves the one system normal_system(km, x) and forms
     # no other: with the pass that forms it blocked, the solvers still
     # equal the solver core fed that system, bit for bit.
     matrix, target = _kernel_problem()
     x = target.samples
-    gram, rhs = matrix.normal_equations(x)
+    system = normal_system(matrix, x)
+    gram, rhs = system.gram, system.rhs
     weights = np.full(gram.shape[0], 1e-3)
+    support = np.array([0, 3, 6, 21])
     with mock.patch.object(gmp, "_kernel_normal_equations", side_effect=AssertionError):
         assert np.array_equal(
             least_squares(matrix, x).values, solver._normal_solve(gram, rhs, "system")
         )
         assert np.array_equal(
             ridge(matrix, x, weights).values, solver._ridge_solve(gram, rhs, weights)
+        )
+        assert np.array_equal(
+            ls_refine(matrix, x, support).values[support],
+            solver._normal_solve(gram[np.ix_(support, support)], rhs[support], "support"),
         )
         for lam in (1e-2, 1.0, 30.0):
             assert np.array_equal(
@@ -755,14 +812,16 @@ def test_ridge_system_not_positive_definite_is_rank_deficiency():
         solver._ridge_solve(indefinite, np.ones(2, dtype=np.complex128), np.full(2, 1e-8))
 
 
-def test_refine_on_fresh_kernel_matrix_leaves_gram_uncached():
-    matrix, target = _kernel_problem()
+def test_refine_on_fresh_kernel_matrix_equals_refine_after_a_fit():
+    # One refine path: a fresh matrix forms the whole system and solves
+    # the support's sub-block of it, as a refit after a fit does.
     support = [0, 3, 6, 21]
+    matrix, target = _kernel_problem()
     fresh = ls_refine(matrix, target, support)
-    assert "gram" not in vars(matrix)
-    matrix.gram
-    cached = ls_refine(matrix, target, support)
-    assert np.max(np.abs(fresh.values - cached.values)) <= 1e-9
+    matrix, target = _kernel_problem()
+    lasso_iterated_ridge(matrix, target, 1.0, 1e-4)
+    after_fit = ls_refine(matrix, target, support)
+    assert np.array_equal(fresh.values, after_fit.values)
     assert np.array_equal(np.flatnonzero(fresh.values), support)
 
 
@@ -875,7 +934,7 @@ def _peak_traced_bytes(call):
 def test_matched_count_makes_no_copy_of_the_kernel_matrix():
     # An N x P conjugate copy per Lasso call would cost data.nbytes.
     matrix, target = _kernel_problem()
-    matrix.gram  # cache the Gram first, as the experiments do
+    normal_system(matrix, target)  # cache the system first, as the experiments do
     peak = _peak_traced_bytes(
         lambda: matched_count_lasso(matrix, target, 5, 0.0, BcdConfig())
     )
@@ -897,7 +956,7 @@ def test_gram_domain_solvers_make_no_copy_of_the_kernel_matrix():
     # data.nbytes; with the Gram cached, both solvers read only its
     # sub-blocks and one S^H x.
     matrix, target = _kernel_problem()
-    matrix.gram  # ls_refine reads sub-blocks only of a cached Gram
+    normal_system(matrix, target)  # ls_refine reads sub-blocks of the cached Gram
     schedule = default_schedule(matrix.structure, threshold_scale=0.01)
     full_support = np.arange(matrix.data.shape[1])
     for call in (
@@ -933,16 +992,13 @@ def test_fits_agree_bitwise_whether_or_not_data_was_read_first():
         matrix = build_kernel_matrix(signal, structure)
         if read_data:
             matrix.data
-        # A fresh matrix refines from the support's own normal equations.
-        fresh = ls_refine(matrix, target, [0, 3, 6, 21])
-        gram, rhs = matrix.normal_equations(target.samples)
+        system = normal_system(matrix, target)
         coeffs, trace = block_weighted_lasso(matrix, target, schedule)
         refined = ls_refine(matrix, target, coeffs.support())
         runs.append(
             (
-                fresh.values,
-                gram,
-                rhs,
+                system.gram,
+                system.rhs,
                 coeffs.values,
                 [r.nmse_db for r in trace.records],
                 refined.values,
@@ -999,10 +1055,9 @@ def _orders(highest):
     ),
     drop_warmup=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    draw=st.data(),
 )
 def test_base_sequence_products_match_the_column_products(
-    aligned, lagging, leading, n, drop_warmup, seed, draw
+    aligned, lagging, leading, n, drop_warmup, seed
 ):
     structure = GmpStructure(*aligned, *lagging, *leading)
     descriptors = structure.descriptors()
@@ -1012,27 +1067,23 @@ def test_base_sequence_products_match_the_column_products(
     signal = IqSignal((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), 1.0)
     matrix = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup)
     n_rows, n_cols = matrix.shape
-    cols = draw.draw(
-        st.none() | st.lists(st.integers(0, n_cols - 1), min_size=1, unique=True)
-    )
     x = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
     w = (rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols)) * (
         rng.random(n_cols) < 0.5
     )
-    gram, rhs = normal_equations(matrix, x, cols)
-    _, rhs_only = normal_equations(matrix, x, cols, gram=False)
+    gram, rhs = normal_equations(matrix, x)
+    _, rhs_only = normal_equations(matrix, x, gram=False)
     product = matrix.dot(w)
     assert "data" not in vars(matrix)
 
-    S = matrix.data if cols is None else matrix.data[:, cols]
+    S = matrix.data
     eps = np.finfo(np.float64).eps
     _assert_is_gram_of(gram, S)
-    plain_gram, plain_rhs = normal_equations(matrix.data, x, cols)
+    plain_gram, plain_rhs = normal_equations(S, x)
     assert np.all(np.abs(gram - plain_gram) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(S)))
     assert np.all(np.abs(rhs - plain_rhs) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(x)))
     assert np.array_equal(rhs_only, rhs)
-    data = matrix.data
-    assert np.all(np.abs(product - data @ w) <= 2 * n_cols * eps * (np.abs(data) @ np.abs(w)))
+    assert np.all(np.abs(product - S @ w) <= 2 * n_cols * eps * (np.abs(S) @ np.abs(w)))
     # One path: reading data first changes no bit.
-    assert np.array_equal(normal_equations(matrix, x, cols)[0], gram)
+    assert np.array_equal(normal_equations(matrix, x)[0], gram)
     assert np.array_equal(matrix.dot(w), product)
