@@ -255,9 +255,9 @@ def max_memory_lag(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
     return max(descriptors[j].lag for j in active)
 
 
-# Rows per block of every streamed pass over a kernel matrix or a model
-# output.  4096 rows of the 300-kernel wideband structure take 19.7 MB,
-# and 4096 samples of its 15 base sequences 1.0 MB.
+# Rows per block of every pass over the base sequences: the normal
+# equations, ``data`` and ``apply_model``.  4096 samples of the 15 base
+# sequences of the 300-kernel wideband structure take 1.0 MB.
 ROW_CHUNK = 4096
 
 
@@ -265,30 +265,33 @@ ROW_CHUNK = 4096
 class KernelMatrix:
     """Regressor matrix of a structure evaluated on a source signal.
 
-    The matrix has one column per kernel in canonical order.  When
-    warm-up rows are dropped, ``row_offset`` records how many leading
-    samples of the source are excluded and the matrix has
-    correspondingly fewer rows.
+    The matrix has one column per kernel of ``structure``, in canonical
+    order (``columns``).  When warm-up rows are dropped, ``row_offset``
+    records how many leading samples of the source are excluded and the
+    matrix has correspondingly fewer rows.
 
     Only the source samples are stored.  Every column is a delayed copy
     ``psi_b(n - l)`` of one of a few base sequences
     ``psi_b(q) = s(q) |s(q -+ m)|^k``, one per (branch, k, m): 15 bases
     carry the 300 columns of the wideband structure.  The normal
-    equations (``normal_system``), the product ``S w`` (``dot``) and
-    the model output of ``apply_model`` are formed from blocks of
-    ``ROW_CHUNK`` samples of the bases (``_base_blocks``), so their
-    memory grows with the block and with P^2, not with N * P, and the
-    work of the first two with N * B * P rather than N * P^2.  The
-    matrix caches one ``NormalSystem``, for the last target it was
-    asked about.  ``rows`` evaluates a block of kernel columns, and
-    ``data``, the whole N x P matrix, is evaluated from such blocks
-    only when a caller reads it; no product reads it.
+    equations (``normal_system``), the whole matrix (``data``) and the
+    model output of ``apply_model`` are all cut from blocks of
+    ``ROW_CHUNK`` samples of the bases (``_base_blocks``).  The normal
+    equations take N * B * P work rather than N * P^2, and memory that
+    grows with the block and with P^2, not with N * P.  The matrix
+    caches one ``NormalSystem``, for the last target it was asked
+    about.  ``data``, the whole N x P matrix, is formed only when a
+    caller reads it; no fit reads it.
     """
 
     samples: np.ndarray
-    columns: tuple
     structure: GmpStructure
     row_offset: int = 0
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The kernel of each column, in canonical order."""
+        return self.structure.descriptors()
 
     @property
     def source_length(self) -> int:
@@ -298,60 +301,22 @@ class KernelMatrix:
     def shape(self) -> tuple:
         return (self.samples.size - self.row_offset, len(self.columns))
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start:stop`` of the matrix, C-ordered, evaluated on a
-        zero-padded window of the samples widened by the deepest lag
-        behind it and the longest lead ahead of it."""
-        n_rows = self.shape[0]
-        if not 0 <= start <= stop <= n_rows:
-            raise DimensionError(f"rows {start}:{stop} outside a {n_rows}-row matrix")
-        window = _Window(self.samples, self.columns, self.row_offset + start, stop - start)
-        block = np.empty((stop - start, len(self.columns)), dtype=np.complex128)
-        for j, desc in enumerate(self.columns):
-            block[:, j] = window.column(desc)
-        return block
-
     @cached_property
     def data(self) -> np.ndarray:
-        """The whole matrix, read-only, evaluated block by block on first use."""
+        """The whole matrix, read-only, cut from blocks of the base
+        sequences on first use: column j of a block is its base at its
+        lag, the slice ``apply_model`` adds."""
+        bases, base, lag = _bases_of(self.columns)
+        shifts = (lag.max() - lag).tolist()
         data = np.empty(self.shape, dtype=np.complex128)
-        for start, stop in row_blocks(self.shape[0]):
-            data[start:stop] = self.rows(start, stop)
+        for start, stop, psi in _base_blocks(
+            self.samples, bases, lag, self.row_offset, self.shape[0]
+        ):
+            for j, (b, at) in enumerate(zip(base.tolist(), shifts)):
+                data[start:stop, j] = psi[b, at : at + stop - start]
+            del psi
         data.setflags(write=False)
         return data
-
-    def dot(self, values: np.ndarray) -> np.ndarray:
-        """The product ``S w = sum over l of Psi(n - l) W_l``.
-
-        ``W_l`` holds, for each base, the coefficient of its column at
-        lag l (zero if it has none), and ``Psi`` is the B-row block of
-        base sequences.  Each ``ROW_CHUNK``-row block of the result
-        evaluates the B bases once, over the block widened by the lag
-        span, and adds one B-vector product per lag: N * B * L work
-        where the product of kernel columns costs N * P.
-        """
-        values = np.asarray(values, dtype=np.complex128)
-        n_rows, n_cols = self.shape
-        if values.shape != (n_cols,):
-            raise DimensionError(f"need {n_cols} coefficients, got shape {values.shape}")
-        bases, base, lag = _bases_of(self.columns)
-        lags = np.unique(lag)
-        hi = int(lags[-1])
-        weights = np.zeros((lags.size, len(bases)), dtype=np.complex128)
-        weights[np.searchsorted(lags, lag), base] = values
-        used = [i for i in range(lags.size) if weights[i].any()]
-        out = np.zeros(n_rows, dtype=np.complex128)
-        for start, stop, psi in _base_blocks(self.samples, bases, lags, self.row_offset, n_rows):
-            for i in used:
-                at = hi - int(lags[i])
-                out[start:stop] += weights[i] @ psi[:, at : at + stop - start]
-            del psi
-        return out
-
-
-def row_blocks(n_rows: int) -> list:
-    """``(start, stop)`` of the ``ROW_CHUNK``-row blocks covering ``n_rows`` rows."""
-    return [(start, min(start + ROW_CHUNK, n_rows)) for start in range(0, n_rows, ROW_CHUNK)]
 
 
 def normal_equations(design, target=None, gram=True) -> tuple:
@@ -363,17 +328,16 @@ def normal_equations(design, target=None, gram=True) -> tuple:
     the Gram is None.  The Gram is a new C-ordered array, exactly
     Hermitian with an exactly real diagonal.
 
-    A ``KernelMatrix`` forms both from its base sequences in one pass
-    (``_kernel_normal_equations``): N * B * P work, against N * P^2 / 2
-    for the kernel columns.  A plain matrix is read in ``ROW_CHUNK``-row
-    blocks, and each block adds to the Gram through one BLAS ``zherk``
-    call with ``beta=1``.  ``block.T`` of a C-ordered block is a
-    Fortran-ordered view, so ``zherk`` reads the block in place and does
-    half the flops of the general product.  It fills the upper triangle
-    of ``conj(S^H S)``; the transpose of that array holds the lower
-    triangle of ``S^H S``, and the strict upper triangle is mirrored
-    from it with O(P^2) temporaries.  The correlation is accumulated as
-    ``conj(sum of x_b^H S_b)``, which reads each block without a
+    A ``KernelMatrix`` forms both from blocks of its base sequences in
+    one pass (``_kernel_normal_equations``): N * B * P work, against
+    N * P^2 / 2 for the kernel columns.  A plain matrix is already in
+    memory, and its Gram is one BLAS ``zherk`` call.  ``S.T`` of a
+    C-ordered ``S`` is a Fortran-ordered view, so ``zherk`` reads the
+    matrix in place and does half the flops of the general product.  It
+    fills the upper triangle of ``conj(S^H S)``; the transpose of that
+    array holds the lower triangle of ``S^H S``, and the strict upper
+    triangle is mirrored from it with O(P^2) temporaries.  The
+    correlation is ``conj(x^H S)``, which reads ``S`` without a
     conjugate copy.
     """
     n_rows, n_cols = design.shape
@@ -381,34 +345,15 @@ def normal_equations(design, target=None, gram=True) -> tuple:
         raise DimensionError(f"target has shape {target.shape} for {n_rows} rows")
     if isinstance(design, KernelMatrix):
         return _kernel_normal_equations(design, target, gram)
-    upper = rhs = None
-    for start, stop in row_blocks(n_rows):
-        block = design[start:stop]
-        if gram and n_cols:
-            if upper is None:
-                upper = scipy.linalg.blas.zherk(1.0, block.T, trans=0)
-            else:
-                upper = scipy.linalg.blas.zherk(
-                    1.0, block.T, beta=1.0, c=upper, trans=0, overwrite_c=1
-                )
-        if target is not None:
-            part = target[start:stop].conj() @ block
-            if rhs is None:
-                rhs = part
-            else:
-                rhs += part
-    if gram:
-        if upper is None:
-            # No rows or no columns: OpenBLAS rejects a rank-0 update.
-            gram = np.zeros((n_cols, n_cols), dtype=np.complex128)
-        else:
-            gram = upper.T
-            mirror = np.triu_indices(n_cols, 1)
-            gram[mirror] = gram.T[mirror].conj()
-    else:
-        gram = None
-    if target is not None:
-        rhs = np.zeros(n_cols, dtype=np.complex128) if rhs is None else rhs.conj()
+    rhs = None if target is None else (target.conj() @ design).conj()
+    if not gram:
+        return None, rhs
+    if not (n_rows and n_cols):
+        # OpenBLAS rejects a rank-0 update.
+        return np.zeros((n_cols, n_cols), dtype=np.complex128), rhs
+    gram = scipy.linalg.blas.zherk(1.0, design.T, trans=0).T
+    mirror = np.triu_indices(n_cols, 1)
+    gram[mirror] = gram.T[mirror].conj()
     return gram, rhs
 
 
@@ -496,11 +441,38 @@ def _bases_of(descriptors) -> tuple:
 
 def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
     """``psi_b(q)`` for q = first .. first + count - 1, one row per base,
-    zero outside the source."""
-    window = _Window(samples, bases, first, count)
+    zero outside the source.
+
+    Every carrier and envelope factor is a slice of one zero-padded
+    window of the samples, widened by the longest lagging offset behind
+    the positions and by the longest leading offset ahead of them, and
+    each envelope power is taken once over the whole window.
+    """
+    behind = max([d.envelope_offset for d in bases if d.branch is Branch.LAGGING] + [0])
+    ahead = max([d.envelope_offset for d in bases if d.branch is Branch.LEADING] + [0])
+    lo, hi = first - behind, first + count + ahead
+    window = np.zeros(hi - lo, dtype=np.complex128)
+    src_lo, src_hi = max(lo, 0), min(hi, samples.size)
+    if src_hi > src_lo:
+        window[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+    envelope = np.abs(window)
+    powers = {}
+    carrier = window[behind : behind + count]
     block = np.empty((len(bases), count), dtype=np.complex128)
     for b, desc in enumerate(bases):
-        block[b] = window.column(desc)
+        k = desc.order_exponent
+        if k == 0 and desc.branch is Branch.ALIGNED:
+            block[b] = carrier
+            continue
+        if desc.branch is Branch.ALIGNED:
+            env_at = behind
+        elif desc.branch is Branch.LAGGING:
+            env_at = behind - desc.envelope_offset
+        else:
+            env_at = behind + desc.envelope_offset
+        if k not in powers:
+            powers[k] = envelope**k
+        np.multiply(carrier, powers[k][env_at : env_at + count], out=block[b])
     return block
 
 
@@ -515,7 +487,8 @@ def _base_blocks(samples, bases, lag, first: int, n_rows: int):
     caller drops each before asking for the next.
     """
     lo, hi = int(np.min(lag)), int(np.max(lag))
-    for start, stop in row_blocks(n_rows):
+    for start in range(0, n_rows, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, n_rows)
         yield start, stop, _base_block(samples, bases, first + start - hi, stop - start + hi - lo)
 
 
@@ -614,49 +587,6 @@ def _kernel_normal_equations(km, target, gram) -> tuple:
     return result, rhs
 
 
-class _Window:
-    """Kernel columns at the ``count`` source positions from ``first`` on.
-
-    Samples outside the source are zero.  Every carrier and envelope
-    factor is a slice of one zero-padded window of the samples, widened
-    by the deepest lag of ``descriptors`` behind the positions and by
-    their longest lead ahead of them, and each envelope power is taken
-    once over the whole window.
-    """
-
-    def __init__(self, samples: np.ndarray, descriptors, first: int, count: int):
-        behind = max((d.deepest_sample for d in descriptors), default=0)
-        ahead = max(
-            [d.envelope_offset - d.lag for d in descriptors if d.branch is Branch.LEADING]
-            + [0]
-        )
-        lo, hi = first - behind, first + count + ahead
-        self.window = np.zeros(hi - lo, dtype=np.complex128)
-        src_lo, src_hi = max(lo, 0), min(hi, samples.size)
-        if src_hi > src_lo:
-            self.window[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
-        self.envelope = np.abs(self.window)
-        self.behind = behind
-        self.count = count
-        self._powers = {}
-
-    def column(self, desc: KernelDescriptor) -> np.ndarray:
-        at = self.behind - desc.lag
-        carrier = self.window[at : at + self.count]
-        if desc.order_exponent == 0 and desc.branch is Branch.ALIGNED:
-            return carrier
-        if desc.branch is Branch.ALIGNED:
-            env_at = at
-        elif desc.branch is Branch.LAGGING:
-            env_at = at - desc.envelope_offset
-        else:
-            env_at = at + desc.envelope_offset
-        k = desc.order_exponent
-        if k not in self._powers:
-            self._powers[k] = self.envelope**k
-        return carrier * self._powers[k][env_at : env_at + self.count]
-
-
 def _signal_samples(signal) -> np.ndarray:
     if isinstance(signal, IqSignal):
         return signal.samples
@@ -672,10 +602,10 @@ def build_kernel_matrix(
     """The kernel matrix of ``structure`` on ``signal``.
 
     No column is evaluated here: the returned ``KernelMatrix`` keeps a
-    read-only copy of the samples and evaluates blocks of rows as its
-    consumers ask for them.  With ``drop_warmup`` the rows whose kernels
-    would reach before the first sample are removed instead of zero
-    padded.
+    read-only copy of the samples, and its consumers evaluate blocks of
+    the base sequences as they need them.  With ``drop_warmup`` the rows
+    whose kernels would reach before the first sample are removed
+    instead of zero padded.
     """
     samples = _signal_samples(signal)
     descriptors = structure.descriptors()
@@ -691,9 +621,7 @@ def build_kernel_matrix(
             raise DimensionError(
                 f"signal of {samples.size} samples too short to drop {offset} warm-up rows"
             )
-    return KernelMatrix(
-        samples=samples, columns=descriptors, structure=structure, row_offset=offset
-    )
+    return KernelMatrix(samples=samples, structure=structure, row_offset=offset)
 
 
 def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:

@@ -19,6 +19,7 @@ import hashlib
 import math
 import os
 from pathlib import Path
+import re
 
 import numpy as np
 
@@ -280,6 +281,8 @@ def _parse_typed(raw, kind, where):
 def _parse_entry(line, where):
     """``((section, key), value)`` of one ``section.key = value`` entry;
     ``where`` prefixes the error messages."""
+    if not line.isascii():
+        raise ConfigurationError(f"{where}non-ASCII character in {line!r}")
     name, equals, value = line.partition("=")
     name = name.strip()
     if not equals:
@@ -304,15 +307,13 @@ def _parse_lines(text, source):
 
 
 def _schedule_order_key(section, key):
-    """Even order of a dynamic schedule key, or None if not one."""
-    if section != "schedule":
+    """``(kind, k)`` of a dynamic schedule key ``lambda_<k>`` or
+    ``threshold_<k>`` with an even order k written as ``str(k)``, or
+    None if not one: ``lambda_02`` would repeat ``lambda_2``."""
+    match = re.fullmatch(r"(lambda|threshold)_(0|[1-9][0-9]*)", key)
+    if section != "schedule" or match is None or int(match[2]) % 2:
         return None
-    for prefix in ("lambda_", "threshold_"):
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
-            k = int(key[len(prefix):])
-            if k % 2 == 0:
-                return prefix[:-1], k
-    return None
+    return match[1], int(match[2])
 
 
 def config_from_entries(entries, base_dir=".", source="<config>") -> ExperimentConfig:
@@ -462,10 +463,6 @@ def _training_stage(config: ExperimentConfig):
     return reference, model, learned, matrix
 
 
-def _residual_nmse_db(matrix, target, coeffs) -> float:
-    return nmse_db_arrays(matrix.dot(coeffs.values), target.samples)
-
-
 def matched_count_lasso(matrix, target, target_count, zero_threshold, bcd):
     """Bisect log-lambda so standard Lasso hits a given kernel count.
 
@@ -516,7 +513,7 @@ def run_experiment1(config: ExperimentConfig):
 
     coeffs, trace = block_weighted_lasso(matrix, target, schedule, config.bcd)
     ls_full = least_squares(matrix, target)
-    ls_nmse = _residual_nmse_db(matrix, target, ls_full)
+    ls_nmse = nmse_db_arrays(apply_model(reference, ls_full).samples, target.samples)
 
     std_lambda, std_coeffs, matched = matched_count_lasso(
         matrix,

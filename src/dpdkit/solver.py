@@ -184,7 +184,8 @@ def _describe(system):
 
 def _normal_solve(gram, rhs, what):
     """Solve ``gram w = rhs`` (the normal equations S^H S w = S^H x) with
-    column equilibration and a condition gate."""
+    column equilibration and a condition gate, by the Cholesky solve of
+    ``_ridge_solve`` with zero weights."""
     diag = np.real(np.diagonal(gram)).copy()
     if np.any(diag <= 0):
         dead = int(np.flatnonzero(diag <= 0)[0])
@@ -198,8 +199,8 @@ def _normal_solve(gram, rhs, what):
             f"(limit {CONDITION_LIMIT:.0e})"
         )
     try:
-        solution = scipy.linalg.solve(gram_eq, rhs / scale, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
+        solution = _ridge_solve(gram_eq, rhs / scale, 0.0)
+    except RankDeficiencyError as exc:
         raise RankDeficiencyError(f"normal equations of {what} failed to factor: {exc}") from exc
     return solution / scale
 

@@ -202,6 +202,19 @@ def test_odd_order_schedule_key_rejected():
         parse_config("schedule.mode = custom\nschedule.lambda_3 = 0.5\n")
 
 
+def test_non_canonical_schedule_order_key_rejected():
+    # lambda_02 would name the order of lambda_2 a second time.
+    with pytest.raises(ConfigurationError, match="lambda_02"):
+        parse_config(
+            "schedule.mode = custom\nschedule.lambda_2 = 1e-3\nschedule.lambda_02 = 5.0\n"
+        )
+
+
+def test_non_ascii_entry_rejected():
+    with pytest.raises(ConfigurationError, match="non-ASCII"):
+        parse_config("output.dir = caf\u00e9\n")
+
+
 def test_default_schedule_scales_flow_through():
     config = parse_config(
         "dpd.memory_depth = 3\ndpd.max_order = 3\n"
@@ -679,6 +692,17 @@ def test_cli_non_ascii_config_is_usage_error(tmp_path):
     code, _, err = run_cli(["exp1", "--config", str(cfg)])
     assert code == 1
     assert "usage error" in err and "non-ASCII" in err
+
+
+def test_cli_non_ascii_override_is_usage_error_before_any_work(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "caf\u00e9"
+    with mock.patch("dpdkit.cli.run_experiment1") as experiment:
+        code, _, err = run_cli(["exp1", "--config", str(cfg), "--set", f"output.dir={out}"])
+    assert code == 1
+    assert "usage error" in err and "non-ASCII" in err
+    experiment.assert_not_called()
+    assert not out.exists()
 
 
 def test_cli_non_ascii_pa_model_is_data_error(tmp_path):

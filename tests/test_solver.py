@@ -1002,7 +1002,7 @@ def test_fits_agree_bitwise_whether_or_not_data_was_read_first():
                 coeffs.values,
                 [r.nmse_db for r in trace.records],
                 refined.values,
-                matrix.dot(refined.values),
+                apply_model(signal, refined).samples,
             )
         )
         assert ("data" in vars(matrix)) == read_data
@@ -1066,14 +1066,10 @@ def test_base_sequence_products_match_the_column_products(
     rng = np.random.default_rng(seed)
     signal = IqSignal((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), 1.0)
     matrix = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup)
-    n_rows, n_cols = matrix.shape
+    n_rows = matrix.shape[0]
     x = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
-    w = (rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols)) * (
-        rng.random(n_cols) < 0.5
-    )
     gram, rhs = normal_equations(matrix, x)
     _, rhs_only = normal_equations(matrix, x, gram=False)
-    product = matrix.dot(w)
     assert "data" not in vars(matrix)
 
     S = matrix.data
@@ -1083,7 +1079,5 @@ def test_base_sequence_products_match_the_column_products(
     assert np.all(np.abs(gram - plain_gram) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(S)))
     assert np.all(np.abs(rhs - plain_rhs) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(x)))
     assert np.array_equal(rhs_only, rhs)
-    assert np.all(np.abs(product - S @ w) <= 2 * n_cols * eps * (np.abs(S) @ np.abs(w)))
     # One path: reading data first changes no bit.
     assert np.array_equal(normal_equations(matrix, x)[0], gram)
-    assert np.array_equal(matrix.dot(w), product)
