@@ -55,4 +55,5 @@ class RankDeficiencyError(DpdError):
 
 
 class DivergenceError(DpdError):
-    """Iterative learning loop whose error keeps growing."""
+    """Iterative learning loop whose error keeps growing, or a model
+    whose output leaves the floating-point range."""

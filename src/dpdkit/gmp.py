@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, DimensionError, DivergenceError, FormatError
 from .signal import IqSignal, _power
 
 
@@ -319,44 +319,6 @@ class KernelMatrix:
         return data
 
 
-def normal_equations(design, target=None, gram=True) -> tuple:
-    """Gram ``S^H S`` and correlation ``S^H x`` of a matrix, as
-    ``(gram, rhs)``.
-
-    ``design`` is a ``KernelMatrix`` or a plain 2-D complex array.
-    Without a ``target`` the correlation is None; with ``gram=False``
-    the Gram is None.  The Gram is a new C-ordered array, exactly
-    Hermitian with an exactly real diagonal.
-
-    A ``KernelMatrix`` forms both from blocks of its base sequences in
-    one pass (``_kernel_normal_equations``): N * B * P work, against
-    N * P^2 / 2 for the kernel columns.  A plain matrix is already in
-    memory, and its Gram is one BLAS ``zherk`` call.  ``S.T`` of a
-    C-ordered ``S`` is a Fortran-ordered view, so ``zherk`` reads the
-    matrix in place and does half the flops of the general product.  It
-    fills the upper triangle of ``conj(S^H S)``; the transpose of that
-    array holds the lower triangle of ``S^H S``, and the strict upper
-    triangle is mirrored from it with O(P^2) temporaries.  The
-    correlation is ``conj(x^H S)``, which reads ``S`` without a
-    conjugate copy.
-    """
-    n_rows, n_cols = design.shape
-    if target is not None and target.shape != (n_rows,):
-        raise DimensionError(f"target has shape {target.shape} for {n_rows} rows")
-    if isinstance(design, KernelMatrix):
-        return _kernel_normal_equations(design, target, gram)
-    rhs = None if target is None else (target.conj() @ design).conj()
-    if not gram:
-        return None, rhs
-    if not (n_rows and n_cols):
-        # OpenBLAS rejects a rank-0 update.
-        return np.zeros((n_cols, n_cols), dtype=np.complex128), rhs
-    gram = scipy.linalg.blas.zherk(1.0, design.T, trans=0).T
-    mirror = np.triu_indices(n_cols, 1)
-    gram[mirror] = gram.T[mirror].conj()
-    return gram, rhs
-
-
 @dataclass(frozen=True, eq=False)
 class NormalSystem:
     """The normal equations ``S^H S w = S^H x`` of a design and a target.
@@ -386,12 +348,19 @@ def normal_system(design, target) -> NormalSystem:
     ``target`` an ``IqSignal`` or a 1-D array with one sample per row.
     The target of a ``KernelMatrix`` that dropped warm-up rows may also
     span the whole source; its first ``row_offset`` samples are then
-    cut.  A plain matrix forms its system in one pass per call.  A
-    ``KernelMatrix`` caches the system of the last target it was given,
-    compared by content, so the fits that follow on one matrix and one
-    target (the matched-count bisection, the refit on a support) share
-    one system and make no further pass; a new target reuses the
-    cached Gram at the cost of one ``gram=False`` pass for ``S^H x``.
+    cut.  The Gram is a new C-ordered array, exactly Hermitian with an
+    exactly real diagonal.
+
+    A ``KernelMatrix`` forms its system from blocks of its base
+    sequences in one pass (``_kernel_normal_equations``) and caches it
+    for the last target, compared by content: the fits that follow on
+    one matrix and one target share it, and a new target takes a pass
+    of its own.  A plain matrix forms its system on each call.  Its Gram
+    is one BLAS ``zherk`` on the Fortran-ordered view ``S.T``, which
+    fills the upper triangle of ``conj(S^H S)``: the transpose holds the
+    lower triangle of ``S^H S``, and the strict upper triangle is
+    mirrored from it.  With ``S^H x = conj(x^H S)``, no conjugate copy
+    of ``S`` is made.
     """
     km = design if isinstance(design, KernelMatrix) else None
     if km is None:
@@ -406,15 +375,20 @@ def normal_system(design, target) -> NormalSystem:
     if x.size != design.shape[0]:
         raise DimensionError(f"target has {x.size} samples but design has {design.shape[0]} rows")
     if km is None:
-        gram, rhs = normal_equations(design, x)
+        n_rows, n_cols = design.shape
+        rhs = (x.conj() @ design).conj()
+        if not (n_rows and n_cols):
+            # OpenBLAS rejects a rank-0 update.
+            gram = np.zeros((n_cols, n_cols), dtype=np.complex128)
+        else:
+            gram = scipy.linalg.blas.zherk(1.0, design.T, trans=0).T
+            mirror = np.triu_indices(n_cols, 1)
+            gram[mirror] = gram.T[mirror].conj()
     else:
         last = vars(km).get("_normal_system")
         if last is not None and np.array_equal(last[0], x):
             return last[1]
-        if last is None:
-            gram, rhs = normal_equations(km, x)
-        else:
-            gram, rhs = last[1].gram, normal_equations(km, x, gram=False)[1]
+        gram, rhs = _kernel_normal_equations(km, x)
     gram.setflags(write=False)
     rhs.setflags(write=False)
     system = NormalSystem(gram, rhs, _power(x), None if km is None else km.structure)
@@ -492,8 +466,8 @@ def _base_blocks(samples, bases, lag, first: int, n_rows: int):
         yield start, stop, _base_block(samples, bases, first + start - hi, stop - start + hi - lo)
 
 
-def _kernel_normal_equations(km, target, gram) -> tuple:
-    """``normal_equations`` of a ``KernelMatrix``, from its base sequences.
+def _kernel_normal_equations(km, target) -> tuple:
+    """``(S^H S, S^H x)`` of a ``KernelMatrix``, from its base sequences.
 
     Row n of column (b, l) is ``psi_b(n - l)`` for n from ``row_offset``
     to N - 1, so in terms of q = n - l1, with d = l2 - l1 >= 0,
@@ -534,8 +508,7 @@ def _kernel_normal_equations(km, target, gram) -> tuple:
     ]
     segments = [segment for segment in segments if any(segment[2])]
     n_bases = len(bases)
-    if gram:
-        products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
+    products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
     correlation = np.zeros((n_bases, lags.size), dtype=np.complex128)
     # The bases delayed by each lag difference d, over blocks of q.
     for block_start, block_stop, psi in _base_blocks(km.samples, bases, diffs, q_lo, q_hi - q_lo):
@@ -546,26 +519,22 @@ def _kernel_normal_equations(km, target, gram) -> tuple:
         head = np.empty((n_bases, count), dtype=np.complex128)
         for b in range(n_bases):
             np.conjugate(psi[b, span:], out=head[b])
-        if gram:
-            for s, (start, stop, _) in enumerate(segments):
-                # This block's piece of the segment, as indices into head.
-                i0, i1 = max(start, q0) - q0, min(stop, q0 + count) - q0
-                if i0 >= i1:
-                    continue
-                for t, d in enumerate(diffs.tolist()):
-                    products[s, t] += head[:, i0:i1] @ psi[:, i0 + span - d : i1 + span - d].T
-        if target is not None:
-            # shifted[i] is x(q0 + lo + i), zero outside the matrix rows.
-            shifted = np.zeros(count + span, dtype=np.complex128)
-            n_lo, n_hi = max(q0 + lo, first), min(q0 + lo + count + span, end)
-            if n_hi > n_lo:
-                shifted[n_lo - q0 - lo : n_hi - q0 - lo] = target[n_lo - first : n_hi - first]
-            for i, l in enumerate(lags.tolist()):
-                correlation[:, i] += head @ shifted[l - lo : l - lo + count]
+        for s, (start, stop, _) in enumerate(segments):
+            # This block's piece of the segment, as indices into head.
+            i0, i1 = max(start, q0) - q0, min(stop, q0 + count) - q0
+            if i0 >= i1:
+                continue
+            for t, d in enumerate(diffs.tolist()):
+                products[s, t] += head[:, i0:i1] @ psi[:, i0 + span - d : i1 + span - d].T
+        # shifted[i] is x(q0 + lo + i), zero outside the matrix rows.
+        shifted = np.zeros(count + span, dtype=np.complex128)
+        n_lo, n_hi = max(q0 + lo, first), min(q0 + lo + count + span, end)
+        if n_hi > n_lo:
+            shifted[n_lo - q0 - lo : n_hi - q0 - lo] = target[n_lo - first : n_hi - first]
+        for i, l in enumerate(lags.tolist()):
+            correlation[:, i] += head @ shifted[l - lo : l - lo + count]
         del psi, head
-    rhs = None if target is None else correlation[base, np.searchsorted(lags, lag)]
-    if not gram:
-        return None, rhs
+    rhs = correlation[base, np.searchsorted(lags, lag)]
     # by_lag[i, t]: the products over the window of lag lags[i].
     by_lag = np.zeros((lags.size, diffs.size, n_bases, n_bases), dtype=np.complex128)
     for s, (_, _, inside) in enumerate(segments):
@@ -636,7 +605,8 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     output sample is thus the same sum of the same products as the column
     sum taken in that order, bit for bit, while only blocks of the bases
     exist and the envelope powers are taken once per base, not per
-    column.
+    column.  An output that leaves the floating-point range raises
+    DivergenceError, with no numpy warning on the way.
     """
     samples = _signal_samples(signal)
     descriptors = coeffs.structure.descriptors()
@@ -646,11 +616,14 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
         bases, base, lag = _bases_of([descriptors[j] for j in support])
         shifts = (lag.max() - lag).tolist()
         values = coeffs.values[support]
-        for start, stop, psi in _base_blocks(samples, bases, lag, 0, samples.size):
-            block = out[start:stop]
-            for c, b, at in zip(values, base.tolist(), shifts):
-                block += c * psi[b, at : at + stop - start]
-            del psi
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, stop, psi in _base_blocks(samples, bases, lag, 0, samples.size):
+                block = out[start:stop]
+                for c, b, at in zip(values, base.tolist(), shifts):
+                    block += c * psi[b, at : at + stop - start]
+                del psi
+        if not np.isfinite(out).all():
+            raise DivergenceError("model output is not finite: the input overflows the model")
     rate = signal.sample_rate_hz if isinstance(signal, IqSignal) else 1.0
     return IqSignal(out, rate)
 

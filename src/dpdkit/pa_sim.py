@@ -120,9 +120,7 @@ def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> 
         raise DivergenceError(f"learning loop diverged: drive not finite at iteration {iteration}")
     try:
         return pa_forward(IqSignal(drive, rate), model)
-    except ConfigurationError:
-        # The only invalid value pa_forward can produce from a valid
-        # drive is a non-finite output sample.
+    except DivergenceError:
         raise DivergenceError(
             f"learning loop diverged: amplifier output not finite at iteration {iteration}"
         ) from None

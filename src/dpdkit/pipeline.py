@@ -121,11 +121,22 @@ class ScheduleSpec:
             )
 
     def build(self, structure: GmpStructure) -> RegularizationSchedule:
+        """The schedule for ``structure``; a custom one must give a
+        penalty for each of its envelope powers."""
         if self.mode == "default":
             return default_schedule(structure, self.lambda_scale, self.threshold_scale)
+        _require_every_order(structure, "lambda", self.lambda_by_order)
         lam = {k: v * self.lambda_scale for k, v in self.lambda_by_order}
         tau = {k: v * self.threshold_scale for k, v in self.threshold_by_order}
         return RegularizationSchedule(lam, tau)
+
+
+def _require_every_order(structure, kind, entries):
+    """Name the first ``schedule.<kind>_<k>`` key that a custom schedule
+    lacks for an envelope power k of ``structure``."""
+    missing = sorted(set(structure.orders) - dict(entries).keys())
+    if missing:
+        raise ConfigurationError(f"schedule.mode = custom needs schedule.{kind}_{missing[0]}")
 
 
 @dataclass(frozen=True)
@@ -454,6 +465,15 @@ def _kernel_map_rows(structure, values):
     return rows
 
 
+def _fit_schedule(config: ExperimentConfig) -> RegularizationSchedule:
+    """The schedule of a block-weighted fit, built before any training
+    work; a custom one also needs every threshold."""
+    spec = config.schedule_spec
+    if spec.mode == "custom":
+        _require_every_order(config.structure, "threshold", spec.threshold_by_order)
+    return config.schedule()
+
+
 def _training_stage(config: ExperimentConfig):
     """Shared front end of both experiments: reference, drive, regressors."""
     reference = generate_ofdm(config.signal)
@@ -507,9 +527,9 @@ def run_experiment1(config: ExperimentConfig):
     Returns (trace, kernel_maps) where kernel_maps[i] holds the active
     (branch, order, lag, offset, magnitude) rows after iteration i+1.
     """
+    schedule = _fit_schedule(config)
     reference, model, learned, matrix = _training_stage(config)
     target = learned.drive
-    schedule = config.schedule()
 
     coeffs, trace = block_weighted_lasso(matrix, target, schedule, config.bcd)
     ls_full = least_squares(matrix, target)
@@ -612,9 +632,9 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
     and effective depth.  Writes exp2_comparison.csv plus one
     coefficient file per fitted method.
     """
+    schedule = _fit_schedule(config)
     reference, model, learned, matrix = _training_stage(config)
     target = learned.drive
-    schedule = config.schedule()
 
     ls_full = least_squares(matrix, target)
     lasso_nr = lasso_iterated_ridge(

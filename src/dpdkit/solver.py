@@ -185,7 +185,10 @@ def _describe(system):
 def _normal_solve(gram, rhs, what):
     """Solve ``gram w = rhs`` (the normal equations S^H S w = S^H x) with
     column equilibration and a condition gate, by the Cholesky solve of
-    ``_ridge_solve`` with zero weights."""
+    ``_ridge_solve`` with zero weights.  A Gram that is not finite has
+    no condition number to gate on and raises RankDeficiencyError."""
+    if not np.isfinite(gram).all():
+        raise RankDeficiencyError(f"normal equations of {what} are not finite")
     diag = np.real(np.diagonal(gram)).copy()
     if np.any(diag <= 0):
         dead = int(np.flatnonzero(diag <= 0)[0])
@@ -267,9 +270,11 @@ def ls_refine(S, x, support):
     """
     system = normal_system(S, x)
     n_cols = system.rhs.shape[0]
-    idx = np.asarray(support, dtype=np.intp)
+    idx = np.asarray(support)
     if idx.ndim != 1 or idx.size == 0:
         raise ConfigurationError("support must be a non-empty index list")
+    if idx.dtype.kind not in "iu":
+        raise ConfigurationError(f"support must hold integer indices, got dtype {idx.dtype}")
     if np.unique(idx).size != idx.size:
         raise ConfigurationError("support contains duplicate indices")
     if np.any(idx < 0) or np.any(idx >= n_cols):

@@ -551,6 +551,25 @@ def test_experiments_never_form_the_kernel_matrix(tmp_path, monkeypatch):
     run_experiment2(config)
 
 
+@pytest.mark.parametrize("run", [run_experiment1, run_experiment2])
+@pytest.mark.parametrize(
+    "extra, override, message",
+    [
+        # A custom schedule without thresholds.
+        ("schedule.mode = custom\nschedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n",
+         (), "schedule.threshold_0"),
+        # Envelope power 16, beyond the tabulated default ladder.
+        ("", ("dpd.max_order=17",), "envelope power 14"),
+    ],
+    ids=["custom-without-thresholds", "default-beyond-ladder"],
+)
+def test_schedule_errors_come_before_any_training_work(tmp_path, run, extra, override, message):
+    config = parse_config(TINY + f"output.dir = {tmp_path / 'out'}\n" + extra, overrides=override)
+    with mock.patch("dpdkit.pipeline.ilc_learn", side_effect=AssertionError("training ran")):
+        with pytest.raises(ConfigurationError, match=message):
+            run(config)
+
+
 def test_failed_experiment_removes_partial_outputs(tmp_path):
     config = tiny_config(tmp_path)
     with pytest.raises(RuntimeError):
@@ -771,6 +790,36 @@ def test_cli_sim_pa_nan_sample_is_data_error(tmp_path):
     assert "data error" in err and "index 1000" in err and f"byte {24 + 16 * 1000}" in err
 
 
+def _loud_signal(tmp_path):
+    """A capture at 1e80 rms, whose cubic kernels leave the float range."""
+    cfg = write_cfg(tmp_path)
+    s = tmp_path / "loud.iq"
+    run_cli(["gen-signal", "--config", str(cfg), "--set", "signal.target_rms=1e80",
+             "--out", str(s)])
+    return cfg, s
+
+
+def test_cli_sim_pa_overflowing_output_is_numerical_error(tmp_path):
+    # Any numpy RuntimeWarning on the way would fail this test.
+    cfg, s = _loud_signal(tmp_path)
+    y = tmp_path / "y.iq"
+    code, _, err = run_cli(["sim-pa", "--config", str(cfg), "--in", str(s), "--out", str(y)])
+    assert code == 3
+    assert "numerical error" in err and "not finite" in err
+    assert not y.exists()
+
+
+def test_cli_fit_ls_on_overflowing_capture_is_numerical_error(tmp_path):
+    cfg, s = _loud_signal(tmp_path)
+    w = tmp_path / "w.txt"
+    with np.errstate(over="ignore", invalid="ignore"):  # the normal-equation pass overflows
+        code, _, err = run_cli(["fit", "ls", "--config", str(cfg), "--signal", str(s),
+                                "--target", str(s), "--out", str(w)])
+    assert code == 3
+    assert "numerical error" in err and "not finite" in err
+    assert not w.exists()
+
+
 def test_cli_ilc_writes_drive_and_trace(tmp_path):
     cfg = write_cfg(tmp_path)
     drive, trace = tmp_path / "x.iq", tmp_path / "ilc.csv"
@@ -925,6 +974,17 @@ def test_cli_fit_bwlasso_names_missing_schedule_order(tmp_path):
     )
     assert code == 1
     assert "2" in err
+
+
+def test_cli_fit_bwlasso_names_missing_schedule_threshold(tmp_path):
+    cfg, s, x = _fit_inputs(tmp_path)
+    code, _, err = run_cli(
+        ["fit", "bwlasso", "--config", str(cfg), "--set", "schedule.mode=custom",
+         "--set", "schedule.lambda_0=0.01", "--set", "schedule.lambda_2=0.04",
+         "--signal", str(s), "--target", str(x), "--out", str(tmp_path / "w.txt")]
+    )
+    assert code == 1
+    assert "schedule.threshold_0" in err
 
 
 def test_cli_refine_rejects_empty_support(tmp_path):

@@ -22,7 +22,6 @@ from dpdkit.gmp import (
     build_kernel_matrix,
     effective_memory_depth,
     full_structure,
-    normal_equations,
     normal_system,
 )
 from dpdkit.pipeline import matched_count_lasso
@@ -214,6 +213,14 @@ def test_refine_empty_support_rejected():
     S = np.eye(3, dtype=np.complex128)
     with pytest.raises(ConfigurationError):
         ls_refine(S, np.ones(3), [])
+
+
+@pytest.mark.parametrize("support", [[True, False], [2.9]])
+def test_refine_non_integer_support_rejected(support):
+    # A cast would refit columns 0 and 1 for the mask, column 2 for 2.9.
+    S = np.eye(3, dtype=np.complex128)
+    with pytest.raises(ConfigurationError, match="integer"):
+        ls_refine(S, np.ones(3), support)
 
 
 # --- lasso ------------------------------------------------------------------
@@ -742,7 +749,7 @@ def test_hermitian_gram_is_hermitian_and_within_rounding_of_product(n, p, seed):
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-3.0, 3.0, p)
     S = (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))) * scales
-    gram, _ = normal_equations(S)
+    gram = normal_system(S, np.zeros(n)).gram
     _assert_is_gram_of(gram, S)
     # C order, as the product it replaces had, keeps the BLAS paths of
     # the products taken from it unchanged.
@@ -912,6 +919,9 @@ def test_non_finite_ridge_systems_are_rank_deficiency():
             lambda: ridge(inf_S, x, weights),
             lambda: lasso_iterated_ridge(S, nan_x, 1e-3),
             lambda: lasso_iterated_ridge(inf_S, x, 1e-3),
+            # The condition gate has no number to read off a non-finite Gram.
+            lambda: least_squares(inf_S, x),
+            lambda: ls_refine(inf_S, x, [0, 2]),
             # A NaN starting modulus gives its coefficient a NaN ridge weight.
             lambda: lasso_iterated_ridge(S, x, 1e-3, initial=[1.0, np.nan, 1.0]),
         ):
@@ -1068,16 +1078,24 @@ def test_base_sequence_products_match_the_column_products(
     matrix = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup)
     n_rows = matrix.shape[0]
     x = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
-    gram, rhs = normal_equations(matrix, x)
-    _, rhs_only = normal_equations(matrix, x, gram=False)
+    system = normal_system(matrix, x)
+    gram, rhs = system.gram, system.rhs
+    # A second target on the cached matrix forms its whole system anew:
+    # the Gram of the first, and the S^H x of a fresh matrix, bit for bit.
+    x2 = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
+    second = normal_system(matrix, x2)
+    fresh = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup)
+    assert np.array_equal(second.gram, gram)
+    assert np.array_equal(second.rhs, normal_system(fresh, x2).rhs)
     assert "data" not in vars(matrix)
 
     S = matrix.data
     eps = np.finfo(np.float64).eps
     _assert_is_gram_of(gram, S)
-    plain_gram, plain_rhs = normal_equations(S, x)
+    plain = normal_system(S, x)
+    plain_gram, plain_rhs = plain.gram, plain.rhs
     assert np.all(np.abs(gram - plain_gram) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(S)))
     assert np.all(np.abs(rhs - plain_rhs) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(x)))
-    assert np.array_equal(rhs_only, rhs)
-    # One path: reading data first changes no bit.
-    assert np.array_equal(normal_equations(matrix, x)[0], gram)
+    # One path: reading data first changes no bit.  The matrix caches
+    # the system of x2, so this forms the system of x again.
+    assert np.array_equal(normal_system(matrix, x).gram, gram)
