@@ -138,7 +138,11 @@ class GmpStructure:
         return tuple(sorted(present))
 
     def descriptors(self) -> tuple:
-        """All kernels in canonical column order."""
+        """All kernels in canonical column order, built once per structure."""
+        return self._descriptors
+
+    @cached_property
+    def _descriptors(self) -> tuple:
         out = []
         for k in self.aligned_orders:
             for l in self.aligned_lags:
@@ -257,7 +261,9 @@ def max_memory_lag(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
 
 # Rows per block of every pass over the base sequences: the normal
 # equations, ``data`` and ``apply_model``.  4096 samples of the 15 base
-# sequences of the 300-kernel wideband structure take 1.0 MB.
+# sequences of the 300-kernel wideband structure take 1.0 MB.  ``data``
+# is the same bit for bit at any block size; the sums of the normal
+# equations and the lag-grouped BLAS products of ``apply_model`` need not be.
 ROW_CHUNK = 4096
 
 
@@ -273,12 +279,16 @@ class KernelMatrix:
     Only the source samples are stored.  Every column is a delayed copy
     ``psi_b(n - l)`` of one of a few base sequences
     ``psi_b(q) = s(q) |s(q -+ m)|^k``, one per (branch, k, m): 15 bases
-    carry the 300 columns of the wideband structure.  The normal
+    carry the 300 columns of the wideband structure.  The envelope
+    powers are powers of ``|s|^2`` (``_base_block``).  The normal
     equations (``normal_system``), the whole matrix (``data``) and the
     model output of ``apply_model`` are all cut from blocks of
     ``ROW_CHUNK`` samples of the bases (``_base_blocks``).  The normal
     equations take N * B * P work rather than N * P^2, and memory that
-    grows with the block and with P^2, not with N * P.  The matrix
+    grows with the block and with P^2, not with N * P.  ``apply_model``
+    adds one B-vector product per lag and block, so its output is within
+    rounding of ``data @ w`` over the support, not bit for bit the
+    column sum.  The matrix
     caches one ``NormalSystem``, for the last target it was asked
     about.  ``data``, the whole N x P matrix, is formed only when a
     caller reads it; no fit reads it.
@@ -374,21 +384,25 @@ def normal_system(design, target) -> NormalSystem:
         x = x[km.row_offset :]
     if x.size != design.shape[0]:
         raise DimensionError(f"target has {x.size} samples but design has {design.shape[0]} rows")
-    if km is None:
-        n_rows, n_cols = design.shape
-        rhs = (x.conj() @ design).conj()
-        if not (n_rows and n_cols):
-            # OpenBLAS rejects a rank-0 update.
-            gram = np.zeros((n_cols, n_cols), dtype=np.complex128)
-        else:
-            gram = scipy.linalg.blas.zherk(1.0, design.T, trans=0).T
-            mirror = np.triu_indices(n_cols, 1)
-            gram[mirror] = gram.T[mirror].conj()
-    else:
+    if km is not None:
         last = vars(km).get("_normal_system")
         if last is not None and np.array_equal(last[0], x):
             return last[1]
-        gram, rhs = _kernel_normal_equations(km, x)
+    # An overflowing design or target gives a system that is not finite,
+    # which the solvers reject, with no numpy warning on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if km is not None:
+            gram, rhs = _kernel_normal_equations(km, x)
+        else:
+            n_rows, n_cols = design.shape
+            rhs = (x.conj() @ design).conj()
+            if not (n_rows and n_cols):
+                # OpenBLAS rejects a rank-0 update.
+                gram = np.zeros((n_cols, n_cols), dtype=np.complex128)
+            else:
+                gram = scipy.linalg.blas.zherk(1.0, design.T, trans=0).T
+                mirror = np.triu_indices(n_cols, 1)
+                gram[mirror] = gram.T[mirror].conj()
     gram.setflags(write=False)
     rhs.setflags(write=False)
     system = NormalSystem(gram, rhs, _power(x), None if km is None else km.structure)
@@ -419,8 +433,11 @@ def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
 
     Every carrier and envelope factor is a slice of one zero-padded
     window of the samples, widened by the longest lagging offset behind
-    the positions and by the longest leading offset ahead of them, and
-    each envelope power is taken once over the whole window.
+    the positions and by the longest leading offset ahead of them.  Each
+    even envelope power is taken once over the whole window, as a power
+    of ``|s|^2 = re^2 + im^2``: ``|s|^k`` is the product of k/2 copies,
+    with no square root and no ``pow``.  A base of power 0 is the carrier
+    itself, on every branch.
     """
     behind = max([d.envelope_offset for d in bases if d.branch is Branch.LAGGING] + [0])
     ahead = max([d.envelope_offset for d in bases if d.branch is Branch.LEADING] + [0])
@@ -429,13 +446,14 @@ def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
     src_lo, src_hi = max(lo, 0), min(hi, samples.size)
     if src_hi > src_lo:
         window[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
-    envelope = np.abs(window)
-    powers = {}
+    squared = window.real**2 + window.imag**2
+    # powers[i] is |s|^(2 i) over the window, built up as far as a base needs.
+    powers = [None, squared]
     carrier = window[behind : behind + count]
     block = np.empty((len(bases), count), dtype=np.complex128)
     for b, desc in enumerate(bases):
         k = desc.order_exponent
-        if k == 0 and desc.branch is Branch.ALIGNED:
+        if k == 0:
             block[b] = carrier
             continue
         if desc.branch is Branch.ALIGNED:
@@ -444,9 +462,9 @@ def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
             env_at = behind - desc.envelope_offset
         else:
             env_at = behind + desc.envelope_offset
-        if k not in powers:
-            powers[k] = envelope**k
-        np.multiply(carrier, powers[k][env_at : env_at + count], out=block[b])
+        while len(powers) <= k // 2:
+            powers.append(powers[-1] * squared)
+        np.multiply(carrier, powers[k // 2][env_at : env_at + count], out=block[b])
     return block
 
 
@@ -596,36 +614,59 @@ def build_kernel_matrix(
 def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     """Synthesize the model output ``sum over the support of c_j S[:, j]``.
 
-    Only the active columns are added, so sparse models cost
-    proportionally less than a full kernel-matrix product.  Every
-    column is a delayed base sequence (see ``KernelMatrix``): each
-    ``ROW_CHUNK``-sample block of the output evaluates the support's
-    bases once, over the block widened by the support's lag span, and
-    adds ``c_j psi_b(n - l_j)`` column by column in support order.  Each
-    output sample is thus the same sum of the same products as the column
-    sum taken in that order, bit for bit, while only blocks of the bases
-    exist and the envelope powers are taken once per base, not per
-    column.  An output that leaves the floating-point range raises
-    DivergenceError, with no numpy warning on the way.
+    Only the support is evaluated, so sparse models cost proportionally
+    less than a full kernel-matrix product.  Every column is a delayed
+    base sequence (see ``KernelMatrix``): each ``ROW_CHUNK``-sample block
+    of the output evaluates the support's bases once, over the block
+    widened by the support's lag span, and then adds one term per
+    distinct lag l, in increasing l.  A lag that carries several bases
+    adds the BLAS vector-matrix product ``row_l @ psi(n - l)``, where
+    ``row_l`` holds that lag's coefficients over all the support's
+    bases, zero where a base is absent at l.  A lag with a single base
+    adds ``c psi_b(n - l)``, so a one-term model is exactly ``c s``.
+
+    The output is therefore not bit for bit the column sum: each sample
+    is within a few rounding errors of it, and its bits may change with
+    ``ROW_CHUNK`` and with the BLAS build.  An output that leaves the
+    floating-point range raises DivergenceError, with no numpy warning
+    on the way.  The returned signal takes the new array as it is, with
+    no copy and no second scan.
     """
     samples = _signal_samples(signal)
-    descriptors = coeffs.structure.descriptors()
     support = coeffs.support()
     out = np.zeros(samples.size, dtype=np.complex128)
     if support.size:
+        descriptors = coeffs.structure.descriptors()
         bases, base, lag = _bases_of([descriptors[j] for j in support])
-        shifts = (lag.max() - lag).tolist()
         values = coeffs.values[support]
+        lags, at = np.unique(lag, return_inverse=True)
+        rows = np.zeros((lags.size, len(bases)), dtype=np.complex128)
+        rows[at, base] = values
+        # Per lag: its offset into a block of the bases, then its base and
+        # coefficient if it carries a single base, else None and its row.
+        terms = []
+        for i, shift in enumerate((lags[-1] - lags).tolist()):
+            present = np.flatnonzero(at == i)
+            if present.size == 1:
+                terms.append((shift, int(base[present[0]]), values[present[0]]))
+            else:
+                terms.append((shift, None, rows[i]))
+        term = np.empty(min(ROW_CHUNK, samples.size), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             for start, stop, psi in _base_blocks(samples, bases, lag, 0, samples.size):
-                block = out[start:stop]
-                for c, b, at in zip(values, base.tolist(), shifts):
-                    block += c * psi[b, at : at + stop - start]
+                n = stop - start
+                block, part = out[start:stop], term[:n]
+                for shift, b, c in terms:
+                    if b is None:
+                        np.matmul(c, psi[:, shift : shift + n], out=part)
+                    else:
+                        np.multiply(c, psi[b, shift : shift + n], out=part)
+                    block += part
                 del psi
         if not np.isfinite(out).all():
             raise DivergenceError("model output is not finite: the input overflows the model")
     rate = signal.sample_rate_hz if isinstance(signal, IqSignal) else 1.0
-    return IqSignal(out, rate)
+    return IqSignal._own(out, rate)
 
 
 # ---------------------------------------------------------------------------

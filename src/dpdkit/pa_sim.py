@@ -63,12 +63,16 @@ def pa_forward(signal, model: PaModel) -> IqSignal:
     out = apply_model(signal, model.coefficients)
     if model.saturation_level is None:
         return out
-    samples = out.samples.copy()
+    # The model output is a fresh array that nothing else refers to, so
+    # it is clipped in place and handed on without a copy.
+    samples = out.samples
+    samples.setflags(write=True)
     magnitude = np.abs(samples)
     over = magnitude > model.saturation_level
     if np.any(over):
-        samples[over] *= model.saturation_level / magnitude[over]
-    return IqSignal(samples, out.sample_rate_hz)
+        scale = np.divide(model.saturation_level, magnitude, out=magnitude, where=over)
+        np.multiply(samples, scale, out=samples, where=over)
+    return IqSignal._own(samples, out.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,15 @@ class IlcResult:
     error_db: tuple
 
 
-def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> IqSignal:
-    """One amplifier pass of the learning loop; non-finite samples diverge."""
+def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> tuple:
+    """One amplifier pass of the learning loop: the drive as a signal,
+    which takes the fresh array over, and the amplifier output.
+    Non-finite samples diverge."""
     if not np.all(np.isfinite(drive)):
         raise DivergenceError(f"learning loop diverged: drive not finite at iteration {iteration}")
+    driven = IqSignal._own(drive, rate)
     try:
-        return pa_forward(IqSignal(drive, rate), model)
+        return driven, pa_forward(driven, model)
     except DivergenceError:
         raise DivergenceError(
             f"learning loop diverged: amplifier output not finite at iteration {iteration}"
@@ -146,13 +153,13 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
     rate = reference.sample_rate_hz
 
     drive = target.copy()
-    output = _forward(drive, rate, model, 0)
+    driven, output = _forward(drive, rate, model, 0)
     error = target - output.samples / gain
     history = [_ratio_db(_power(error), ref_power)]
     rising = 0
     for iteration in range(1, config.iterations + 1):
         drive = drive + config.learning_rate * error
-        output = _forward(drive, rate, model, iteration)
+        driven, output = _forward(drive, rate, model, iteration)
         error = target - output.samples / gain
         history.append(_ratio_db(_power(error), ref_power))
         if not history[-1] <= history[-2]:
@@ -164,7 +171,7 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
                 )
         else:
             rising = 0
-    return IlcResult(drive=IqSignal(drive, rate), output=output, error_db=tuple(history))
+    return IlcResult(drive=driven, output=output, error_db=tuple(history))
 
 
 # ---------------------------------------------------------------------------

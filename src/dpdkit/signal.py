@@ -57,13 +57,30 @@ class IqSignal:
 
     def __post_init__(self):
         arr = np.array(self.samples, dtype=np.complex128, copy=True)
+        self._take(arr, self.sample_rate_hz, scan=True)
+
+    @classmethod
+    def _own(cls, samples: np.ndarray, sample_rate_hz: float) -> "IqSignal":
+        """A signal that takes ``samples`` over without a copy.
+
+        For arrays the caller has just built and checked: 1-D
+        complex128, all finite, referenced nowhere else.  The array is
+        made read-only and is not scanned again.
+        """
+        signal = object.__new__(cls)
+        signal._take(samples, sample_rate_hz, scan=False)
+        return signal
+
+    def _take(self, arr: np.ndarray, sample_rate_hz: float, scan: bool) -> None:
+        """Check ``arr`` (its values too when ``scan``) and the rate, then
+        hold ``arr`` read-only."""
         if arr.ndim != 1:
             raise DimensionError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size < 1:
             raise ConfigurationError("signal must contain at least one sample")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if scan and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ConfigurationError("signal samples must be finite")
-        rate = float(self.sample_rate_hz)
+        rate = float(sample_rate_hz)
         if not math.isfinite(rate) or rate <= 0.0:
             raise ConfigurationError(f"sample_rate_hz must be positive, got {rate}")
         arr.setflags(write=False)

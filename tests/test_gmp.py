@@ -77,6 +77,13 @@ def test_leading_depth_without_leading_branch_rejected():
         full_structure(4, 7, 1, leading_depth=2)
 
 
+def test_descriptors_are_built_once_per_structure():
+    structure = full_structure(3, 5, 2, include_leading=True, leading_depth=1)
+    first = structure.descriptors()
+    assert structure.descriptors() is first
+    assert first == full_structure(3, 5, 2, include_leading=True, leading_depth=1).descriptors()
+
+
 def test_canonical_descriptor_order():
     structure = full_structure(1, 3, 1, include_leading=True, leading_depth=1)
     descriptors = structure.descriptors()
@@ -262,6 +269,21 @@ _BLOCK_STRUCTURES = {
 }
 
 
+def _assert_within_rounding_of_column_sum(signal, coeffs):
+    """Each output sample is within ``2 (K + 2) eps sum_j |c_j| |S_nj|`` of
+    the column sum, K being the support size: a few rounding errors of
+    the terms, where a dropped or mis-lagged kernel misses by the size of
+    its term."""
+    out = apply_model(signal, coeffs).samples
+    support = coeffs.support()
+    data = build_kernel_matrix(signal, coeffs.structure).data
+    scale = np.abs(data[:, support]) @ np.abs(coeffs.values[support])
+    bound = 2 * (support.size + 2) * np.finfo(float).eps * scale
+    assert np.all(np.abs(out - _column_sum(signal, coeffs)) <= bound)
+
+
+# "bitwise" in the names of these two tests is historical: the output is
+# summed by lag, so they hold it to the rounding bound above.
 @pytest.mark.parametrize("name", sorted(_BLOCK_STRUCTURES))
 @pytest.mark.parametrize("n", [1, 3, 6, 7, 8, 29, 50])
 def test_apply_model_is_the_column_sum_bitwise_across_blocks(monkeypatch, name, n):
@@ -273,23 +295,21 @@ def test_apply_model_is_the_column_sum_bitwise_across_blocks(monkeypatch, name, 
     rng = np.random.default_rng(n)
     signal = _sig(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     for density in (1.0, 0.5, 0.2, 0.0):
-        coeffs = _sparse_coefficients(structure, rng, density)
-        out = apply_model(signal, coeffs).samples
-        assert np.array_equal(_bits(out), _bits(_column_sum(signal, coeffs)))
+        _assert_within_rounding_of_column_sum(signal, _sparse_coefficients(structure, rng, density))
 
 
 def test_apply_model_is_the_column_sum_bitwise_at_full_blocks():
     structure = full_structure(4, 7, 2, include_leading=True, leading_depth=2)
     signal = generate_ofdm(OfdmConfig(64, 52, 17, 8, seed=10))
     assert len(signal) > 2 * ROW_CHUNK
-    coeffs = _sparse_coefficients(structure, np.random.default_rng(10))
-    out = apply_model(signal, coeffs).samples
-    assert np.array_equal(_bits(out), _bits(_column_sum(signal, coeffs)))
+    _assert_within_rounding_of_column_sum(
+        signal, _sparse_coefficients(structure, np.random.default_rng(10))
+    )
 
 
 def test_apply_model_memory_stays_near_its_output():
-    # The output and the copy IqSignal makes of it take 2x its bytes;
-    # whole-signal columns and their products took about 6x.
+    # The output is the only signal-sized array: the signal takes it over
+    # without a copy, and the bases exist one block at a time.
     signal = generate_ofdm(OfdmConfig(64, 52, 512, 4, seed=11))
     assert len(signal) == 131072
     coeffs = default_pa_model().coefficients
@@ -299,7 +319,9 @@ def test_apply_model_memory_stays_near_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * out.samples.nbytes
+    assert peak < 1.5 * out.samples.nbytes
+    assert not out.samples.flags.writeable
+    assert not np.shares_memory(out.samples, signal.samples)
 
 
 def test_apply_model_linear_in_coefficients():

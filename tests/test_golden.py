@@ -12,7 +12,9 @@ build and its thread count.
 
 Re-record after a deliberate change of the results with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and report the
-shift.
+shift.  ``--diff`` prints the shift of a run against the golden file
+without rewriting it: the largest absolute shift of any pinned dB value,
+and the relative shift of the matched penalty.
 """
 
 import json
@@ -110,6 +112,31 @@ def _assert_matches(found, expected, where, rtol=None):
         assert found == expected, (where, found, expected)
 
 
+def _pinned_floats(found, expected, where):
+    """``(where, found, expected)`` of every float both hold at one place."""
+    if isinstance(expected, dict):
+        for key in expected.keys() & found.keys():
+            yield from _pinned_floats(found[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        for i, (f, e) in enumerate(zip(found, expected)):
+            yield from _pinned_floats(f, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        yield where, found, expected
+
+
+def shift_line(found, expected) -> str:
+    """The largest dB shift and the relative penalty shift, as one line."""
+    floats = list(_pinned_floats(found, expected, "desk-scale"))
+    (penalty,) = [abs(f - e) / abs(e) for w, f, e in floats if w.endswith(".standard_lasso_lambda")]
+    shift, where = max(
+        (abs(f - e), w) for w, f, e in floats if not w.endswith(".standard_lasso_lambda")
+    )
+    return (
+        f"largest dB shift {shift:.3g} dB ({where}); "
+        f"standard_lasso_lambda relative shift {penalty:.3g}"
+    )
+
+
 def test_desk_scale_outputs_match_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     found = json.loads(json.dumps(run_desk_scale(tmp_path / "out")))
@@ -117,10 +144,14 @@ def test_desk_scale_outputs_match_golden(tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    if sys.argv[1:] not in (["--record"], ["--diff"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record | --diff")
     with tempfile.TemporaryDirectory() as tmp:
         values = run_desk_scale(Path(tmp) / "out")
+    if sys.argv[1] == "--diff":
+        found = json.loads(json.dumps(values))
+        print(shift_line(found, json.loads(GOLDEN.read_text())))
+        sys.exit()
     # One line per row, kernel map and support.
     blocks = []
     for name, value in values.items():

@@ -1,4 +1,6 @@
 """Amplifier simulation, learning loop, and amplifier model files."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,22 @@ def test_forward_linear_memoryless_is_pure_gain():
     samples = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     out = pa_forward(IqSignal(samples, 1.0), pa)
     assert np.array_equal(out.samples, gain * samples)
+
+
+def test_clipped_forward_memory_stays_near_its_output(preset):
+    # The clip works in place on the model output, which the returned
+    # signal takes over without a copy.
+    signal = generate_ofdm(OfdmConfig(64, 52, 512, 4, seed=11))
+    pa = PaModel(preset.coefficients, saturation_level=1.0)
+    tracemalloc.start()
+    try:
+        out = pa_forward(signal, pa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    magnitude = np.abs(out.samples)
+    assert np.max(magnitude) <= 1.0 + 1e-15 and np.mean(magnitude > 1.0 - 1e-12) > 0.1
+    assert peak <= 2 * out.samples.nbytes
 
 
 def test_forward_linear_scale_doubles_exactly():

@@ -810,14 +810,15 @@ def test_cli_sim_pa_overflowing_output_is_numerical_error(tmp_path):
 
 
 def test_cli_fit_ls_on_overflowing_capture_is_numerical_error(tmp_path):
+    # Every fit method; any numpy RuntimeWarning on the way would fail this test.
     cfg, s = _loud_signal(tmp_path)
     w = tmp_path / "w.txt"
-    with np.errstate(over="ignore", invalid="ignore"):  # the normal-equation pass overflows
-        code, _, err = run_cli(["fit", "ls", "--config", str(cfg), "--signal", str(s),
+    for method in ("ls", "lasso", "bwlasso"):
+        code, _, err = run_cli(["fit", method, "--config", str(cfg), "--signal", str(s),
                                 "--target", str(s), "--out", str(w)])
-    assert code == 3
-    assert "numerical error" in err and "not finite" in err
-    assert not w.exists()
+        assert code == 3, method
+        assert "numerical error" in err and "not finite" in err, (method, err)
+        assert not w.exists()
 
 
 def test_cli_ilc_writes_drive_and_trace(tmp_path):
