@@ -32,7 +32,7 @@ from .gmp import (
     write_coefficients,
 )
 from .pa_sim import ilc_learn, pa_forward
-from .pipeline import _fit_schedule, load_config, run_experiment1, run_experiment2, write_table
+from .pipeline import load_config, run_experiment1, run_experiment2, write_table
 from .signal import evm_db, generate_ofdm, read_iq, write_iq
 from .solver import (
     block_weighted_lasso,
@@ -190,7 +190,7 @@ def _cmd_fit(args):
             config.bcd,
         )
     else:
-        coeffs, trace = block_weighted_lasso(matrix, target, _fit_schedule(config), config.bcd)
+        coeffs, trace = block_weighted_lasso(matrix, target, config.schedule(), config.bcd)
         if args.trace:
             write_table(
                 args.trace,

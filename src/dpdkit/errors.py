@@ -55,5 +55,6 @@ class RankDeficiencyError(DpdError):
 
 
 class DivergenceError(DpdError):
-    """Iterative learning loop whose error keeps growing, or a model
-    whose output leaves the floating-point range."""
+    """Iterative learning loop whose error keeps growing, or a model or
+    gain-normalized amplifier output that leaves the floating-point
+    range."""

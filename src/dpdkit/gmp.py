@@ -227,36 +227,30 @@ class CoefficientVector:
     def __len__(self):
         return self.values.size
 
-    def support(self, threshold: float = 0.0) -> np.ndarray:
-        """Indices of coefficients with modulus above ``threshold``."""
-        return np.flatnonzero(np.abs(self.values) > threshold)
+    def support(self) -> np.ndarray:
+        """Indices of the active (nonzero) coefficients."""
+        return np.flatnonzero(self.values)
 
 
-def kernel_count(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
-    """Number of active kernels (modulus strictly above threshold)."""
-    return int(np.count_nonzero(np.abs(coeffs.values) > threshold))
+def kernel_count(coeffs: CoefficientVector) -> int:
+    """Number of active (nonzero) kernels."""
+    return int(np.count_nonzero(coeffs.values))
 
 
-def effective_memory_depth(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
+def effective_memory_depth(coeffs: CoefficientVector) -> int:
     """Deepest past-sample index touched by any active kernel, -1 if none.
 
     Lagging kernels reach back ``l + m`` samples through their envelope
     factor; aligned and leading kernels reach back ``l``.
     """
-    active = coeffs.support(threshold)
     descriptors = coeffs.structure.descriptors()
-    if active.size == 0:
-        return -1
-    return max(descriptors[j].deepest_sample for j in active)
+    return max((descriptors[j].deepest_sample for j in coeffs.support()), default=-1)
 
 
-def max_memory_lag(coeffs: CoefficientVector, threshold: float = 0.0) -> int:
+def max_memory_lag(coeffs: CoefficientVector) -> int:
     """Largest carrier delay l among active kernels, -1 if none."""
-    active = coeffs.support(threshold)
     descriptors = coeffs.structure.descriptors()
-    if active.size == 0:
-        return -1
-    return max(descriptors[j].lag for j in active)
+    return max((descriptors[j].lag for j in coeffs.support()), default=-1)
 
 
 # Rows per block of every pass over the base sequences: the normal
@@ -271,10 +265,9 @@ ROW_CHUNK = 4096
 class KernelMatrix:
     """Regressor matrix of a structure evaluated on a source signal.
 
-    The matrix has one column per kernel of ``structure``, in canonical
-    order (``columns``).  When warm-up rows are dropped, ``row_offset``
-    records how many leading samples of the source are excluded and the
-    matrix has correspondingly fewer rows.
+    The matrix has one row per source sample and one column per kernel
+    of ``structure``, in canonical order (``columns``).  Samples before
+    the first are zero, so the first rows see a zero-padded past.
 
     Only the source samples are stored.  Every column is a delayed copy
     ``psi_b(n - l)`` of one of a few base sequences
@@ -296,7 +289,6 @@ class KernelMatrix:
 
     samples: np.ndarray
     structure: GmpStructure
-    row_offset: int = 0
 
     @cached_property
     def columns(self) -> tuple:
@@ -304,12 +296,8 @@ class KernelMatrix:
         return self.structure.descriptors()
 
     @property
-    def source_length(self) -> int:
-        return self.samples.size
-
-    @property
     def shape(self) -> tuple:
-        return (self.samples.size - self.row_offset, len(self.columns))
+        return (self.samples.size, len(self.columns))
 
     @cached_property
     def data(self) -> np.ndarray:
@@ -319,9 +307,7 @@ class KernelMatrix:
         bases, base, lag = _bases_of(self.columns)
         shifts = (lag.max() - lag).tolist()
         data = np.empty(self.shape, dtype=np.complex128)
-        for start, stop, psi in _base_blocks(
-            self.samples, bases, lag, self.row_offset, self.shape[0]
-        ):
+        for start, stop, psi in _base_blocks(self.samples, bases, lag, self.shape[0]):
             for j, (b, at) in enumerate(zip(base.tolist(), shifts)):
                 data[start:stop, j] = psi[b, at : at + stop - start]
             del psi
@@ -355,11 +341,10 @@ def normal_system(design, target) -> NormalSystem:
     """The ``NormalSystem`` of a design and a target.
 
     ``design`` is a ``KernelMatrix`` or a plain 2-D complex matrix, and
-    ``target`` an ``IqSignal`` or a 1-D array with one sample per row.
-    The target of a ``KernelMatrix`` that dropped warm-up rows may also
-    span the whole source; its first ``row_offset`` samples are then
-    cut.  The Gram is a new C-ordered array, exactly Hermitian with an
-    exactly real diagonal.
+    ``target`` an ``IqSignal`` or a 1-D array with one sample per row,
+    which for a ``KernelMatrix`` is one sample per source sample.  The
+    Gram is a new C-ordered array, exactly Hermitian with an exactly
+    real diagonal.
 
     A ``KernelMatrix`` forms its system from blocks of its base
     sequences in one pass (``_kernel_normal_equations``) and caches it
@@ -380,8 +365,6 @@ def normal_system(design, target) -> NormalSystem:
     x = target.samples if isinstance(target, IqSignal) else np.asarray(target, dtype=np.complex128)
     if x.ndim != 1:
         raise DimensionError(f"target must be 1-D, got shape {x.shape}")
-    if km is not None and km.row_offset and x.size == km.source_length:
-        x = x[km.row_offset :]
     if x.size != design.shape[0]:
         raise DimensionError(f"target has {x.size} samples but design has {design.shape[0]} rows")
     if km is not None:
@@ -468,12 +451,12 @@ def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
     return block
 
 
-def _base_blocks(samples, bases, lag, first: int, n_rows: int):
+def _base_blocks(samples, bases, lag, n_rows: int):
     """``(start, stop, psi)`` for each ``ROW_CHUNK``-row block of the
-    rows ``first .. first + n_rows - 1`` of columns at the lags ``lag``.
+    rows ``0 .. n_rows - 1`` of columns at the lags ``lag``.
 
     ``psi`` holds the bases over the block widened by the lag span:
-    ``psi[:, i]`` is ``psi(first + start - max(lag) + i)``, so the column
+    ``psi[:, i]`` is ``psi(start - max(lag) + i)``, so the column
     of base b at lag l is ``psi[b, max(lag) - l :]`` cut to
     ``stop - start`` samples.  Only one block exists at a time if the
     caller drops each before asking for the next.
@@ -481,21 +464,23 @@ def _base_blocks(samples, bases, lag, first: int, n_rows: int):
     lo, hi = int(np.min(lag)), int(np.max(lag))
     for start in range(0, n_rows, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n_rows)
-        yield start, stop, _base_block(samples, bases, first + start - hi, stop - start + hi - lo)
+        yield start, stop, _base_block(samples, bases, start - hi, stop - start + hi - lo)
 
 
 def _kernel_normal_equations(km, target) -> tuple:
     """``(S^H S, S^H x)`` of a ``KernelMatrix``, from its base sequences.
 
-    Row n of column (b, l) is ``psi_b(n - l)`` for n from ``row_offset``
-    to N - 1, so in terms of q = n - l1, with d = l2 - l1 >= 0,
+    The matrix has one row per source sample, and samples before the
+    first are zero.  Row n of column (b, l) is ``psi_b(n - l)`` for n
+    from 0 to N - 1, and ``psi_b(q)`` is zero for q < 0, so in terms of
+    q = n - l1, with d = l2 - l1 >= 0,
 
         S^H S[(b1, l1), (b2, l2)] = sum of conj(psi_b1(q)) psi_b2(q - d)
-                                    over q in [row_offset - l1, N - l1)
+                                    over q in [0, N - l1)
         S^H x[(b, l)]             = sum of conj(psi_b(q)) x(q + l)
 
     with x zero outside its rows.  Entries with d < 0 are the conjugate
-    mirror.  The window of q depends on l1 only through its ends, so
+    mirror.  The window of q depends on l1 only through its end, so
     the q axis is cut at every window end into segments, each inside or
     outside each window.  One pass over ``ROW_CHUNK``-sample blocks of
     the bases, widened by the lag span D, adds one B x B product per
@@ -513,15 +498,14 @@ def _kernel_normal_equations(km, target) -> tuple:
     span = hi - lo
     diffs = np.unique(lags[None, :] - lags[:, None])
     diffs = diffs[diffs >= 0]
-    first, end = km.row_offset, km.source_length
-    q_lo = max(first - hi, 0)
-    q_hi = max(end - lo, q_lo)
-    ends = {min(max(e, q_lo), q_hi) for l in lags.tolist() for e in (first - l, end - l)}
-    cuts = sorted(ends | {q_lo, q_hi})
+    n = km.samples.size
+    # A signal shorter than a lag leaves that lag an empty window.
+    q_hi = max(n - lo, 0)
+    cuts = sorted({max(n - l, 0) for l in lags.tolist()} | {0, q_hi})
     # (start, stop, inside): inside[i] tells whether lag lags[i] sees q
     # in start..stop-1.
     segments = [
-        (start, stop, [first - l <= start and stop <= end - l for l in lags.tolist()])
+        (start, stop, [stop <= n - l for l in lags.tolist()])
         for start, stop in zip(cuts, cuts[1:])
     ]
     segments = [segment for segment in segments if any(segment[2])]
@@ -529,8 +513,8 @@ def _kernel_normal_equations(km, target) -> tuple:
     products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
     correlation = np.zeros((n_bases, lags.size), dtype=np.complex128)
     # The bases delayed by each lag difference d, over blocks of q.
-    for block_start, block_stop, psi in _base_blocks(km.samples, bases, diffs, q_lo, q_hi - q_lo):
-        q0, count = q_lo + block_start, block_stop - block_start
+    for q0, block_stop, psi in _base_blocks(km.samples, bases, diffs, q_hi):
+        count = block_stop - q0
         # psi[:, i] is psi(q0 - span + i) and head[:, i] is conj(psi(q0 + i)),
         # conjugated row by row: a ufunc on the strided block would take
         # a 128 kB buffer.
@@ -546,9 +530,9 @@ def _kernel_normal_equations(km, target) -> tuple:
                 products[s, t] += head[:, i0:i1] @ psi[:, i0 + span - d : i1 + span - d].T
         # shifted[i] is x(q0 + lo + i), zero outside the matrix rows.
         shifted = np.zeros(count + span, dtype=np.complex128)
-        n_lo, n_hi = max(q0 + lo, first), min(q0 + lo + count + span, end)
+        n_lo, n_hi = q0 + lo, min(q0 + lo + count + span, n)
         if n_hi > n_lo:
-            shifted[n_lo - q0 - lo : n_hi - q0 - lo] = target[n_lo - first : n_hi - first]
+            shifted[: n_hi - n_lo] = target[n_lo:n_hi]
         for i, l in enumerate(lags.tolist()):
             correlation[:, i] += head @ shifted[l - lo : l - lo + count]
         del psi, head
@@ -583,32 +567,21 @@ def _signal_samples(signal) -> np.ndarray:
     return arr
 
 
-def build_kernel_matrix(
-    signal, structure: GmpStructure, drop_warmup: bool = False
-) -> KernelMatrix:
-    """The kernel matrix of ``structure`` on ``signal``.
+def build_kernel_matrix(signal, structure: GmpStructure) -> KernelMatrix:
+    """The kernel matrix of ``structure`` on ``signal``: one row per
+    source sample, with the samples before the first taken as zero.
 
     No column is evaluated here: the returned ``KernelMatrix`` keeps a
     read-only copy of the samples, and its consumers evaluate blocks of
-    the base sequences as they need them.  With ``drop_warmup`` the rows
-    whose kernels would reach before the first sample are removed
-    instead of zero padded.
+    the base sequences as they need them.
     """
     samples = _signal_samples(signal)
-    descriptors = structure.descriptors()
-    if not descriptors:
+    if not structure.descriptors():
         raise ConfigurationError("structure contains no kernels")
     if not isinstance(signal, IqSignal):
         samples = samples.copy()
         samples.setflags(write=False)
-    offset = 0
-    if drop_warmup:
-        offset = max(d.deepest_sample for d in descriptors)
-        if offset >= samples.size:
-            raise DimensionError(
-                f"signal of {samples.size} samples too short to drop {offset} warm-up rows"
-            )
-    return KernelMatrix(samples=samples, structure=structure, row_offset=offset)
+    return KernelMatrix(samples=samples, structure=structure)
 
 
 def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
@@ -653,7 +626,7 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
                 terms.append((shift, None, rows[i]))
         term = np.empty(min(ROW_CHUNK, samples.size), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            for start, stop, psi in _base_blocks(samples, bases, lag, 0, samples.size):
+            for start, stop, psi in _base_blocks(samples, bases, lag, samples.size):
                 n = stop - start
                 block, part = out[start:stop], term[:n]
                 for shift, b, c in terms:

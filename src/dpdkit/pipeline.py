@@ -23,7 +23,7 @@ import re
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .gmp import (
     GmpStructure,
     apply_model,
@@ -121,22 +121,23 @@ class ScheduleSpec:
             )
 
     def build(self, structure: GmpStructure) -> RegularizationSchedule:
-        """The schedule for ``structure``; a custom one must give a
-        penalty for each of its envelope powers."""
+        """The schedule for ``structure``.  A custom one must give a
+        penalty and a zero threshold for each of its envelope powers;
+        the first missing ``schedule.<kind>_<k>`` key is named."""
         if self.mode == "default":
             return default_schedule(structure, self.lambda_scale, self.threshold_scale)
-        _require_every_order(structure, "lambda", self.lambda_by_order)
+        for kind, entries in (
+            ("lambda", self.lambda_by_order),
+            ("threshold", self.threshold_by_order),
+        ):
+            missing = sorted(set(structure.orders) - dict(entries).keys())
+            if missing:
+                raise ConfigurationError(
+                    f"schedule.mode = custom needs schedule.{kind}_{missing[0]}"
+                )
         lam = {k: v * self.lambda_scale for k, v in self.lambda_by_order}
         tau = {k: v * self.threshold_scale for k, v in self.threshold_by_order}
         return RegularizationSchedule(lam, tau)
-
-
-def _require_every_order(structure, kind, entries):
-    """Name the first ``schedule.<kind>_<k>`` key that a custom schedule
-    lacks for an envelope power k of ``structure``."""
-    missing = sorted(set(structure.orders) - dict(entries).keys())
-    if missing:
-        raise ConfigurationError(f"schedule.mode = custom needs schedule.{kind}_{missing[0]}")
 
 
 @dataclass(frozen=True)
@@ -465,15 +466,6 @@ def _kernel_map_rows(structure, values):
     return rows
 
 
-def _fit_schedule(config: ExperimentConfig) -> RegularizationSchedule:
-    """The schedule of a block-weighted fit, built before any training
-    work; a custom one also needs every threshold."""
-    spec = config.schedule_spec
-    if spec.mode == "custom":
-        _require_every_order(config.structure, "threshold", spec.threshold_by_order)
-    return config.schedule()
-
-
 def _training_stage(config: ExperimentConfig):
     """Shared front end of both experiments: reference, drive, regressors."""
     reference = generate_ofdm(config.signal)
@@ -527,7 +519,8 @@ def run_experiment1(config: ExperimentConfig):
     Returns (trace, kernel_maps) where kernel_maps[i] holds the active
     (branch, order, lag, offset, magnitude) rows after iteration i+1.
     """
-    schedule = _fit_schedule(config)
+    # Built first: a schedule error comes before any training work.
+    schedule = config.schedule()
     reference, model, learned, matrix = _training_stage(config)
     target = learned.drive
 
@@ -632,7 +625,8 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
     and effective depth.  Writes exp2_comparison.csv plus one
     coefficient file per fitted method.
     """
-    schedule = _fit_schedule(config)
+    # Built first: a schedule error comes before any training work.
+    schedule = config.schedule()
     reference, model, learned, matrix = _training_stage(config)
     target = learned.drive
 
@@ -666,10 +660,11 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
     for method in METHODS:
         coeffs = fitted.get(method)
         drive = validation if coeffs is None else apply_model(validation, coeffs)
-        normalized = IqSignal(
-            pa_forward(drive, model).samples / gain, validation.sample_rate_hz
-        )
-        report = evm_db(normalized, validation)
+        with np.errstate(over="ignore", invalid="ignore"):
+            normalized = pa_forward(drive, model).samples / gain
+        if not np.isfinite(normalized).all():
+            raise DivergenceError(f"{method}: gain-normalized amplifier output is not finite")
+        report = evm_db(IqSignal._own(normalized, validation.sample_rate_hz), validation)
         rows.append(
             ReportRow(
                 method=method,

@@ -247,20 +247,6 @@ def _ridge_solve(gram, rhs, weights):
     return solution
 
 
-def ridge(S, x, per_coefficient_weights):
-    """Solve (S^H S + diag(d)) w = S^H x for positive weights d."""
-    system = normal_system(S, x)
-    n_cols = system.rhs.shape[0]
-    weights = np.asarray(per_coefficient_weights, dtype=np.float64)
-    if weights.shape != (n_cols,):
-        raise DimensionError(
-            f"need one weight per column, got {weights.shape} for {n_cols} columns"
-        )
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise ConfigurationError("ridge weights must be positive and finite")
-    return system.coefficients(_ridge_solve(system.gram, system.rhs, weights))
-
-
 def ls_refine(S, x, support):
     """Least squares restricted to ``support``; other coefficients stay zero.
 
@@ -344,8 +330,9 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     return omega
 
 
-def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None, initial=None):
-    """Single-weight complex Lasso solved by iterated ridge regression."""
+def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None):
+    """Single-weight complex Lasso solved by iterated ridge regression,
+    from uniform first weights."""
     if not (math.isfinite(lam) and lam > 0):
         raise ConfigurationError(f"lasso penalty must be positive, got {lam}")
     if not (math.isfinite(zero_threshold) and zero_threshold >= 0):
@@ -353,14 +340,7 @@ def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None, initial=Non
     if config is None:
         config = BcdConfig()
     system = normal_system(S, x)
-    n_cols = system.rhs.shape[0]
-    init = None
-    if initial is not None:
-        init = initial.values if isinstance(initial, CoefficientVector) else np.asarray(initial)
-        if init.shape != (n_cols,):
-            raise DimensionError(f"initial guess has {init.shape} entries for {n_cols} columns")
-    omega = _lasso_core(system.gram, system.rhs, lam, zero_threshold, config, init)
-    return system.coefficients(omega)
+    return system.coefficients(_lasso_core(system.gram, system.rhs, lam, zero_threshold, config))
 
 
 @dataclass(frozen=True)

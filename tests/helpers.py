@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from dpdkit.solver import lasso_iterated_ridge
+from dpdkit.gmp import normal_system
+from dpdkit.solver import _lasso_core
 
 
 def naive_kernel_matrix(samples, structure):
@@ -127,10 +128,12 @@ def residual_domain_block_lasso(matrix, target, schedule, config):
 
     The reference for the block-weighted solver, which works on the
     normal equations instead. Each order block is copied out of the
-    kernel matrix and its subproblem is solved by the package's
-    plain-matrix Lasso against the residual plus the block's own
-    contribution; the update is kept only when the residual power plus
-    the block's weighted l1 term strictly falls. Returns
+    kernel matrix and its subproblem is solved by the package's Lasso
+    core on the normal equations of that plain block against the
+    residual plus the block's own contribution, seeded from the block's
+    previous coefficients when the config warm-starts; the update is
+    kept only when the residual power plus the block's weighted l1 term
+    strictly falls. Returns
     (records, selected): the coefficient array after each sweep and the
     index of the record with the lowest residual power (or the last one
     when the config does not keep the best iterate).
@@ -152,9 +155,10 @@ def residual_domain_block_lasso(matrix, target, schedule, config):
             sub = data[:, cols]
             w_old = omega[cols]
             block_target = residual + sub @ w_old
-            w_new = lasso_iterated_ridge(
-                sub,
-                block_target,
+            system = normal_system(sub, block_target)
+            w_new = _lasso_core(
+                system.gram,
+                system.rhs,
                 lam,
                 schedule.threshold_for(k),
                 config,

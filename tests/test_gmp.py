@@ -2,7 +2,7 @@
 import re
 import tracemalloc
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -162,16 +162,6 @@ def test_matrix_matches_naive_loop_with_leading():
     assert got == columns
 
 
-def test_drop_warmup_rows():
-    signal = generate_ofdm(OfdmConfig(64, 52, 1, 2, seed=4))
-    structure = full_structure(3, 3, 1)
-    full = build_kernel_matrix(signal, structure)
-    trimmed = build_kernel_matrix(signal, structure, drop_warmup=True)
-    deepest = 4  # max lag 3 plus cross offset 1
-    assert trimmed.row_offset == deepest
-    assert np.array_equal(trimmed.data, full.data[deepest:])
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 64),
@@ -179,11 +169,10 @@ def test_drop_warmup_rows():
     max_order=st.sampled_from([1, 3, 5, 7]),
     lagging_depth=st.integers(0, 2),
     leading_depth=st.integers(0, 3),
-    drop_warmup=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_data_is_the_same_at_any_row_block_and_matches_the_definition(
-    n, memory_depth, max_order, lagging_depth, leading_depth, drop_warmup, seed
+    n, memory_depth, max_order, lagging_depth, leading_depth, seed
 ):
     structure = full_structure(
         memory_depth,
@@ -192,19 +181,16 @@ def test_data_is_the_same_at_any_row_block_and_matches_the_definition(
         include_leading=leading_depth > 0,
         leading_depth=leading_depth,
     )
-    deepest = max(d.deepest_sample for d in structure.descriptors())
-    assume(not drop_warmup or deepest < n)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     samples /= np.max(np.abs(samples))  # keep entries at unit scale
-    data = build_kernel_matrix(_sig(samples), structure, drop_warmup=drop_warmup).data
+    data = build_kernel_matrix(_sig(samples), structure).data
     # 7-row blocks: most signals cross several and end in a short tail.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gmp, "ROW_CHUNK", 7)
-        blocked = build_kernel_matrix(_sig(samples), structure, drop_warmup=drop_warmup).data
+        blocked = build_kernel_matrix(_sig(samples), structure).data
     assert np.array_equal(_bits(blocked), _bits(data))
     oracle, _ = naive_kernel_matrix(samples, structure)
-    oracle = oracle[deepest:] if drop_warmup else oracle
     assert data.shape == oracle.shape
     assert np.max(np.abs(data - oracle)) <= 1e-14
 
@@ -383,7 +369,6 @@ def test_kernel_count_threshold():
     values = np.array([1.0, 0.5, 0.01, 0.0, 0.0, 0.002])
     coeffs = CoefficientVector(structure, values)
     assert kernel_count(coeffs) == 4
-    assert kernel_count(coeffs, threshold=0.005) == 3
 
 
 def test_support_indices():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dpdkit.cli import cli
-from dpdkit.errors import ConfigurationError
+from dpdkit.errors import ConfigurationError, DivergenceError
 from dpdkit.gmp import (
     CoefficientVector,
     KernelMatrix,
@@ -36,7 +36,7 @@ from dpdkit.pipeline import (
     run_experiment1,
     run_experiment2,
 )
-from dpdkit.signal import DB_FLOOR, generate_ofdm, read_iq
+from dpdkit.signal import DB_FLOOR, IqSignal, generate_ofdm, read_iq, write_iq
 from dpdkit.solver import BcdConfig, lasso_iterated_ridge
 
 
@@ -238,6 +238,7 @@ def test_custom_schedule_survives_canonical_round_trip():
         "dpd.memory_depth = 3\ndpd.max_order = 3\n"
         "schedule.mode = custom\n"
         "schedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n"
+        "schedule.threshold_0 = 0.1\nschedule.threshold_2 = 0.3\n"
     )
     again = parse_config(config.canonical_text())
     assert again.config_hash == config.config_hash
@@ -819,6 +820,42 @@ def test_cli_fit_ls_on_overflowing_capture_is_numerical_error(tmp_path):
         assert code == 3, method
         assert "numerical error" in err and "not finite" in err, (method, err)
         assert not w.exists()
+
+
+def test_exp2_overflowing_normalized_output_is_numerical_error(tmp_path):
+    # At a target gain of 0.5 an amplifier output near the top of the
+    # float range overflows when exp2 divides it by the gain.
+    cfg = write_cfg(tmp_path, "ilc.target_gain = 0.5 0\n")
+
+    def loud(drive, model):
+        return IqSignal(np.full(len(drive), 1e308 + 0j), drive.sample_rate_hz)
+
+    with mock.patch("dpdkit.pipeline.pa_forward", loud):
+        with pytest.raises(DivergenceError, match="not finite"):
+            run_experiment2(load_config(cfg))
+        code, _, err = run_cli(["exp2", "--config", str(cfg)])
+    assert code == 3
+    assert "numerical error" in err and "not finite" in err
+    assert not list((tmp_path / "out").glob("exp2*"))
+
+
+def test_cli_fit_and_refine_reject_a_target_of_another_length(tmp_path):
+    cfg = write_cfg(tmp_path)
+    rng = np.random.default_rng(7)
+    s, x, w = tmp_path / "s.iq", tmp_path / "x.iq", tmp_path / "w.txt"
+    for path, n in ((s, 16384), (x, 16128)):
+        write_iq(IqSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1.0), path)
+    structure = load_config(cfg).structure
+    write_coefficients(w, CoefficientVector(structure, np.eye(structure.kernel_count)[0]))
+    common = ["--signal", str(s), "--target", str(x), "--out", str(tmp_path / "out.txt")]
+    for argv in (
+        *(["fit", method, "--config", str(cfg), *common] for method in ("ls", "lasso", "bwlasso")),
+        ["refine", "--coeffs", str(w), *common],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == 2, argv
+        assert "target has 16128 samples but design has 16384 rows" in err, argv
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_cli_ilc_writes_drive_and_trace(tmp_path):

@@ -1,4 +1,4 @@
-"""Least squares, ridge, Lasso via iterated ridge, BCD, schedules, KKT."""
+"""Least squares, Lasso via iterated ridge, BCD, schedules, KKT."""
 import tracemalloc
 from unittest import mock
 
@@ -35,7 +35,6 @@ from dpdkit.solver import (
     lasso_iterated_ridge,
     least_squares,
     ls_refine,
-    ridge,
 )
 
 from helpers import (
@@ -103,7 +102,7 @@ def test_schedule_validation():
         RegularizationSchedule({0: 1e-4}, {0: -0.1})
 
 
-# --- least squares and ridge ----------------------------------------------
+# --- least squares ----------------------------------------------------
 
 
 def test_least_squares_single_column():
@@ -145,35 +144,6 @@ def test_least_squares_residual_orthogonal():
     w = least_squares(S, x)
     residual = x - S @ w
     assert np.max(np.abs(S.conj().T @ residual)) <= 1e-8 * np.linalg.norm(x)
-
-
-def test_ridge_closed_form():
-    w = ridge(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), [1.0])
-    assert w == pytest.approx([0.5], abs=1e-15)
-
-
-def test_ridge_vanishing_regularization():
-    rng = np.random.default_rng(4)
-    S = _random_design(rng, 32, 5)
-    x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    near_ls = ridge(S, x, np.full(5, 1e-14))
-    assert np.max(np.abs(near_ls - least_squares(S, x))) <= 1e-8
-
-
-def test_ridge_infinite_shrinkage():
-    rng = np.random.default_rng(5)
-    S = _random_design(rng, 32, 5)
-    x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    w = ridge(S, x, np.full(5, 1e12))
-    assert np.max(np.abs(w)) < 1e-9
-
-
-def test_ridge_rejects_bad_weights():
-    S = np.eye(2, dtype=np.complex128)
-    with pytest.raises(ConfigurationError):
-        ridge(S, np.ones(2), [1.0, 0.0])
-    with pytest.raises(ConfigurationError):
-        ridge(S, np.ones(2), [1.0, -1.0])
 
 
 # --- ls_refine -------------------------------------------------------------
@@ -770,14 +740,10 @@ def test_kernel_matrix_solvers_solve_its_cached_system_bitwise():
     x = target.samples
     system = normal_system(matrix, x)
     gram, rhs = system.gram, system.rhs
-    weights = np.full(gram.shape[0], 1e-3)
     support = np.array([0, 3, 6, 21])
     with mock.patch.object(gmp, "_kernel_normal_equations", side_effect=AssertionError):
         assert np.array_equal(
             least_squares(matrix, x).values, solver._normal_solve(gram, rhs, "system")
-        )
-        assert np.array_equal(
-            ridge(matrix, x, weights).values, solver._ridge_solve(gram, rhs, weights)
         )
         assert np.array_equal(
             ls_refine(matrix, x, support).values[support],
@@ -804,8 +770,6 @@ def test_kernel_matrix_solvers_agree_with_plain_matrix():
         assert np.max(np.abs(streamed.values - plain)) <= 1e-8 * np.max(np.abs(plain))
 
     assert_close(least_squares(matrix, x), least_squares(matrix.data, x))
-    weights = np.full(matrix.data.shape[1], 1e-3)
-    assert_close(ridge(matrix, x, weights), ridge(matrix.data, x, weights))
     for lam in (1e-2, 1.0, 30.0):
         assert_close(
             lasso_iterated_ridge(matrix, x, lam, 1e-4),
@@ -830,6 +794,30 @@ def test_refine_on_fresh_kernel_matrix_equals_refine_after_a_fit():
     after_fit = ls_refine(matrix, target, support)
     assert np.array_equal(fresh.values, after_fit.values)
     assert np.array_equal(np.flatnonzero(fresh.values), support)
+
+
+_FITS_OF_A_TARGET = {
+    "least_squares": lambda S, x: least_squares(S, x),
+    "lasso_iterated_ridge": lambda S, x: lasso_iterated_ridge(S, x, 1.0),
+    "block_weighted_lasso": lambda S, x: block_weighted_lasso(
+        S, x, default_schedule(full_structure(4, 7, 1))
+    ),
+    "ls_refine": lambda S, x: ls_refine(S, x, [0, 3]),
+    "kkt_check": lambda S, x: kkt_check(S, x, np.zeros(S.shape[1]), 1.0),
+}
+
+
+@pytest.mark.parametrize("design", ["kernel-matrix", "plain-matrix"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-long"])
+@pytest.mark.parametrize("fit", list(_FITS_OF_A_TARGET), ids=list(_FITS_OF_A_TARGET))
+def test_target_needs_one_sample_per_design_row(fit, extra, design):
+    matrix, target = _kernel_problem()
+    S = matrix if design == "kernel-matrix" else matrix.data
+    n = matrix.shape[0]
+    x = np.resize(target.samples, n + extra)
+    message = f"target has {n + extra} samples but design has {n} rows"
+    with pytest.raises(DimensionError, match=message):
+        _FITS_OF_A_TARGET[fit](S, x)
 
 
 # --- dense ridge solve ---------------------------------------------------
@@ -915,21 +903,14 @@ def test_non_finite_ridge_systems_are_rank_deficiency():
     inf_S[5, 2] = np.inf  # puts non-finite entries in the Gram
     with np.errstate(invalid="ignore"):  # inf * 0 in the S^H x product
         for call in (
-            lambda: ridge(S, nan_x, weights),
-            lambda: ridge(inf_S, x, weights),
             lambda: lasso_iterated_ridge(S, nan_x, 1e-3),
             lambda: lasso_iterated_ridge(inf_S, x, 1e-3),
             # The condition gate has no number to read off a non-finite Gram.
             lambda: least_squares(inf_S, x),
             lambda: ls_refine(inf_S, x, [0, 2]),
-            # A NaN starting modulus gives its coefficient a NaN ridge weight.
-            lambda: lasso_iterated_ridge(S, x, 1e-3, initial=[1.0, np.nan, 1.0]),
         ):
             with pytest.raises(RankDeficiencyError):
                 call()
-    # ridge validates its caller's weights before solving.
-    with pytest.raises(ConfigurationError):
-        ridge(S, x, nan_weights)
 
 
 def _peak_traced_bytes(call):
@@ -1063,19 +1044,15 @@ def _orders(highest):
         st.integers(1, 14),
         st.sampled_from([ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, ROW_CHUNK + 11]),
     ),
-    drop_warmup=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_base_sequence_products_match_the_column_products(
-    aligned, lagging, leading, n, drop_warmup, seed
-):
+def test_base_sequence_products_match_the_column_products(aligned, lagging, leading, n, seed):
     structure = GmpStructure(*aligned, *lagging, *leading)
     descriptors = structure.descriptors()
     assume(descriptors)
-    assume(not drop_warmup or max(d.deepest_sample for d in descriptors) < n)
     rng = np.random.default_rng(seed)
     signal = IqSignal((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), 1.0)
-    matrix = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup)
+    matrix = build_kernel_matrix(signal, structure)
     n_rows = matrix.shape[0]
     x = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
     system = normal_system(matrix, x)
@@ -1084,7 +1061,7 @@ def test_base_sequence_products_match_the_column_products(
     # the Gram of the first, and the S^H x of a fresh matrix, bit for bit.
     x2 = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
     second = normal_system(matrix, x2)
-    fresh = build_kernel_matrix(signal, structure, drop_warmup=drop_warmup)
+    fresh = build_kernel_matrix(signal, structure)
     assert np.array_equal(second.gram, gram)
     assert np.array_equal(second.rhs, normal_system(fresh, x2).rhs)
     assert "data" not in vars(matrix)
