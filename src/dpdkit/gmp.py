@@ -14,6 +14,10 @@ order is ``k + 1`` with even ``k``, so the model contains odd-order
 terms only.  Columns of a kernel matrix follow the canonical ordering:
 aligned terms sorted by (k, l), then lagging by (k, l, m), then leading
 by (k, l, m).
+
+The module also holds the one text layer of the package: a reader, a
+value parser and a writer shared by config files, coefficient files and
+amplifier models.
 """
 
 from __future__ import annotations
@@ -223,9 +227,6 @@ class CoefficientVector:
             raise ConfigurationError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    def __len__(self):
-        return self.values.size
 
     def support(self) -> np.ndarray:
         """Indices of the active (nonzero) coefficients."""
@@ -643,13 +644,127 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient file format: line-oriented ASCII text.  A ``format = <tag>``
+# Text layer of the three ``key = value`` formats: config files with their
+# overrides (``pipeline``), coefficient files and amplifier models.  Files
+# are ASCII with ``\n`` line ends and ``#`` starts a comment.  An entry
+# keeps its source (a path, or an override) and its line number until its
+# value is parsed, so each error names both.
+
+# What ``_parse_value`` says a value of each kind must be.
+_VALUE_FORMS = dict(
+    int="an integer", ints="integers", float="a float", bool="'true' or 'false'",
+    complex="two floats",
+)
+
+
+def _read_ascii(path) -> str:
+    """Text of the file ``path``; a non-ASCII byte raises FormatError
+    naming its offset and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"non-ASCII byte {raw[exc.start]:#04x}",
+            path=path,
+            offset=exc.start,
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
+
+
+def _text_lines(text):
+    """``(line number, line)`` of each line of ``text`` that is not empty
+    once its comment and padding are stripped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _split_entry(line, source, lineno=None) -> tuple:
+    """``(key, value)`` of one ``key = value`` line of ``source``."""
+    if not line.isascii():
+        raise FormatError(f"non-ASCII character in {line!r}", path=source, line=lineno)
+    key, equals, value = line.partition("=")
+    key = key.strip()
+    if not (equals and key):
+        raise FormatError(f"expected 'key = value', got {line!r}", path=source, line=lineno)
+    return key, value.strip()
+
+
+def _read_entries(lines, source) -> dict:
+    """``{key: (source, line number, value)}`` of ``key = value`` lines
+    from ``_text_lines``; a repeated key raises FormatError naming the
+    line that repeats it."""
+    entries = {}
+    for lineno, line in lines:
+        key, value = _split_entry(line, source, lineno)
+        if key in entries:
+            raise FormatError(f"duplicate key {key}", path=source, line=lineno)
+        entries[key] = (source, lineno, value)
+    return entries
+
+
+def _parse_value(key, entry, kind):
+    """The value of ``key``'s ``(source, line number, value)`` entry as
+    ``kind``: ``str``, ``int``, ``ints`` (a tuple of any number of them),
+    ``float``, ``bool`` (``true`` or ``false``) or ``complex`` (real and
+    imaginary part).  A kind ending in ``?`` also takes ``none`` as None.
+    Any other value raises FormatError."""
+    source, lineno, raw = entry
+    base = kind.rstrip("?")
+    if base != kind and raw == "none":
+        return None
+    try:
+        if base == "str":
+            return raw
+        if base == "int":
+            return int(raw)
+        if base == "ints":
+            return tuple(int(tok) for tok in raw.split())
+        if base == "float":
+            return float(raw)
+        if base == "complex":
+            real, imag = raw.split()
+            return complex(float(real), float(imag))
+        if base == "bool" and raw in ("true", "false"):
+            return raw == "true"
+    except ValueError:
+        pass
+    form = _VALUE_FORMS[base] + (" or 'none'" if base != kind else "")
+    raise FormatError(f"{key} expects {form}, got {raw!r}", path=source, line=lineno)
+
+
+def _format_value(value) -> str:
+    """``value`` as ``_parse_value`` reads it back; floats are written
+    with ``repr``, so they read back bit for bit."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, complex):
+        return f"{value.real!r} {value.imag!r}"
+    return str(value)
+
+
+def _write_text(path, lines, comment=None) -> None:
+    """Write ``lines`` as ASCII text with newline line ends, after a
+    ``# comment`` line when ``comment`` is given."""
+    head = [] if comment is None else [f"# {comment}"]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(head + lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Coefficient file format, on the text layer above.  A ``format = <tag>``
 # header, the extra headers of that tag, and the structure axes as
 # ``key = value`` headers come first; after a ``[coefficients]`` marker
 # follows one whitespace-separated record per kernel: branch, k, l, m
-# (``-`` on the aligned branch), real part, imaginary part.  ``#`` starts
-# a comment.  Coefficient files (``gmp-coeff/1``) and amplifier models
-# (``pa-model/1``, see ``pa_sim``) share this layout.
+# (``-`` on the aligned branch), real part, imaginary part.  Coefficient
+# files (``gmp-coeff/1``) and amplifier models (``pa-model/1``, see
+# ``pa_sim``) share this layout.
 
 _COEFF_FORMAT_TAG = "gmp-coeff/1"
 
@@ -666,8 +781,7 @@ def write_coefficient_file(
     coefficients are omitted unless ``include_zeros``.
     """
     structure = coeffs.structure
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(f"format = {tag}")
+    lines = [f"format = {tag}"]
     lines += [f"{key} = {value}" for key, value in headers]
     lines += [
         f"{key} = {' '.join(str(v) for v in getattr(structure, key))}" for key in _AXIS_KEYS
@@ -680,82 +794,42 @@ def write_coefficient_file(
                 f"{desc.branch.value} {desc.order_exponent} {desc.lag} {m} "
                 f"{float(value.real)!r} {float(value.imag)!r}"
             )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, lines, comment)
 
 
 def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
     """Read a file of format ``tag`` as ``(extras, coefficients)``.
 
-    Every key of ``extra_keys`` is a required header; ``extras`` maps it
-    to ``(line number, raw value)`` for the caller to parse.  Kernels
-    without a record are zero.  Anything else that is not this layout
-    raises FormatError: a non-ASCII byte, a missing or repeated marker,
-    a missing, wrong, repeated or unknown header, an axis that is not a
-    valid integer list, and a record that is malformed, repeated,
-    outside the declared structure, or not finite.
+    ``extra_keys`` holds the ``(key, kind)`` pairs of the tag's required
+    headers; ``extras`` maps each key to its value, parsed as that kind
+    of ``_parse_value`` like the structure axes.  Kernels without a
+    record are zero.  Anything else that is not this layout raises
+    FormatError: a non-ASCII byte, a missing or repeated marker, a
+    missing, wrong, repeated or unknown header, a header value not of its
+    kind, axes that form no valid structure, and a record that is
+    malformed, repeated, outside the declared structure, or not finite.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"non-ASCII byte {raw[exc.start]:#04x}",
-            path=path,
-            offset=exc.start,
-            line=raw.count(b"\n", 0, exc.start) + 1,
-        ) from None
-    headers = {}
-    records = []
-    in_records = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[coefficients]":
-            if in_records:
-                raise FormatError("duplicate [coefficients] marker", path=path, line=lineno)
-            in_records = True
-        elif in_records:
-            records.append((lineno, line.split()))
-        else:
-            key, equals, value = line.partition("=")
-            key = key.strip()
-            if not equals:
-                raise FormatError(
-                    f"expected 'key = value', got {line!r}", path=path, line=lineno
-                )
-            if key in headers:
-                raise FormatError(f"duplicate header key {key!r}", path=path, line=lineno)
-            headers[key] = (lineno, value.strip())
-    if not in_records:
+    lines = list(_text_lines(_read_ascii(path)))
+    marks = [i for i, (_, line) in enumerate(lines) if line == "[coefficients]"]
+    headers = _read_entries(lines[: marks[0] if marks else None], path)
+    if not marks:
         raise FormatError("missing [coefficients] marker", path=path)
+    if len(marks) > 1:
+        raise FormatError("duplicate [coefficients] marker", path=path, line=lines[marks[1]][0])
     if "format" not in headers:
         raise FormatError("missing format header", path=path)
-    found = headers.pop("format")[1]
+    found = headers.pop("format")[2]
     if found != tag:
         raise FormatError(f"unsupported format tag {found!r}", path=path)
-    for key in extra_keys:
+    extras = {}
+    for key, kind in (*extra_keys, *((key, "ints") for key in _AXIS_KEYS)):
         if key not in headers:
             raise FormatError(f"missing {key} header", path=path)
-    extras = {key: headers.pop(key) for key in extra_keys}
-    unknown = set(headers) - set(_AXIS_KEYS)
-    if unknown:
-        raise FormatError(f"unknown header keys {sorted(unknown)}", path=path)
-
-    axes = {}
-    for key in _AXIS_KEYS:
-        if key not in headers:
-            raise FormatError(f"missing structure key {key!r}", path=path)
-        lineno, value = headers[key]
-        try:
-            axes[key] = tuple(int(tok) for tok in value.split())
-        except ValueError:
-            raise FormatError(
-                f"expected integers, got {value!r}", path=path, line=lineno
-            ) from None
+        extras[key] = _parse_value(key, headers.pop(key), kind)
+    if headers:
+        raise FormatError(f"unknown header keys {sorted(headers)}", path=path)
     try:
-        structure = GmpStructure(**axes)
+        structure = GmpStructure(**{key: extras.pop(key) for key in _AXIS_KEYS})
     except ConfigurationError as exc:
         raise FormatError(f"invalid structure: {exc}", path=path) from exc
 
@@ -765,7 +839,8 @@ def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
     }
     values = np.zeros(structure.kernel_count, dtype=np.complex128)
     seen = set()
-    for lineno, tokens in records:
+    for lineno, line in lines[marks[0] + 1 :]:
+        tokens = line.split()
         if len(tokens) != 6:
             raise FormatError(
                 f"expected 6 fields per record, got {len(tokens)}", path=path, line=lineno

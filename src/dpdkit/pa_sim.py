@@ -15,9 +15,10 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, FormatError
+from .errors import ConfigurationError, DegenerateInputError, DivergenceError, FormatError
 from .gmp import (
     CoefficientVector,
+    _format_value,
     apply_model,
     read_coefficient_file,
     write_coefficient_file,
@@ -148,7 +149,7 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
     target = reference.samples
     ref_power = _power(target)
     if ref_power == 0.0:
-        raise ConfigurationError("reference signal has zero power")
+        raise DegenerateInputError("reference signal has zero power")
     gain = config.target_gain if config.target_gain is not None else model.smallsignal_gain
     rate = reference.sample_rate_hz
 
@@ -176,47 +177,22 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
 
 # ---------------------------------------------------------------------------
 # Amplifier model files use the coefficient-file layout of ``gmp`` under
-# their own format tag, with two extra headers: the small-signal gain as
-# two floats and the clip level as a float or ``none``.
+# their own format tag, with two extra headers named after the fields of
+# ``PaModel``: the small-signal gain as two floats and the clip level as a
+# float or ``none``.
+
+_PA_HEADERS = (("smallsignal_gain", "complex"), ("saturation_level", "float?"))
 
 
 def write_pa_model(path, model: PaModel) -> None:
-    gain = model.smallsignal_gain
-    level = "none" if model.saturation_level is None else repr(model.saturation_level)
-    headers = (("smallsignal_gain", f"{gain.real!r} {gain.imag!r}"), ("saturation_level", level))
+    headers = [(key, _format_value(getattr(model, key))) for key, _ in _PA_HEADERS]
     write_coefficient_file(path, _PA_FORMAT_TAG, model.coefficients, headers)
 
 
 def read_pa_model(path) -> PaModel:
-    extras, coeffs = read_coefficient_file(
-        path, _PA_FORMAT_TAG, ("smallsignal_gain", "saturation_level")
-    )
-    lineno, value = extras["smallsignal_gain"]
-    tokens = value.split()
+    extras, coeffs = read_coefficient_file(path, _PA_FORMAT_TAG, _PA_HEADERS)
     try:
-        if len(tokens) != 2:
-            raise ValueError
-        gain = complex(float(tokens[0]), float(tokens[1]))
-    except ValueError:
-        raise FormatError(
-            f"smallsignal_gain needs two floats, got {value!r}", path=path, line=lineno
-        ) from None
-
-    lineno, value = extras["saturation_level"]
-    if value == "none":
-        level = None
-    else:
-        try:
-            level = float(value)
-        except ValueError:
-            raise FormatError(
-                f"saturation_level must be a float or 'none', got {value!r}",
-                path=path,
-                line=lineno,
-            ) from None
-
-    try:
-        return PaModel(coeffs, gain, level)
+        return PaModel(coeffs, **extras)
     except ConfigurationError as exc:
         raise FormatError(f"invalid amplifier model: {exc}", path=path) from exc
 

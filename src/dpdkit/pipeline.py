@@ -1,7 +1,8 @@
 """Experiment configuration and the two packaged studies.
 
 A run is fully described by a small line-oriented config file
-(``section.key = value``); everything downstream is a deterministic
+(``section.key = value``, read by the text layer of ``gmp``, so every
+error names its file and line); everything downstream is a deterministic
 function of it.  Experiment 1 traces the block-weighted fit iteration
 by iteration and contrasts its kernel selection with a standard Lasso
 matched in kernel count.  Experiment 2 compares six linearization
@@ -23,9 +24,16 @@ import re
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, FormatError
 from .gmp import (
     GmpStructure,
+    _format_value,
+    _parse_value,
+    _read_ascii,
+    _read_entries,
+    _split_entry,
+    _text_lines,
+    _write_text,
     apply_model,
     build_kernel_matrix,
     effective_memory_depth,
@@ -49,8 +57,7 @@ from .solver import (
 MATCHED_COUNT_STEPS = 20
 MATCHED_COUNT_SLACK = 0.10
 
-# (section, key, type, default).  Types: int, float, bool, str,
-# gain (two floats or "none").
+# (section, key, kind, default); the kinds are those of ``gmp._parse_value``.
 _SCHEMA = (
     ("signal", "n_subcarriers", "int", 64),
     ("signal", "n_active", "int", 52),
@@ -63,7 +70,7 @@ _SCHEMA = (
     ("pa", "preset", "str", "default"),
     ("ilc", "iterations", "int", 30),
     ("ilc", "learning_rate", "float", 0.5),
-    ("ilc", "target_gain", "gain", None),
+    ("ilc", "target_gain", "complex?", None),
     ("dpd", "memory_depth", "int", 9),
     ("dpd", "max_order", "int", 7),
     ("dpd", "lagging_depth", "int", 1),
@@ -198,12 +205,11 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         """Fully resolved, ordered serialization; hashes and files use this."""
-        d, spec, gain = self.structure, self.schedule_spec, self.ilc.target_gain
+        d, spec = self.structure, self.schedule_spec
         # Keys that are not a field of their section's object; every other
         # key is read from it by name.
         derived = {
             ("pa", "preset"): self.pa_preset,
-            ("ilc", "target_gain"): "none" if gain is None else f"{gain.real!r} {gain.imag!r}",
             ("dpd", "memory_depth"): max(d.aligned_lags),
             ("dpd", "max_order"): max(d.aligned_orders) + 1,
             ("dpd", "lagging_depth"): max(d.lagging_cross, default=0),
@@ -242,105 +248,45 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_table(path, columns, rows, comment=None) -> None:
     """Write a CSV table: an optional ``# comment`` line, the column
     names, then one line per row.  Floats are written with ``repr``,
     booleans as ``true``/``false`` and None as ``-``."""
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(",".join(columns))
+    lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join("-" if v is None else _format_value(v) for v in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, lines, comment)
 
 
-def _parse_bool(raw, where):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigurationError(f"{where} must be 'true' or 'false', got {raw!r}")
-
-
-def _parse_typed(raw, kind, where):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _parse_bool(raw, where)
-        if kind == "gain":
-            if raw == "none":
-                return None
-            tokens = raw.split()
-            if len(tokens) != 2:
-                raise ValueError
-            return complex(float(tokens[0]), float(tokens[1]))
-        return raw
-    except ValueError:
-        raise ConfigurationError(f"{where} expects a {kind}, got {raw!r}") from None
-
-
-def _parse_entry(line, where):
-    """``((section, key), value)`` of one ``section.key = value`` entry;
-    ``where`` prefixes the error messages."""
-    if not line.isascii():
-        raise ConfigurationError(f"{where}non-ASCII character in {line!r}")
-    name, equals, value = line.partition("=")
-    name = name.strip()
-    if not equals:
-        raise ConfigurationError(f"{where}expected 'section.key = value', got {line!r}")
-    if name.count(".") != 1:
-        raise ConfigurationError(f"{where}keys are 'section.key', got {name!r}")
-    section, key = name.split(".")
-    return (section, key), value.strip()
-
-
-def _parse_lines(text, source):
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, value = _parse_entry(line, f"{source}:{lineno}: ")
-        if name in entries:
-            raise ConfigurationError(f"{source}:{lineno}: duplicate key {'.'.join(name)}")
-        entries[name] = value
-    return entries
-
-
-def _schedule_order_key(section, key):
-    """``(kind, k)`` of a dynamic schedule key ``lambda_<k>`` or
-    ``threshold_<k>`` with an even order k written as ``str(k)``, or
-    None if not one: ``lambda_02`` would repeat ``lambda_2``."""
-    match = re.fullmatch(r"(lambda|threshold)_(0|[1-9][0-9]*)", key)
-    if section != "schedule" or match is None or int(match[2]) % 2:
+def _schedule_order_key(name):
+    """``(kind, k)`` of a dynamic schedule key ``schedule.lambda_<k>`` or
+    ``schedule.threshold_<k>`` with an even order k written as ``str(k)``,
+    or None if not one: ``lambda_02`` would repeat ``lambda_2``."""
+    match = re.fullmatch(r"schedule\.(lambda|threshold)_(0|[1-9][0-9]*)", name)
+    if match is None or int(match[2]) % 2:
         return None
     return match[1], int(match[2])
 
 
-def config_from_entries(entries, base_dir=".", source="<config>") -> ExperimentConfig:
-    kinds = {(s, k): kind for s, k, kind, _ in _SCHEMA}
+def config_from_entries(entries, base_dir=".") -> ExperimentConfig:
+    """The config of ``entries``, which map each ``section.key`` to its
+    ``(source, line number, value)`` as ``gmp._read_entries`` gives them.
+    An unknown key or a value not of its key's kind raises FormatError
+    naming the entry's source and line."""
+    slots = {f"{s}.{k}": ((s, k), kind) for s, k, kind, _ in _SCHEMA}
     values = {(s, k): default for s, k, _, default in _SCHEMA}
     by_order = {"lambda": {}, "threshold": {}}
-    for (section, key), raw in entries.items():
-        dynamic = _schedule_order_key(section, key)
+    for name, entry in entries.items():
+        dynamic = _schedule_order_key(name)
         if dynamic is not None:
             kind, order = dynamic
-            by_order[kind][order] = _parse_typed(raw, "float", f"{section}.{key}")
-        elif (section, key) in kinds:
-            values[(section, key)] = _parse_typed(raw, kinds[(section, key)], f"{section}.{key}")
+            by_order[kind][order] = _parse_value(name, entry, "float")
+        elif name in slots:
+            slot, kind = slots[name]
+            values[slot] = _parse_value(name, entry, kind)
         else:
-            raise ConfigurationError(f"{source}: unknown config key {section}.{key}")
+            source, lineno, _ = entry
+            raise FormatError(f"unknown config key {name}", path=source, line=lineno)
 
     def section(name):
         """The keys of section ``name`` as keyword arguments."""
@@ -366,11 +312,18 @@ def config_from_entries(entries, base_dir=".", source="<config>") -> ExperimentC
 
 
 def parse_config(text, base_dir=".", source="<config>", overrides=()) -> ExperimentConfig:
-    entries = _parse_lines(text, source)
-    for item in overrides:
-        name, value = _parse_entry(item, "override: ")
-        entries[name] = value
-    return config_from_entries(entries, base_dir=base_dir, source=source)
+    """The config of ``text`` with each ``section.key=value`` override
+    applied.  An error in an entry is a ConfigurationError that names
+    ``source`` and the line, or the override."""
+    try:
+        entries = _read_entries(_text_lines(text), source)
+        for item in overrides:
+            where = f"override {item!r}"
+            key, value = _split_entry(item, where)
+            entries[key] = (where, None, value)
+        return config_from_entries(entries, base_dir)
+    except FormatError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
@@ -380,18 +333,11 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     against the file's own directory; the output directory stays
     relative to the caller's working directory.
     """
-    path = Path(path)
-    raw = path.read_bytes()
     try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ConfigurationError(
-            f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x}"
-        ) from None
-    return parse_config(
-        text, base_dir=path.parent, source=str(path), overrides=overrides
-    )
+        text = _read_ascii(path)
+    except FormatError as exc:
+        raise ConfigurationError(str(exc)) from None
+    return parse_config(text, base_dir=Path(path).parent, source=str(path), overrides=overrides)
 
 
 # ---------------------------------------------------------------------------

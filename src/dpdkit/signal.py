@@ -141,10 +141,6 @@ class OfdmConfig:
                 f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
             )
 
-    @property
-    def n_samples(self) -> int:
-        return self.n_subcarriers * self.oversampling_factor * self.n_symbols
-
 
 def active_bin_indices(config: OfdmConfig) -> np.ndarray:
     """FFT bin indices carrying data, on the oversampled grid.

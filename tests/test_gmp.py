@@ -445,6 +445,55 @@ def test_coefficient_file_bad_tag(tmp_path):
         read_coefficients(path)
 
 
+# --- the text layer of every key = value format ------------------------------
+
+_KEYS = st.text("abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1, max_size=12)
+# Printable ASCII but the comment mark; values are read back stripped.
+_VALUES = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters="#"),
+    max_size=16,
+).map(str.strip)
+_PADS = st.text(" \t", max_size=3)
+_FILLER = st.sampled_from(["", "   ", "# a full-line comment", "  \t# indented comment"])
+
+
+@st.composite
+def _entry_text(draw, repeat=False):
+    """Distinct ``key = value`` entries, the line of each, and a text that
+    holds them among blank and comment lines, padded and with trailing
+    comments.  With ``repeat``, a last entry repeats one of the keys, and
+    the line of that repeat is under the key None."""
+    entries = draw(st.dictionaries(_KEYS, _VALUES, min_size=int(repeat), max_size=8))
+    lines, where = [], {}
+    for key, value in entries.items():
+        lines += draw(st.lists(_FILLER, max_size=2))
+        pad = [draw(_PADS) for _ in range(4)]
+        comment = draw(st.sampled_from(["", "# trailing", "#"]))
+        lines.append(f"{pad[0]}{key}{pad[1]}={pad[2]}{value}{pad[3]}{comment}")
+        where[key] = len(lines)
+    if repeat:
+        lines.append(f"{draw(st.sampled_from(sorted(entries)))} = {draw(_VALUES)}")
+        where[None] = len(lines)
+    lines += draw(st.lists(_FILLER, max_size=2))
+    return entries, where, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_entry_text())
+def test_text_layer_reads_back_every_entry(case):
+    entries, where, text = case
+    read = gmp._read_entries(gmp._text_lines(text), "src.txt")
+    assert read == {key: ("src.txt", where[key], value) for key, value in entries.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_entry_text(repeat=True))
+def test_text_layer_names_the_line_of_a_repeated_key(case):
+    _, where, text = case
+    with pytest.raises(FormatError, match=rf"duplicate key .*\(src\.txt, line {where[None]}\)"):
+        gmp._read_entries(gmp._text_lines(text), "src.txt")
+
+
 # --- one reader and one writer for both file formats -------------------------
 
 _ORDERS = st.lists(st.sampled_from([0, 2, 4, 6]), max_size=3, unique=True)
@@ -522,10 +571,10 @@ MALFORMED = [
     ("duplicate marker", lambda t: t + "[coefficients]\n", r"duplicate \[coefficients\]"),
     ("missing tag", lambda t: re.sub(r"format = \S+\n", "", t), "missing format"),
     ("wrong tag", lambda t: re.sub(r"format = \S+", "format = gmp-coeff/9", t), "unsupported"),
-    ("duplicate key", _insert_after_format("aligned_lags = 0 1"), "duplicate header key"),
+    ("duplicate key", _insert_after_format("aligned_lags = 0 1"), "duplicate key aligned_lags"),
     ("unknown key", _insert_after_format("colour = blue"), "unknown header keys"),
     ("bad integer axis", lambda t: t.replace("aligned_lags = 0 1", "aligned_lags = 0 one"),
-     "expected integers"),
+     "aligned_lags expects integers"),
     ("5-field record", lambda t: t + "aligned 2 1 - 1.0\n", "expected 6 fields"),
     ("unknown branch", lambda t: t + "sideways 2 1 - 1.0 0.0\n", "unknown branch"),
     ("duplicate record", lambda t: t + "aligned 0 0 - 2.0 0.0\n", "duplicate record"),
@@ -534,8 +583,34 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("tag", ["gmp-coeff/1", "pa-model/1"])
-@pytest.mark.parametrize("name, edit, message", MALFORMED, ids=[m[0] for m in MALFORMED])
+# Cases of the two headers of amplifier models only.
+PA_MALFORMED = [
+    ("one-float gain", lambda t: re.sub(r"smallsignal_gain = .*", "smallsignal_gain = 1.0", t),
+     r"smallsignal_gain expects two floats, got '1.0' \(.*line 2\)"),
+    ("three-float gain", lambda t: re.sub(r"(smallsignal_gain = .*)", r"\g<1> 0.0", t),
+     "smallsignal_gain expects two floats"),
+    ("none gain", lambda t: re.sub(r"smallsignal_gain = .*", "smallsignal_gain = none", t),
+     "smallsignal_gain expects two floats, got 'none'"),
+    ("zero gain", lambda t: re.sub(r"smallsignal_gain = .*", "smallsignal_gain = 0.0 0.0", t),
+     "invalid amplifier model: smallsignal_gain"),
+    ("word clip", lambda t: t.replace("saturation_level = none", "saturation_level = soft"),
+     r"saturation_level expects a float or 'none', got 'soft' \(.*line 3\)"),
+    ("negative clip", lambda t: t.replace("saturation_level = none", "saturation_level = -1.0"),
+     "invalid amplifier model: saturation_level"),
+    ("missing clip", lambda t: t.replace("saturation_level = none\n", ""),
+     "missing saturation_level header"),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, name, edit, message",
+    [
+        pytest.param(tag, *case, id=f"{case[0]}-{tag}")
+        for case in MALFORMED
+        for tag in ("gmp-coeff/1", "pa-model/1")
+    ]
+    + [pytest.param("pa-model/1", *case, id=f"{case[0]}-pa-model/1") for case in PA_MALFORMED],
+)
 def test_malformed_file_is_format_error(tmp_path, tag, name, edit, message):
     coeffs = CoefficientVector(full_structure(1, 3, 1), [1.0, 0, 0, 0, 0.5j, 0])
     path = tmp_path / "model.txt"

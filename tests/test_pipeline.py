@@ -168,6 +168,45 @@ def test_override_without_equals_rejected():
         parse_config("", overrides=["signal.n_symbols"])
 
 
+# (case, config text, overrides, part of the message, line it names, or
+# None where it names the override)
+CONFIG_ERRORS = [
+    ("type error", "signal.n_symbols = 8\nsignal.seed = 3\nsignal.n_active = eight\n", (),
+     "signal.n_active expects an integer, got 'eight'", 3),
+    ("unknown key", "signal.n_symbols = 8\n\nsignal.bandwidth = 20\n", (),
+     "unknown config key signal.bandwidth", 3),
+    ("duplicate", "signal.seed = 1\nsignal.seed = 2  # again\n", (),
+     "duplicate key signal.seed", 2),
+    ("missing equals", "# settings\nsignal.n_symbols 8\n", (), "expected 'key = value'", 2),
+    ("non-ASCII byte", "signal.seed = 1\n# r\u00e9glage\n", (), "non-ASCII byte 0xc3", 2),
+    ("bad override", "signal.n_symbols = 8\n", ("signal.n_active=eight",),
+     "signal.n_active expects an integer, got 'eight'", None),
+]
+
+
+@pytest.mark.parametrize("via", ["load_config", "cli"])
+@pytest.mark.parametrize(
+    "text, overrides, message, line",
+    [c[1:] for c in CONFIG_ERRORS],
+    ids=[c[0] for c in CONFIG_ERRORS],
+)
+def test_config_errors_name_the_file_and_line(tmp_path, via, text, overrides, message, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text.encode("utf-8"))
+    if via == "load_config":
+        with pytest.raises(ConfigurationError) as err:
+            load_config(cfg, overrides)
+        error = str(err.value)
+    else:
+        code, _, error = run_cli(["exp1", "--config", str(cfg), *(f"--set={o}" for o in overrides)])
+        assert code == 1 and error.startswith("usage error: ")
+    assert message in error
+    if line is None:
+        assert f"(override {overrides[0]!r})" in error
+    else:
+        assert str(cfg) in error and f"line {line})" in error
+
+
 # ---------------------------------------------------------------------------
 # Schedule configuration.
 
@@ -895,6 +934,19 @@ def test_cli_ilc_divergence_is_numerical_error(tmp_path):
     assert code == 3
     assert "numerical error" in err
     assert not drive.exists()
+
+
+@pytest.mark.parametrize("command", ["ilc", "exp1"])
+def test_zero_power_reference_is_numerical_error_and_writes_nothing(tmp_path, command):
+    cfg = write_cfg(tmp_path)
+    drive, trace = tmp_path / "x.iq", tmp_path / "trace.csv"
+    argv = [command, "--config", str(cfg), "--set", "signal.target_rms=1e-300"]
+    if command == "ilc":
+        argv += ["--out", str(drive), "--trace", str(trace)]
+    code, _, err = run_cli(argv)
+    assert code == 3
+    assert "numerical error" in err and "zero power" in err
+    assert not drive.exists() and not trace.exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
