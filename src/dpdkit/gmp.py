@@ -29,7 +29,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, DimensionError, DivergenceError, FormatError
 from .signal import IqSignal, _power
@@ -384,6 +383,8 @@ def normal_system(design, target) -> NormalSystem:
                 # OpenBLAS rejects a rank-0 update.
                 gram = np.zeros((n_cols, n_cols), dtype=np.complex128)
             else:
+                import scipy.linalg  # here, not at start-up: it takes about 0.3 s to load
+
                 gram = scipy.linalg.blas.zherk(1.0, design.T, trans=0).T
                 mirror = np.triu_indices(n_cols, 1)
                 gram[mirror] = gram.T[mirror].conj()
@@ -672,10 +673,14 @@ def _read_ascii(path) -> str:
         ) from None
 
 
-def _text_lines(text):
+def _text_lines(text, source=None):
     """``(line number, line)`` of each line of ``text`` that is not empty
-    once its comment and padding are stripped."""
+    once its comment and padding are stripped.  A non-ASCII character
+    anywhere in a line, its comment included, raises FormatError naming
+    ``source`` and the line."""
     for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.isascii():
+            raise FormatError(f"non-ASCII character in {line!r}", path=source, line=lineno)
         line = line.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -153,16 +153,23 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
     gain = config.target_gain if config.target_gain is not None else model.smallsignal_gain
     rate = reference.sample_rate_hz
 
+    # The error, and then the step scaled from it, are formed in place in
+    # one reused buffer; each new drive is a fresh array, which its
+    # signal takes over.
+    error = np.empty_like(target)
+
+    def output_error(output):
+        np.divide(output.samples, gain, out=error)
+        return np.subtract(target, error, out=error)
+
     drive = target.copy()
     driven, output = _forward(drive, rate, model, 0)
-    error = target - output.samples / gain
-    history = [_ratio_db(_power(error), ref_power)]
+    history = [_ratio_db(_power(output_error(output)), ref_power)]
     rising = 0
     for iteration in range(1, config.iterations + 1):
-        drive = drive + config.learning_rate * error
+        drive = drive + np.multiply(config.learning_rate, error, out=error)
         driven, output = _forward(drive, rate, model, iteration)
-        error = target - output.samples / gain
-        history.append(_ratio_db(_power(error), ref_power))
+        history.append(_ratio_db(_power(output_error(output)), ref_power))
         if not history[-1] <= history[-2]:
             rising += 1
             if rising >= 3:

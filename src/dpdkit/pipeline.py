@@ -316,7 +316,7 @@ def parse_config(text, base_dir=".", source="<config>", overrides=()) -> Experim
     applied.  An error in an entry is a ConfigurationError that names
     ``source`` and the line, or the override."""
     try:
-        entries = _read_entries(_text_lines(text), source)
+        entries = _read_entries(_text_lines(text, source), source)
         for item in overrides:
             where = f"override {item!r}"
             key, value = _split_entry(item, where)

@@ -28,11 +28,15 @@ update of Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010);
 ``kkt_check`` forms ``S^H r`` the same way.
 
 Every ridge solve, and so every iterate of the Lasso and of each block,
-is one LAPACK ``zposv`` call on a Fortran-ordered work copy of the Gram
-with the ridge weights added to its diagonal, after one explicit
-finiteness check of that system and its right-hand side.  While no
-coefficient has left the active set, the Lasso passes the Gram through
-without gathering a sub-block.
+is one LAPACK ``zposv`` call on a Fortran-ordered work array that holds
+the Gram with the ridge weights added to its diagonal.  Each l1 call
+checks its Gram finite once and takes one Fortran-ordered copy of it;
+while no coefficient has left the active set, each iterate refills one
+work array from that copy with a contiguous copy, and checks only the
+diagonal and the right-hand side before it factors.  The
+least-squares gate reads the condition number off the eigenvalues of
+the equilibrated Gram.  scipy, which supplies ``zposv``, is imported at
+the first solve, so a process that never fits never loads it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigurationError,
@@ -182,6 +185,18 @@ def _describe(system):
 # Dense solves.
 
 
+def _condition(gram):
+    """2-norm condition number of a Hermitian matrix, the ratio of its
+    largest to its smallest eigenvalue: what ``np.linalg.cond`` computes
+    by an SVD for a positive definite matrix.  Infinite when the
+    smallest eigenvalue is not positive (or not finite), where the
+    matrix is not positive definite."""
+    eigenvalues = np.linalg.eigvalsh(gram)
+    if not eigenvalues[0] > 0:
+        return math.inf
+    return float(eigenvalues[-1] / eigenvalues[0])
+
+
 def _normal_solve(gram, rhs, what):
     """Solve ``gram w = rhs`` (the normal equations S^H S w = S^H x) with
     column equilibration and a condition gate, by the Cholesky solve of
@@ -195,8 +210,8 @@ def _normal_solve(gram, rhs, what):
         raise RankDeficiencyError(f"column {dead} of {what} carries no energy")
     scale = np.sqrt(diag)
     gram_eq = gram / np.outer(scale, scale)
-    cond = float(np.linalg.cond(gram_eq))
-    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
+    cond = _condition(gram_eq)
+    if cond > CONDITION_LIMIT:
         raise RankDeficiencyError(
             f"normal equations of {what} have condition estimate {cond:.3e} "
             f"(limit {CONDITION_LIMIT:.0e})"
@@ -220,24 +235,39 @@ def least_squares(S, x):
     return system.coefficients(_normal_solve(system.gram, system.rhs, _describe(system)))
 
 
-def _ridge_solve(gram, rhs, weights):
+def _ridge_solve(gram, rhs, weights, work=None):
     """Solve ``(gram + diag(weights)) w = rhs`` by Cholesky.
 
-    ``gram`` is copied once into a Fortran-ordered work array, the
-    weights are added to its diagonal in place, and one LAPACK ``zposv``
-    (``potrf`` then ``potrs`` on the upper triangle, the routines behind
-    ``cho_factor``/``cho_solve``) factors and solves it there.  A system
-    or right-hand side that is not finite, or a system that is not
-    positive definite, raises RankDeficiencyError.
+    One LAPACK ``zposv`` (``potrf`` then ``potrs`` on the upper
+    triangle, the routines behind ``cho_factor``/``cho_solve``) factors
+    and solves in a Fortran-ordered work array that holds ``gram`` with
+    the weights added to its diagonal.  Without ``work``, ``gram`` is
+    checked finite and copied into a new work array.  ``work`` is a
+    Fortran-ordered array of ``gram``'s shape, which the solve
+    overwrites, from a caller that has checked ``gram`` finite: ``gram``
+    is copied into it as it is, one contiguous copy when ``gram`` is
+    Fortran-ordered too.  Either way the diagonal and ``rhs`` are
+    checked on each solve, since the off-diagonal entries are
+    ``gram``'s.  A system or right-hand side that is not finite, or a
+    system that is not positive definite, raises RankDeficiencyError.
     """
     n = rhs.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.complex128)
-    system = np.array(gram, dtype=np.complex128, order="F")
-    system.flat[:: n + 1] += weights
-    if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
+    if work is None:
+        if not np.isfinite(gram).all():
+            raise RankDeficiencyError("ridge system or right-hand side is not finite")
+        work = np.array(gram, dtype=np.complex128, order="F")
+    else:
+        np.copyto(work, gram)
+    # A finite Gram and finite weights may still sum to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        work.flat[:: n + 1] += weights
+    if not (np.isfinite(work.flat[:: n + 1]).all() and np.isfinite(rhs).all()):
         raise RankDeficiencyError("ridge system or right-hand side is not finite")
-    _, solution, info = scipy.linalg.lapack.zposv(system, rhs, overwrite_a=True)
+    import scipy.linalg  # here, not at start-up: it takes about 0.3 s to load
+
+    _, solution, info = scipy.linalg.lapack.zposv(work, rhs, overwrite_a=True)
     if info > 0:
         raise RankDeficiencyError(
             f"ridge system failed to factor: leading minor {info} is not positive definite"
@@ -309,10 +339,16 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     else:
         weights = np.full(n_col, lam / 2.0)
 
+    if not np.isfinite(gram).all():
+        raise RankDeficiencyError("ridge system or right-hand side is not finite")
+    # One checked, Fortran-ordered copy of the Gram per call, which each
+    # full-system iterate copies into one reused work array.
+    gram_f = np.array(gram, dtype=np.complex128, order="F")
+    work = np.empty_like(gram_f)
     active = np.arange(n_col)
     for _ in range(config.inner_ridge_iterations):
         if active.size == n_col:
-            solved = _ridge_solve(gram, rhs, weights)
+            solved = _ridge_solve(gram_f, rhs, weights, work)
         else:
             solved = _ridge_solve(gram[np.ix_(active, active)], rhs[active], weights)
         survivors = np.abs(solved) >= zero_threshold

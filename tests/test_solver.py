@@ -1,6 +1,7 @@
 """Least squares, Lasso via iterated ridge, BCD, schedules, KKT."""
 import tracemalloc
 from unittest import mock
+import warnings
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -873,15 +874,19 @@ def test_lasso_core_full_active_set_equals_gathered_path_bitwise(
     config = BcdConfig()
     seen = []
 
-    def gathered(system, right, weights):
-        seen.append(system)
+    def gathered(system, right, weights, work=None):
+        seen.append((system, work))
         every = np.arange(right.shape[0])
         return cholesky_ridge_solve(system[np.ix_(every, every)], right[every], weights)
 
     direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
     with mock.patch.object(solver, "_ridge_solve", gathered):
         reference = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
-    assert seen[0] is gram
+    # The first iterate solves the whole system: the call's one
+    # Fortran-ordered copy of the Gram, into its reused work array.
+    system, work = seen[0]
+    assert system.flags.f_contiguous and np.array_equal(system, gram)
+    assert work is not None and work.flags.f_contiguous and work.shape == gram.shape
     assert np.array_equal(direct, reference)
 
 
@@ -911,6 +916,54 @@ def test_non_finite_ridge_systems_are_rank_deficiency():
         ):
             with pytest.raises(RankDeficiencyError):
                 call()
+
+
+def test_ridge_diagonal_overflow_is_rank_deficiency_without_warnings():
+    # The Gram and the weights are finite, but their sum on the diagonal
+    # overflows; the off-diagonal entries are checked once per l1 call,
+    # the diagonal on each solve.
+    gram = np.array([[1e308, 0.5], [0.5, 1.0]], dtype=np.complex128)
+    rhs = np.ones(2, dtype=np.complex128)
+    weights = np.array([1e308, 1.0])
+    work = np.empty((2, 2), dtype=np.complex128, order="F")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: solver._ridge_solve(gram, rhs, weights),
+            lambda: solver._ridge_solve(np.asfortranarray(gram), rhs, weights, work),
+            # The first ridge weights are lam/2 = 5e307.
+            lambda: solver._lasso_core(
+                gram * 1.5, np.array([1e308, 1.0], dtype=np.complex128), 1e308, 0.0, BcdConfig()
+            ),
+        ):
+            with pytest.raises(RankDeficiencyError, match="not finite"):
+                call()
+
+
+def _gram_with_condition(rng, n, condition):
+    """Exactly Hermitian, positive definite n x n matrix with eigenvalues
+    spread evenly in log from 1 down to 1/condition."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    gram = (q * np.logspace(0.0, -np.log10(condition), n)) @ q.conj().T
+    return (gram + gram.conj().T) / 2
+
+
+def test_condition_gate_reads_the_eigenvalues():
+    # Where the smallest eigenvalue is not positive the gate reads an
+    # infinite condition number and raises before any factorization;
+    # the singular values of this matrix are 3 and 1.
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
+    assert np.linalg.cond(indefinite) == pytest.approx(3.0)
+    with pytest.raises(RankDeficiencyError, match="condition estimate inf"):
+        solver._normal_solve(indefinite, np.ones(2, dtype=np.complex128), "indefinite")
+    # For a positive definite matrix the ratio of its extreme eigenvalues
+    # is the 2-norm condition number that the SVD of np.linalg.cond gives.
+    rng = np.random.default_rng(5)
+    for condition in (1e3, 1e9):
+        gram = _gram_with_condition(rng, 40, condition)
+        reference = np.linalg.cond(gram)
+        assert reference == pytest.approx(condition, rel=1e-3)
+        assert abs(solver._condition(gram) - reference) <= 1e-6 * reference
 
 
 def _peak_traced_bytes(call):
