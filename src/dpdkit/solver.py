@@ -27,16 +27,14 @@ correlation ``S^H r`` of the residual instead of the N-sample residual
 update of Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010);
 ``kkt_check`` forms ``S^H r`` the same way.
 
-Every ridge solve, and so every iterate of the Lasso and of each block,
-is one LAPACK ``zposv`` call on a Fortran-ordered work array that holds
-the Gram with the ridge weights added to its diagonal.  Each l1 call
-checks its Gram finite once and takes one Fortran-ordered copy of it;
-while no coefficient has left the active set, each iterate refills one
-work array from that copy with a contiguous copy, and checks only the
-diagonal and the right-hand side before it factors.  The
-least-squares gate reads the condition number off the eigenvalues of
-the equilibrated Gram.  scipy, which supplies ``zposv``, is imported at
-the first solve, so a process that never fits never loads it.
+Every dense solve, and so every iterate of the Lasso and of each
+block, is one LAPACK ``zposv`` that factors in place a Fortran-ordered
+system owned by its caller.  An l1 call checks its Gram finite once and
+keeps the active set's Gram as one such array, cut down only when
+coefficients leave the active set; a least-squares fit equilibrates
+its Gram straight into the array that its condition gate reads and
+``zposv`` factors.  scipy, which supplies ``zposv``, is imported at the
+first solve, so a process that never fits never loads it.
 """
 
 from __future__ import annotations
@@ -199,25 +197,27 @@ def _condition(gram):
 
 def _normal_solve(gram, rhs, what):
     """Solve ``gram w = rhs`` (the normal equations S^H S w = S^H x) with
-    column equilibration and a condition gate, by the Cholesky solve of
-    ``_ridge_solve`` with zero weights.  A Gram that is not finite has
-    no condition number to gate on and raises RankDeficiencyError."""
+    column equilibration and a condition gate, by ``_ridge_solve`` with
+    zero weights on the one equilibrated, Fortran-ordered copy of
+    ``gram``.  A Gram that is not finite has no condition number to gate
+    on and raises RankDeficiencyError."""
     if not np.isfinite(gram).all():
         raise RankDeficiencyError(f"normal equations of {what} are not finite")
-    diag = np.real(np.diagonal(gram)).copy()
+    diag = np.real(np.diagonal(gram))
     if np.any(diag <= 0):
         dead = int(np.flatnonzero(diag <= 0)[0])
         raise RankDeficiencyError(f"column {dead} of {what} carries no energy")
     scale = np.sqrt(diag)
-    gram_eq = gram / np.outer(scale, scale)
-    cond = _condition(gram_eq)
+    system = np.empty(gram.shape, dtype=np.complex128, order="F")
+    np.divide(gram, np.outer(scale, scale), out=system)
+    cond = _condition(system)
     if cond > CONDITION_LIMIT:
         raise RankDeficiencyError(
             f"normal equations of {what} have condition estimate {cond:.3e} "
             f"(limit {CONDITION_LIMIT:.0e})"
         )
     try:
-        solution = _ridge_solve(gram_eq, rhs / scale, 0.0)
+        solution = _ridge_solve(system, rhs / scale, 0.0)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(f"normal equations of {what} failed to factor: {exc}") from exc
     return solution / scale
@@ -235,39 +235,28 @@ def least_squares(S, x):
     return system.coefficients(_normal_solve(system.gram, system.rhs, _describe(system)))
 
 
-def _ridge_solve(gram, rhs, weights, work=None):
-    """Solve ``(gram + diag(weights)) w = rhs`` by Cholesky.
+def _ridge_solve(system, rhs, weights):
+    """Solve ``(system + diag(weights)) w = rhs`` by Cholesky, in place.
 
-    One LAPACK ``zposv`` (``potrf`` then ``potrs`` on the upper
+    ``system`` is a Fortran-ordered complex array that the caller owns
+    and has checked finite.  The weights are added to its diagonal, and
+    one LAPACK ``zposv`` (``potrf`` then ``potrs`` on the upper
     triangle, the routines behind ``cho_factor``/``cho_solve``) factors
-    and solves in a Fortran-ordered work array that holds ``gram`` with
-    the weights added to its diagonal.  Without ``work``, ``gram`` is
-    checked finite and copied into a new work array.  ``work`` is a
-    Fortran-ordered array of ``gram``'s shape, which the solve
-    overwrites, from a caller that has checked ``gram`` finite: ``gram``
-    is copied into it as it is, one contiguous copy when ``gram`` is
-    Fortran-ordered too.  Either way the diagonal and ``rhs`` are
-    checked on each solve, since the off-diagonal entries are
-    ``gram``'s.  A system or right-hand side that is not finite, or a
-    system that is not positive definite, raises RankDeficiencyError.
+    and solves in it.  A diagonal or right-hand side that is not finite,
+    or a system that is not positive definite, raises
+    RankDeficiencyError.
     """
     n = rhs.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.complex128)
-    if work is None:
-        if not np.isfinite(gram).all():
-            raise RankDeficiencyError("ridge system or right-hand side is not finite")
-        work = np.array(gram, dtype=np.complex128, order="F")
-    else:
-        np.copyto(work, gram)
     # A finite Gram and finite weights may still sum to inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        work.flat[:: n + 1] += weights
-    if not (np.isfinite(work.flat[:: n + 1]).all() and np.isfinite(rhs).all()):
+        system.flat[:: n + 1] += weights
+    if not (np.isfinite(system.flat[:: n + 1]).all() and np.isfinite(rhs).all()):
         raise RankDeficiencyError("ridge system or right-hand side is not finite")
     import scipy.linalg  # here, not at start-up: it takes about 0.3 s to load
 
-    _, solution, info = scipy.linalg.lapack.zposv(work, rhs, overwrite_a=True)
+    _, solution, info = scipy.linalg.lapack.zposv(system, rhs, overwrite_a=True)
     if info > 0:
         raise RankDeficiencyError(
             f"ridge system failed to factor: leading minor {info} is not positive definite"
@@ -323,6 +312,9 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     max(zero_threshold, 10*inner_tolerance, ridge_epsilon) are reported
     as exact zeros: the iteration approaches a vanishing coefficient
     only asymptotically, so anything that small is numerically zero.
+    Each iterate copies the active set's Gram into a work array that
+    ``_ridge_solve`` factors; a weight that overflows to inf raises
+    RankDeficiencyError there.
     """
     n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)
@@ -333,24 +325,21 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
         return omega
     eps = config.ridge_epsilon
 
-    if initial is not None and np.any(initial):
-        start = np.abs(np.asarray(initial, dtype=np.complex128))
-        weights = lam / (2.0 * np.maximum(start, max(zero_threshold, eps)))
-    else:
-        weights = np.full(n_col, lam / 2.0)
+    with np.errstate(over="ignore"):
+        if initial is not None and np.any(initial):
+            start = np.abs(np.asarray(initial, dtype=np.complex128))
+            weights = lam / (2.0 * np.maximum(start, max(zero_threshold, eps)))
+        else:
+            weights = np.full(n_col, lam / 2.0)
 
     if not np.isfinite(gram).all():
         raise RankDeficiencyError("ridge system or right-hand side is not finite")
-    # One checked, Fortran-ordered copy of the Gram per call, which each
-    # full-system iterate copies into one reused work array.
-    gram_f = np.array(gram, dtype=np.complex128, order="F")
-    work = np.empty_like(gram_f)
+    system = np.array(gram, dtype=np.complex128, order="F")
+    work = np.empty_like(system)
     active = np.arange(n_col)
     for _ in range(config.inner_ridge_iterations):
-        if active.size == n_col:
-            solved = _ridge_solve(gram_f, rhs, weights, work)
-        else:
-            solved = _ridge_solve(gram[np.ix_(active, active)], rhs[active], weights)
+        np.copyto(work, system)
+        solved = _ridge_solve(work, rhs, weights)
         survivors = np.abs(solved) >= zero_threshold
         new = np.zeros(n_col, dtype=np.complex128)
         new[active[survivors]] = solved[survivors]
@@ -359,7 +348,12 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
         omega = new
         if active.size == 0 or delta < config.inner_tolerance:
             break
-        weights = lam / (2.0 * np.maximum(np.abs(omega[active]), eps))
+        if not survivors.all():
+            system = np.asfortranarray(system[np.ix_(survivors, survivors)])
+            rhs = rhs[survivors]
+            work = np.empty_like(system)
+        with np.errstate(over="ignore"):
+            weights = lam / (2.0 * np.maximum(np.abs(omega[active]), eps))
 
     floor = max(zero_threshold, 10.0 * config.inner_tolerance, eps)
     omega[np.abs(omega) <= floor] = 0.0
@@ -383,17 +377,17 @@ def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None):
 class FitRecord:
     """State after one outer block-descent iteration.
 
-    ``objective`` is the residual power plus the weighted l1 term, and
-    ``rejected_orders`` lists the orders whose block update the descent
-    rejected in this sweep because it did not lower the objective by
-    more than rounding error.
+    ``objective`` is the residual power plus the l1 term weighted by the
+    fit's schedule, which every sweep shares, and ``rejected_orders``
+    lists the orders whose block update the descent rejected in this
+    sweep because it did not lower the objective by more than rounding
+    error.
     """
 
     iteration: int
     nmse_db: float
     kernel_count: int
     effective_memory_depth: int
-    lambda_by_order: dict
     coefficients: np.ndarray
     objective: float
     rejected_orders: tuple
@@ -512,7 +506,6 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
                 nmse_db=_ratio_db(residual_power, target_power),
                 kernel_count=int(nonzero.size),
                 effective_memory_depth=depth,
-                lambda_by_order=dict(lam),
                 coefficients=snapshot,
                 objective=objective,
                 rejected_orders=tuple(rejected),

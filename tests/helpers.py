@@ -186,3 +186,36 @@ def cholesky_ridge_solve(gram, rhs, weights):
     """
     factor = scipy.linalg.cho_factor(gram + np.diag(weights))
     return scipy.linalg.cho_solve(factor, rhs)
+
+
+def gathered_lasso_core(gram, rhs, lam, zero_threshold, config):
+    """Iterated ridge regression that cuts each iterate's ridge system
+    out of the original Gram by index.
+
+    The reference for the solver's Lasso core, which keeps the active
+    set's Gram and cuts it down only when coefficients leave the active
+    set: here every iterate gathers ``gram`` and ``rhs`` at the active
+    indices afresh, from uniform first weights lam/2, and solves through
+    ``cholesky_ridge_solve``.
+    """
+    n_col = rhs.shape[0]
+    omega = np.zeros(n_col, dtype=np.complex128)
+    if n_col == 0 or lam >= 2.0 * float(np.max(np.abs(rhs))):
+        return omega
+    eps = config.ridge_epsilon
+    weights = np.full(n_col, lam / 2.0)
+    active = np.arange(n_col)
+    for _ in range(config.inner_ridge_iterations):
+        solved = cholesky_ridge_solve(gram[np.ix_(active, active)], rhs[active], weights)
+        survivors = np.abs(solved) >= zero_threshold
+        new = np.zeros(n_col, dtype=np.complex128)
+        new[active[survivors]] = solved[survivors]
+        active = active[survivors]
+        delta = float(np.max(np.abs(new - omega)))
+        omega = new
+        if active.size == 0 or delta < config.inner_tolerance:
+            break
+        weights = lam / (2.0 * np.maximum(np.abs(omega[active]), eps))
+    floor = max(zero_threshold, 10.0 * config.inner_tolerance, eps)
+    omega[np.abs(omega) <= floor] = 0.0
+    return omega

@@ -41,6 +41,7 @@ from dpdkit.solver import (
 from helpers import (
     block_objective,
     cholesky_ridge_solve,
+    gathered_lasso_core,
     ladder_tables,
     lasso_objective,
     residual_domain_block_lasso,
@@ -843,13 +844,16 @@ def _hpd_system(rng, n, extra_rows):
 def test_ridge_solve_equals_cholesky_reference_bitwise(n, extra_rows, keep, seed):
     rng = np.random.default_rng(seed)
     gram, rhs, weights = _hpd_system(rng, n, extra_rows)
+    # The solve factors its system in place, so each call gets a
+    # Fortran-ordered copy.
     assert np.array_equal(
-        solver._ridge_solve(gram, rhs, weights), cholesky_ridge_solve(gram, rhs, weights)
+        solver._ridge_solve(np.array(gram, order="F"), rhs, weights),
+        cholesky_ridge_solve(gram, rhs, weights),
     )
     active = np.flatnonzero(rng.random(n) < keep)
     sub = gram[np.ix_(active, active)]
     assert np.array_equal(
-        solver._ridge_solve(sub, rhs[active], weights[active]),
+        solver._ridge_solve(np.array(sub, order="F"), rhs[active], weights[active]),
         cholesky_ridge_solve(sub, rhs[active], weights[active]),
     )
 
@@ -865,28 +869,25 @@ def test_ridge_solve_equals_cholesky_reference_bitwise(n, extra_rows, keep, seed
 def test_lasso_core_full_active_set_equals_gathered_path_bitwise(
     n, extra_rows, lam_fraction, zero_threshold, seed
 ):
-    # The gathered path cuts every ridge system out of the Gram by index,
-    # even while no coefficient has left the active set, and solves it
-    # through SciPy's Cholesky wrappers.
+    # The core cuts the active set's Gram down as coefficients leave it;
+    # the reference gathers every iterate's system out of the original
+    # Gram by index and solves it through SciPy's Cholesky wrappers.
     rng = np.random.default_rng(seed)
     gram, rhs, _ = _hpd_system(rng, n, extra_rows)
     lam = lam_fraction * 2.0 * float(np.max(np.abs(rhs)))
     config = BcdConfig()
-    seen = []
+    layouts = []
+    ridge_solve = solver._ridge_solve
 
-    def gathered(system, right, weights, work=None):
-        seen.append((system, work))
-        every = np.arange(right.shape[0])
-        return cholesky_ridge_solve(system[np.ix_(every, every)], right[every], weights)
+    def spy(system, right, weights):
+        layouts.append(system.flags.f_contiguous)
+        return ridge_solve(system, right, weights)
 
-    direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
-    with mock.patch.object(solver, "_ridge_solve", gathered):
-        reference = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
-    # The first iterate solves the whole system: the call's one
-    # Fortran-ordered copy of the Gram, into its reused work array.
-    system, work = seen[0]
-    assert system.flags.f_contiguous and np.array_equal(system, gram)
-    assert work is not None and work.flags.f_contiguous and work.shape == gram.shape
+    with mock.patch.object(solver, "_ridge_solve", spy):
+        direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
+    # Every iterate factors a Fortran-ordered work array in place.
+    assert all(layouts)
+    reference = gathered_lasso_core(gram, rhs, lam, zero_threshold, config)
     assert np.array_equal(direct, reference)
 
 
@@ -899,9 +900,17 @@ def test_non_finite_ridge_systems_are_rank_deficiency():
     nan_rhs[1] = np.nan
     inf_gram[2, 0] = np.inf  # below the diagonal, where the factorization never reads
     nan_weights[1] = np.nan
-    for args in ((gram, nan_rhs, weights), (inf_gram, rhs, weights), (gram, rhs, nan_weights)):
+    # The ridge solve checks its diagonal and right-hand side; its
+    # callers check the whole Gram.
+    for right, w in ((nan_rhs, weights), (rhs, nan_weights)):
         with pytest.raises(RankDeficiencyError):
-            solver._ridge_solve(*args)
+            solver._ridge_solve(np.array(gram, order="F"), right, w)
+    for call in (
+        lambda: solver._lasso_core(inf_gram, rhs, 1e-3, 0.0, BcdConfig()),
+        lambda: solver._normal_solve(inf_gram, rhs, "system"),
+    ):
+        with pytest.raises(RankDeficiencyError, match="not finite"):
+            call()
 
     nan_x, inf_S = x.copy(), S.copy()
     nan_x[4] = np.nan
@@ -920,21 +929,21 @@ def test_non_finite_ridge_systems_are_rank_deficiency():
 
 def test_ridge_diagonal_overflow_is_rank_deficiency_without_warnings():
     # The Gram and the weights are finite, but their sum on the diagonal
-    # overflows; the off-diagonal entries are checked once per l1 call,
-    # the diagonal on each solve.
+    # overflows, or a weight itself overflows; the off-diagonal entries
+    # are checked once per l1 call, the diagonal on each solve.
     gram = np.array([[1e308, 0.5], [0.5, 1.0]], dtype=np.complex128)
     rhs = np.ones(2, dtype=np.complex128)
+    huge_rhs = np.array([1e308, 1.0], dtype=np.complex128)
     weights = np.array([1e308, 1.0])
-    work = np.empty((2, 2), dtype=np.complex128, order="F")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (
-            lambda: solver._ridge_solve(gram, rhs, weights),
-            lambda: solver._ridge_solve(np.asfortranarray(gram), rhs, weights, work),
+            lambda: solver._ridge_solve(np.array(gram, order="F"), rhs, weights),
             # The first ridge weights are lam/2 = 5e307.
-            lambda: solver._lasso_core(
-                gram * 1.5, np.array([1e308, 1.0], dtype=np.complex128), 1e308, 0.0, BcdConfig()
-            ),
+            lambda: solver._lasso_core(gram * 1.5, huge_rhs, 1e308, 0.0, BcdConfig()),
+            # The first solve is finite; lam / (2 |w|) then overflows on
+            # the small second coefficient.
+            lambda: solver._lasso_core(gram, huge_rhs, 1e308, 0.0, BcdConfig()),
         ):
             with pytest.raises(RankDeficiencyError, match="not finite"):
                 call()
