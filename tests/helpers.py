@@ -193,10 +193,11 @@ def gathered_lasso_core(gram, rhs, lam, zero_threshold, config):
     out of the original Gram by index.
 
     The reference for the solver's Lasso core, which keeps the active
-    set's Gram and cuts it down only when coefficients leave the active
-    set: here every iterate gathers ``gram`` and ``rhs`` at the active
-    indices afresh, from uniform first weights lam/2, and solves through
-    ``cholesky_ridge_solve``.
+    set's Gram, cuts it down when coefficients leave the active set and
+    folds out the columns at the cap weight: here every iterate gathers
+    ``gram`` and ``rhs`` at the active indices afresh, from uniform
+    first weights lam/2, and solves the whole active set's system
+    through ``cholesky_ridge_solve``.
     """
     n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)

@@ -1,4 +1,5 @@
 """Least squares, Lasso via iterated ridge, BCD, schedules, KKT."""
+from pathlib import Path
 import tracemalloc
 from unittest import mock
 import warnings
@@ -25,7 +26,7 @@ from dpdkit.gmp import (
     full_structure,
     normal_system,
 )
-from dpdkit.pipeline import matched_count_lasso
+from dpdkit.pipeline import _training_stage, load_config, matched_count_lasso
 from dpdkit.signal import IqSignal
 from dpdkit.solver import (
     BcdConfig,
@@ -47,6 +48,9 @@ from helpers import (
     residual_domain_block_lasso,
     soft_threshold_solution,
 )
+
+
+SHIPPED_CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def _random_design(rng, n, p):
@@ -661,8 +665,9 @@ def test_block_missing_order_in_schedule():
 
 
 def test_bcd_config_validation():
-    with pytest.raises(ConfigurationError):
-        BcdConfig(outer_iterations=0)
+    for outer in (0, 10_001, 10**20):
+        with pytest.raises(ConfigurationError):
+            BcdConfig(outer_iterations=outer)
     with pytest.raises(ConfigurationError):
         BcdConfig(inner_ridge_iterations=0)
     with pytest.raises(ConfigurationError):
@@ -869,9 +874,10 @@ def test_ridge_solve_equals_cholesky_reference_bitwise(n, extra_rows, keep, seed
 def test_lasso_core_full_active_set_equals_gathered_path_bitwise(
     n, extra_rows, lam_fraction, zero_threshold, seed
 ):
-    # The core cuts the active set's Gram down as coefficients leave it;
-    # the reference gathers every iterate's system out of the original
-    # Gram by index and solves it through SciPy's Cholesky wrappers.
+    # The core cuts the active set's Gram down as coefficients leave it
+    # and folds out the columns at the cap weight; the reference gathers
+    # every iterate's system out of the original Gram by index and solves
+    # it through SciPy's Cholesky wrappers.
     rng = np.random.default_rng(seed)
     gram, rhs, _ = _hpd_system(rng, n, extra_rows)
     lam = lam_fraction * 2.0 * float(np.max(np.abs(rhs)))
@@ -885,10 +891,109 @@ def test_lasso_core_full_active_set_equals_gathered_path_bitwise(
 
     with mock.patch.object(solver, "_ridge_solve", spy):
         direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
-    # Every iterate factors a Fortran-ordered work array in place.
+    # Every iterate and every fold factors a Fortran-ordered array in place.
     assert all(layouts)
     reference = gathered_lasso_core(gram, rhs, lam, zero_threshold, config)
-    assert np.array_equal(direct, reference)
+    if zero_threshold > config.ridge_epsilon:
+        # No surviving modulus has the cap weight, so no column folds and
+        # the core solves the reference's systems.
+        assert np.array_equal(direct, reference)
+    else:
+        _assert_same_fit(direct, reference)
+
+
+def _assert_same_fit(direct, reference):
+    """Equal supports, and coefficients within 1e-12 of the largest
+    modulus: folding a column out by block elimination reorders the sums
+    of the solve, so the two paths differ in rounding alone."""
+    assert np.array_equal(direct != 0, reference != 0)
+    scale = float(np.max(np.abs(reference)))
+    assert float(np.max(np.abs(direct - reference))) <= 1e-12 * scale
+
+
+def _solved_sizes(call):
+    """Run ``call`` with a spy on ``_ridge_solve``; return, per solve, the
+    size of the system before any folding: the rows of an iterate's
+    system, or the folded plus the kept rows of a fold."""
+    sizes = []
+    ridge_solve = solver._ridge_solve
+
+    def spy(system, right, weights):
+        sizes.append(right.shape[0] + (right.shape[1] - 1 if right.ndim == 2 else 0))
+        return ridge_solve(system, right, weights)
+
+    with mock.patch.object(solver, "_ridge_solve", spy):
+        result = call()
+    return result, sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    extra_rows=st.integers(0, 40),
+    lam_fraction=st.floats(1e-3, 0.9),
+    zero_threshold=st.sampled_from([0.0, 1e-4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lasso_core_fold_matches_gathered_path(
+    n, extra_rows, lam_fraction, zero_threshold, seed
+):
+    # With eps = 1e-3 columns fold within a few iterates, and with a zero
+    # threshold of 1e-4 a folded coefficient is often cut, which restores
+    # the unfolded system and folds again.
+    rng = np.random.default_rng(seed)
+    gram, rhs, _ = _hpd_system(rng, n, extra_rows)
+    lam = lam_fraction * 2.0 * float(np.max(np.abs(rhs)))
+    config = BcdConfig(ridge_epsilon=1e-3)
+    _assert_same_fit(
+        solver._lasso_core(gram, rhs, lam, zero_threshold, config),
+        gathered_lasso_core(gram, rhs, lam, zero_threshold, config),
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, n, extra_rows, lam_fraction, eps, zero_threshold",
+    [
+        (18, 6, 0, 0.5, 0.1, 0.0),  # a folded modulus rises above eps
+        (273, 6, 0, 0.5, 1e-3, 1e-4),  # a folded modulus falls below the threshold
+    ],
+)
+def test_lasso_core_unfolds_a_coefficient_that_leaves_the_cap(
+    seed, n, extra_rows, lam_fraction, eps, zero_threshold
+):
+    rng = np.random.default_rng(seed)
+    gram, rhs, _ = _hpd_system(rng, n, extra_rows)
+    lam = lam_fraction * 2.0 * float(np.max(np.abs(rhs)))
+    config = BcdConfig(ridge_epsilon=eps)
+    direct, sizes = _solved_sizes(
+        lambda: solver._lasso_core(gram, rhs, lam, zero_threshold, config)
+    )
+    # Folding and cutting only shrink the system; the restored system of
+    # the active set is larger than the folded one before it.
+    assert any(after > before for before, after in zip(sizes, sizes[1:]))
+    _assert_same_fit(direct, gathered_lasso_core(gram, rhs, lam, zero_threshold, config))
+
+
+def test_standard_lasso_solves_ever_smaller_systems_on_desk_scale():
+    # At the shipped penalty most of the 70 desk-scale coefficients sink
+    # to the eps floor within a few iterates; folded out, they leave the
+    # last iterates a system no larger than the kept support's few dozen
+    # columns, where a solve of every kernel would take all 70.
+    config = load_config(SHIPPED_CONFIGS / "desk-scale.cfg")
+    _, _, learned, matrix = _training_stage(config)
+    coeffs, sizes = _solved_sizes(
+        lambda: lasso_iterated_ridge(
+            matrix,
+            learned.drive,
+            config.standard_lasso_lambda,
+            config.standard_lasso_zero_threshold,
+            config.bcd,
+        )
+    )
+    n_kernels = matrix.structure.kernel_count
+    assert sizes[0] == n_kernels
+    assert max(sizes[-10:]) < n_kernels // 2
+    assert 0 < np.count_nonzero(coeffs.values) <= sizes[-1]
 
 
 def test_non_finite_ridge_systems_are_rank_deficiency():
