@@ -249,7 +249,8 @@ def _cmd_exp2(args):
     report = run_experiment2(config)
     for row in report.rows:
         print(
-            f"{row.method}: evm_db={row.evm_db!r} nmse_db={row.nmse_db!r} "
+            f"{row.method}: evm_db={'-' if row.evm_db is None else repr(row.evm_db)} "
+            f"nmse_db={row.nmse_db!r} "
             f"kernel_count={row.kernel_count} "
             f"effective_memory_depth={row.effective_memory_depth}"
         )

@@ -254,10 +254,12 @@ def max_memory_lag(coeffs: CoefficientVector) -> int:
 
 
 # Rows per block of every pass over the base sequences: the normal
-# equations, ``data`` and ``apply_model``.  4096 samples of the 15 base
-# sequences of the 300-kernel wideband structure take 1.0 MB.  ``data``
-# is the same bit for bit at any block size; the sums of the normal
-# equations and the lag-grouped BLAS products of ``apply_model`` need not be.
+# equations, ``data`` and ``apply_model``.  A block holds the carrier and
+# one real envelope row per base: 4096 samples of the 15 envelopes of the
+# 300-kernel wideband structure take 0.5 MB, and its complex base rows,
+# which the normal equations and ``data`` form from them, 1.0 MB.
+# ``data`` is the same bit for bit at any block size; the sums of the
+# normal equations and the per-block GEMM of ``apply_model`` need not be.
 ROW_CHUNK = 4096
 
 
@@ -271,17 +273,18 @@ class KernelMatrix:
 
     Only the source samples are stored.  Every column is a delayed copy
     ``psi_b(n - l)`` of one of a few base sequences
-    ``psi_b(q) = s(q) |s(q -+ m)|^k``, one per (branch, k, m): 15 bases
-    carry the 300 columns of the wideband structure.  The envelope
-    powers are powers of ``|s|^2`` (``_base_block``).  The normal
-    equations (``normal_system``), the whole matrix (``data``) and the
-    model output of ``apply_model`` are all cut from blocks of
-    ``ROW_CHUNK`` samples of the bases (``_base_blocks``).  The normal
-    equations take N * B * P work rather than N * P^2, and memory that
-    grows with the block and with P^2, not with N * P.  ``apply_model``
-    adds one B-vector product per lag and block, so its output is within
-    rounding of ``data @ w`` over the support, not bit for bit the
-    column sum.  The matrix
+    ``psi_b(q) = s(q) e_b(q)``, one per (branch, k, m): the carrier
+    times the real envelope ``e_b(q) = |s(q -+ m)|^k``, a power of
+    ``|s|^2``.  15 bases carry the 300 columns of the wideband structure.  The normal equations (``normal_system``), the
+    whole matrix (``data``) and the model output of ``apply_model`` are
+    all cut from blocks of ``ROW_CHUNK`` samples of the carrier and the
+    envelopes (``_base_blocks``).  The normal equations and ``data`` form
+    the complex base rows ``s e_b`` of each block (``_psi_blocks``); the
+    normal equations take N * B * P work rather than N * P^2, and memory
+    that grows with the block and with P^2, not with N * P.
+    ``apply_model`` keeps the carrier factored out and makes one real
+    GEMM per block, so its output is within rounding of ``data @ w``
+    over the support, not bit for bit the column sum.  The matrix
     caches one ``NormalSystem``, for the last target it was asked
     about.  ``data``, the whole N x P matrix, is formed only when a
     caller reads it; no fit reads it.
@@ -303,14 +306,13 @@ class KernelMatrix:
     def data(self) -> np.ndarray:
         """The whole matrix, read-only, cut from blocks of the base
         sequences on first use: column j of a block is its base at its
-        lag, the slice ``apply_model`` adds."""
+        lag, ``s e_b`` delayed by l."""
         bases, base, lag = _bases_of(self.columns)
         shifts = (lag.max() - lag).tolist()
         data = np.empty(self.shape, dtype=np.complex128)
-        for start, stop, psi in _base_blocks(self.samples, bases, lag, self.shape[0]):
+        for start, stop, psi in _psi_blocks(self.samples, bases, lag, self.shape[0]):
             for j, (b, at) in enumerate(zip(base.tolist(), shifts)):
                 data[start:stop, j] = psi[b, at : at + stop - start]
-            del psi
         data.setflags(write=False)
         return data
 
@@ -412,61 +414,108 @@ def _bases_of(descriptors) -> tuple:
     return bases, np.array(base, dtype=np.intp), np.array(lag, dtype=np.intp)
 
 
-def _base_block(samples, bases, first: int, count: int) -> np.ndarray:
-    """``psi_b(q)`` for q = first .. first + count - 1, one row per base,
-    zero outside the source.
+def _base_blocks(samples, bases, lag, n_rows: int, envelope):
+    """``(start, stop, carrier, envelope)`` for each ``ROW_CHUNK``-row
+    block of the rows ``0 .. n_rows - 1`` of columns at the lags ``lag``:
+    the one evaluator of kernel columns.
 
-    Every carrier and envelope factor is a slice of one zero-padded
-    window of the samples, widened by the longest lagging offset behind
-    the positions and by the longest leading offset ahead of them.  Each
-    even envelope power is taken once over the whole window, as a power
-    of ``|s|^2 = re^2 + im^2``: ``|s|^k`` is the product of k/2 copies,
-    with no square root and no ``pow``.  A base of power 0 is the carrier
-    itself, on every branch.
-    """
-    behind = max([d.envelope_offset for d in bases if d.branch is Branch.LAGGING] + [0])
-    ahead = max([d.envelope_offset for d in bases if d.branch is Branch.LEADING] + [0])
-    lo, hi = first - behind, first + count + ahead
-    window = np.zeros(hi - lo, dtype=np.complex128)
-    src_lo, src_hi = max(lo, 0), min(hi, samples.size)
-    if src_hi > src_lo:
-        window[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
-    squared = window.real**2 + window.imag**2
-    # powers[i] is |s|^(2 i) over the window, built up as far as a base needs.
-    powers = [None, squared]
-    carrier = window[behind : behind + count]
-    block = np.empty((len(bases), count), dtype=np.complex128)
-    for b, desc in enumerate(bases):
-        k = desc.order_exponent
-        if k == 0:
-            block[b] = carrier
-            continue
-        if desc.branch is Branch.ALIGNED:
-            env_at = behind
-        elif desc.branch is Branch.LAGGING:
-            env_at = behind - desc.envelope_offset
-        else:
-            env_at = behind + desc.envelope_offset
-        while len(powers) <= k // 2:
-            powers.append(powers[-1] * squared)
-        np.multiply(carrier, powers[k // 2][env_at : env_at + count], out=block[b])
-    return block
-
-
-def _base_blocks(samples, bases, lag, n_rows: int):
-    """``(start, stop, psi)`` for each ``ROW_CHUNK``-row block of the
-    rows ``0 .. n_rows - 1`` of columns at the lags ``lag``.
-
-    ``psi`` holds the bases over the block widened by the lag span:
-    ``psi[:, i]`` is ``psi(start - max(lag) + i)``, so the column
-    of base b at lag l is ``psi[b, max(lag) - l :]`` cut to
-    ``stop - start`` samples.  Only one block exists at a time if the
-    caller drops each before asking for the next.
+    Each block spans its rows widened by the lag span: ``carrier[i]`` is
+    ``s(q)`` and ``envelope[b, i]`` the real envelope of base b at
+    q = start - max(lag) + i, both zero outside the source.  Base b is
+    ``psi_b(q) = carrier * envelope[b]`` (``_psi_blocks``), and its column
+    at lag l is cut from ``max(lag) - l`` on, ``stop - start`` samples
+    long.  The carrier is a view of the samples when the block lies
+    inside them, and a zero-padded copy only at the edges of the signal.
+    The envelopes (``_envelopes``) are written into the leading columns
+    of ``envelope``, one row per base and at least as wide as the widest
+    block, so a block's envelopes hold until the caller asks for the
+    next block.
     """
     lo, hi = int(np.min(lag)), int(np.max(lag))
+    behind = max([d.envelope_offset for d in bases if d.branch is Branch.LAGGING] + [0])
+    ahead = max([d.envelope_offset for d in bases if d.branch is Branch.LEADING] + [0])
+    # Per base: its row, k / 2, and where its envelope starts in the
+    # block widened by ``behind`` and ``ahead``.
+    side = {Branch.ALIGNED: 0, Branch.LAGGING: -1, Branch.LEADING: 1}
+    plan = [
+        (b, d.order_exponent // 2, behind + side[d.branch] * (d.envelope_offset or 0))
+        for b, d in enumerate(bases)
+    ]
+    n = samples.size
     for start in range(0, n_rows, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n_rows)
-        yield start, stop, _base_block(samples, bases, start - hi, stop - start + hi - lo)
+        first, count = start - hi, stop - start + hi - lo
+        if first >= 0 and first + count <= n:
+            carrier = samples[first : first + count]
+        else:
+            carrier = np.zeros(count, dtype=np.complex128)
+            src_lo, src_hi = max(first, 0), min(first + count, n)
+            if src_hi > src_lo:
+                carrier[src_lo - first : src_hi - first] = samples[src_lo:src_hi]
+        rows = envelope[:, :count]
+        _envelopes(samples, rows, first - behind, first + count + ahead, plan)
+        yield start, stop, carrier, rows
+
+
+def _envelopes(samples, rows, lo: int, hi: int, plan) -> None:
+    """Fill ``rows`` with the envelopes of ``plan`` from the samples at
+    ``lo .. hi - 1``, zero outside the source.
+
+    The envelopes are powers of ``|s|^2 = re^2 + im^2``, taken once over
+    that window: ``|s|^k`` is the product of k/2 copies, with no square
+    root and no ``pow``, and a row of higher power at the same offset as
+    a lower one continues its product.  A base of power 0 has a row of
+    ones.
+    """
+    count = rows.shape[1]
+    if any(half for _, half, _ in plan):
+        src_lo, src_hi = max(lo, 0), min(hi, samples.size)
+        squared = np.empty(hi - lo) if src_lo == lo and src_hi == hi else np.zeros(hi - lo)
+        if src_hi > src_lo:
+            window = samples[src_lo:src_hi]
+            inside = squared[src_lo - lo : src_hi - lo]
+            np.multiply(window.real, window.real, out=inside)
+            inside += window.imag**2
+    # The row of highest power so far at each offset, and that power.
+    built = {}
+    for b, half, at in plan:
+        row = rows[b]
+        if half == 0:
+            row[:] = 1.0
+            continue
+        factor = squared[at : at + count]
+        done, below = built.get(at, (0, None))
+        if done:
+            np.multiply(rows[below], factor, out=row)
+        else:
+            row[:] = factor
+        for _ in range(half - done - 1):
+            row *= factor
+        built[at] = (half, b)
+
+
+def _psi_blocks(samples, bases, lag, n_rows: int):
+    """``(start, stop, psi)`` for each block of ``_base_blocks``, with
+    the complex base rows ``psi[b] = carrier * envelope[b]``; a base of
+    power 0 is the carrier itself.
+
+    One array per call holds the rows of every block, so a block's rows
+    hold until the caller asks for the next.  The envelopes are written
+    into the first half of each row: numpy copies an envelope row before
+    the product that overlaps it overwrites it.
+    """
+    width = min(ROW_CHUNK, n_rows) + int(np.max(lag) - np.min(lag))
+    rows = np.empty((len(bases), width), dtype=np.complex128)
+    for start, stop, carrier, envelope in _base_blocks(
+        samples, bases, lag, n_rows, rows.view(np.float64)
+    ):
+        psi = rows[:, : carrier.size]
+        for b, desc in enumerate(bases):
+            if desc.order_exponent == 0:
+                psi[b] = carrier
+            else:
+                np.multiply(carrier, envelope[b], out=psi[b])
+        yield start, stop, psi
 
 
 def _kernel_normal_equations(km, target) -> tuple:
@@ -515,7 +564,7 @@ def _kernel_normal_equations(km, target) -> tuple:
     products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
     correlation = np.zeros((n_bases, lags.size), dtype=np.complex128)
     # The bases delayed by each lag difference d, over blocks of q.
-    for q0, block_stop, psi in _base_blocks(km.samples, bases, diffs, q_hi):
+    for q0, block_stop, psi in _psi_blocks(km.samples, bases, diffs, q_hi):
         count = block_stop - q0
         # psi[:, i] is psi(q0 - span + i) and head[:, i] is conj(psi(q0 + i)),
         # conjugated row by row: a ufunc on the strided block would take
@@ -537,7 +586,7 @@ def _kernel_normal_equations(km, target) -> tuple:
             shifted[: n_hi - n_lo] = target[n_lo:n_hi]
         for i, l in enumerate(lags.tolist()):
             correlation[:, i] += head @ shifted[l - lo : l - lo + count]
-        del psi, head
+        del head
     rhs = correlation[base, np.searchsorted(lags, lag)]
     # by_lag[i, t]: the products over the window of lag lags[i].
     by_lag = np.zeros((lags.size, diffs.size, n_bases, n_bases), dtype=np.complex128)
@@ -590,15 +639,18 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     """Synthesize the model output ``sum over the support of c_j S[:, j]``.
 
     Only the support is evaluated, so sparse models cost proportionally
-    less than a full kernel-matrix product.  Every column is a delayed
-    base sequence (see ``KernelMatrix``): each ``ROW_CHUNK``-sample block
-    of the output evaluates the support's bases once, over the block
-    widened by the support's lag span, and then adds one term per
-    distinct lag l, in increasing l.  A lag that carries several bases
-    adds the BLAS vector-matrix product ``row_l @ psi(n - l)``, where
-    ``row_l`` holds that lag's coefficients over all the support's
-    bases, zero where a base is absent at l.  A lag with a single base
-    adds ``c psi_b(n - l)``, so a one-term model is exactly ``c s``.
+    less than a full kernel-matrix product.  Every column is the carrier
+    times a real envelope, ``s(n - l) e_b(n - l)`` (see ``KernelMatrix``),
+    so the output is ``sum over the lags l of s(n - l) g_l(n - l)``, with
+    ``g_l = sum over b of c_(l,b) e_b``.  Each ``ROW_CHUNK``-sample block
+    of the output evaluates the carrier and the support's envelopes once,
+    over the block widened by the support's lag span, forms every
+    ``g_l`` with one real GEMM ``E^T W`` (``W`` holds the real and
+    imaginary parts of each lag's coefficients, so the product reads as
+    complex), and then adds ``g_l s`` for one lag l at a time, in
+    increasing l.  The envelopes, the GEMM output and the product buffer
+    are allocated once per call.  A single term of power 0 gives exactly
+    ``c s(n - l)``.
 
     The output is therefore not bit for bit the column sum: each sample
     is within a few rounding errors of it, and its bits may change with
@@ -613,31 +665,31 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     if support.size:
         descriptors = coeffs.structure.descriptors()
         bases, base, lag = _bases_of([descriptors[j] for j in support])
-        values = coeffs.values[support]
         lags, at = np.unique(lag, return_inverse=True)
-        rows = np.zeros((lags.size, len(bases)), dtype=np.complex128)
-        rows[at, base] = values
-        # Per lag: its offset into a block of the bases, then its base and
-        # coefficient if it carries a single base, else None and its row.
-        terms = []
-        for i, shift in enumerate((lags[-1] - lags).tolist()):
-            present = np.flatnonzero(at == i)
-            if present.size == 1:
-                terms.append((shift, int(base[present[0]]), values[present[0]]))
-            else:
-                terms.append((shift, None, rows[i]))
+        # Columns 2 i and 2 i + 1 of weights[b] are the real and imaginary
+        # parts of the coefficient of base b at lag lags[i], so that the
+        # GEMM output reads as the complex g_l of every lag.
+        weights = np.zeros((len(bases), 2 * lags.size))
+        weights.view(np.complex128)[base, at] = coeffs.values[support]
+        width = min(ROW_CHUNK, samples.size) + int(lags[-1] - lags[0])
+        envelope = np.empty((len(bases), width))
+        gains = np.empty((width, lags.size), dtype=np.complex128)
         term = np.empty(min(ROW_CHUNK, samples.size), dtype=np.complex128)
+        shifts = (lags[-1] - lags).tolist()
         with np.errstate(over="ignore", invalid="ignore"):
-            for start, stop, psi in _base_blocks(samples, bases, lag, samples.size):
+            for start, stop, carrier, rows in _base_blocks(
+                samples, bases, lag, samples.size, envelope
+            ):
                 n = stop - start
+                g = gains[: carrier.size]
+                np.matmul(rows.T, weights, out=g.view(np.float64))
                 block, part = out[start:stop], term[:n]
-                for shift, b, c in terms:
-                    if b is None:
-                        np.matmul(c, psi[:, shift : shift + n], out=part)
-                    else:
-                        np.multiply(c, psi[b, shift : shift + n], out=part)
-                    block += part
-                del psi
+                for i, shift in enumerate(shifts):
+                    # The first lag writes the block, the others add to it.
+                    product = part if i else block
+                    np.multiply(g[shift : shift + n, i], carrier[shift : shift + n], out=product)
+                    if i:
+                        block += part
         if not np.isfinite(out).all():
             raise DivergenceError("model output is not finite: the input overflows the model")
     rate = signal.sample_rate_hz if isinstance(signal, IqSignal) else 1.0

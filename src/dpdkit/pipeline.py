@@ -531,8 +531,12 @@ def run_experiment1(config: ExperimentConfig):
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One method of exp2.  ``evm_db`` is None for a method whose model
+    is empty: it drives the amplifier with zeros, and a zero output has
+    no gain to align."""
+
     method: str
-    evm_db: float
+    evm_db: float | None
     nmse_db: float
     kernel_count: int
     effective_memory_depth: int
@@ -568,7 +572,8 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
     Trains every predistorter variant on the learned drive, then
     predistorts a freshly seeded validation signal, passes it through
     the amplifier, and reports gain-aligned EVM, NMSE, kernel count,
-    and effective depth.  Writes exp2_comparison.csv plus one
+    and effective depth.  A method whose model is empty has no EVM, which
+    the table writes as ``-``.  Writes exp2_comparison.csv plus one
     coefficient file per fitted method.
     """
     # Built first: a schedule error comes before any training work.
@@ -610,12 +615,16 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
             normalized = pa_forward(drive, model).samples / gain
         if not np.isfinite(normalized).all():
             raise DivergenceError(f"{method}: gain-normalized amplifier output is not finite")
-        report = evm_db(IqSignal._own(normalized, validation.sample_rate_hz), validation)
+        if coeffs is not None and not coeffs.support().size:
+            evm, nmse = None, nmse_db_arrays(normalized, validation.samples)
+        else:
+            report = evm_db(IqSignal._own(normalized, validation.sample_rate_hz), validation)
+            evm, nmse = report.evm_db, report.nmse_db
         rows.append(
             ReportRow(
                 method=method,
-                evm_db=report.evm_db,
-                nmse_db=report.nmse_db,
+                evm_db=evm,
+                nmse_db=nmse,
                 kernel_count=0 if coeffs is None else kernel_count(coeffs),
                 effective_memory_depth=(
                     -1 if coeffs is None else effective_memory_depth(coeffs)

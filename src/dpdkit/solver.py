@@ -246,6 +246,11 @@ def least_squares(S, x):
     return system.coefficients(_normal_solve(system.gram, system.rhs, _describe(system)))
 
 
+# LAPACK ``zposv``, taken from scipy at the first ridge solve: loading
+# scipy takes about 0.3 s, which start-up does not pay.
+_zposv = None
+
+
 def _ridge_solve(system, rhs, weights):
     """Solve ``(system + diag(weights)) w = rhs`` by Cholesky, in place.
 
@@ -258,17 +263,23 @@ def _ridge_solve(system, rhs, weights):
     finite, or a system that is not positive definite, raises
     RankDeficiencyError.
     """
+    global _zposv
     n = rhs.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.complex128)
+    # A view: the system is contiguous, so its diagonal is every
+    # (n + 1)-th element in memory order.
+    diagonal = system.ravel(order="K")[:: n + 1]
     # A finite Gram and finite weights may still sum to inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        system.flat[:: n + 1] += weights
-    if not (np.isfinite(system.flat[:: n + 1]).all() and np.isfinite(rhs).all()):
+        diagonal += weights
+    if not (np.isfinite(diagonal).all() and np.isfinite(rhs).all()):
         raise RankDeficiencyError("ridge system or right-hand side is not finite")
-    import scipy.linalg  # here, not at start-up: it takes about 0.3 s to load
+    if _zposv is None:
+        import scipy.linalg
 
-    _, solution, info = scipy.linalg.lapack.zposv(system, rhs, overwrite_a=True)
+        _zposv = scipy.linalg.lapack.zposv
+    _, solution, info = _zposv(system, rhs, overwrite_a=True)
     if info > 0:
         raise RankDeficiencyError(
             f"ridge system failed to factor: leading minor {info} is not positive definite"

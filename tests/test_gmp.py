@@ -2,7 +2,7 @@
 import re
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -308,6 +308,60 @@ def test_apply_model_memory_stays_near_its_output():
     assert peak < 1.5 * out.samples.nbytes
     assert not out.samples.flags.writeable
     assert not np.shares_memory(out.samples, signal.samples)
+
+
+_ORDERS = st.lists(st.sampled_from([0, 2, 4, 6]), unique=True, max_size=3)
+_LAGS = st.lists(st.integers(0, 40), unique=True, min_size=1, max_size=4)
+_CROSS = st.lists(st.integers(1, 6), unique=True, max_size=2)
+
+
+@st.composite
+def _model_problems(draw):
+    """A structure over all three branches, a signal of 1 to 300 samples
+    (lags may exceed it), a row block and a seed for the coefficients."""
+    structure = GmpStructure(
+        aligned_orders=draw(_ORDERS), aligned_lags=draw(_LAGS),
+        lagging_orders=draw(_ORDERS), lagging_lags=draw(_LAGS), lagging_cross=draw(_CROSS),
+        leading_orders=draw(_ORDERS), leading_lags=draw(_LAGS), leading_cross=draw(_CROSS),
+    )
+    assume(structure.kernel_count > 0)
+    n = draw(st.integers(1, 300))
+    chunk = draw(st.one_of(st.integers(1, 64), st.just(ROW_CHUNK)))
+    return structure, n, chunk, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_model_problems())
+def test_apply_model_properties(problem):
+    structure, n, chunk, seed = problem
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    samples[rng.random(n) < 0.1] = 0
+    signal = _sig(samples)
+    p = structure.kernel_count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gmp, "ROW_CHUNK", chunk)
+        _assert_within_rounding_of_column_sum(
+            signal, _sparse_coefficients(structure, rng, rng.random())
+        )
+        zero = apply_model(signal, CoefficientVector(structure, np.zeros(p)))
+        assert np.array_equal(zero.samples.view(np.float64), np.zeros(2 * n))
+        flat = [j for j, d in enumerate(structure.descriptors()) if d.order_exponent == 0]
+        if flat:
+            j = int(rng.choice(flat))
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            single = np.zeros(p, dtype=np.complex128)
+            single[j] = c
+            lag = structure.descriptors()[j].lag
+            expected = np.zeros(n, dtype=np.complex128)
+            expected[lag:] = c * samples[: max(n - lag, 0)]
+            assert np.array_equal(apply_model(signal, CoefficientVector(structure, single)).samples,
+                                  expected)
+            linear = np.zeros(p, dtype=np.complex128)
+            linear[flat] = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
+            coeffs = CoefficientVector(structure, linear)
+            once = apply_model(signal, coeffs).samples
+            assert np.array_equal(apply_model(_sig(2 * samples), coeffs).samples, 2 * once)
 
 
 def test_apply_model_linear_in_coefficients():

@@ -1166,6 +1166,36 @@ def test_cli_exp2_prints_one_line_per_method(tmp_path):
     assert [line.split(":")[0] for line in lines[:-1]] == list(METHODS)
 
 
+@pytest.mark.parametrize(
+    "override, empty",
+    [
+        ("standard_lasso.lambda=1e300", {"lasso-nr", "lasso-r"}),
+        ("schedule.lambda_scale=1e300", {"bwlasso-nr", "bwlasso-r"}),
+        ("schedule.threshold_scale=1e300", {"bwlasso-nr", "bwlasso-r"}),
+        ("bcd.inner_tolerance=1e300", {"lasso-nr", "lasso-r", "bwlasso-nr", "bwlasso-r"}),
+    ],
+)
+def test_cli_exp2_writes_an_empty_model_with_no_evm(tmp_path, override, empty):
+    # A zero drive leaves no gain to align, so an empty model's row has
+    # '-' for its EVM, 0 dB NMSE, no kernels and depth -1.
+    cfg = write_cfg(tmp_path)
+    code, stdout, err = run_cli(["exp2", "--config", str(cfg), "--set", override])
+    assert code == 0, err
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["exp2_comparison.csv", *(f"exp2_coeffs_{m}.txt" for m in METHODS if m != "no-dpd")]
+    )
+    _, _, rows = read_table(out / "exp2_comparison.csv")
+    assert [r[0] for r in rows] == list(METHODS)
+    for method, evm, nmse, count, depth in rows:
+        if method in empty:
+            assert (evm, float(nmse), count, depth) == ("-", 0.0, "0", "-1")
+        else:
+            assert float(evm) < 0
+    printed = {line.split(":")[0] for line in stdout.splitlines() if "evm_db=- " in line}
+    assert printed == empty
+
+
 def test_cli_set_override_reaches_experiment(tmp_path):
     cfg = write_cfg(tmp_path)
     code, _, _ = run_cli(
