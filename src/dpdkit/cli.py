@@ -183,11 +183,7 @@ def _cmd_fit(args):
         coeffs = least_squares(matrix, target)
     elif args.method == "lasso":
         coeffs = lasso_iterated_ridge(
-            matrix,
-            target,
-            config.standard_lasso_lambda,
-            config.standard_lasso_zero_threshold,
-            config.bcd,
+            matrix, target, config.standard_lasso_lambda, config=config.bcd
         )
     else:
         coeffs, trace = block_weighted_lasso(matrix, target, config.schedule(), config.bcd)

@@ -162,38 +162,29 @@ class GmpStructure:
 
 
 def full_structure(
-    memory_depth: int,
-    max_order: int,
-    lagging_depth: int = 0,
-    include_leading: bool = False,
-    leading_depth: int = 0,
+    memory_depth: int, max_order: int, lagging_depth: int = 0, leading_depth: int = 0
 ) -> GmpStructure:
     """Dense structure with every lag 0..memory_depth populated.
 
     The aligned branch carries all even envelope powers below
     ``max_order`` (odd); cross branches drop the memoryless power k=0,
-    whose kernels would duplicate aligned ones at shifted lags.
+    whose kernels would duplicate aligned ones at shifted lags.  Each
+    cross branch is present when its depth is at least 1 and some power
+    k >= 2 exists; otherwise it holds no offsets at all, so a structure
+    of ``max_order = 1`` reads back with both depths 0.
     """
     if memory_depth < 0:
         raise ConfigurationError(f"memory_depth must be >= 0, got {memory_depth}")
     if max_order < 1 or max_order % 2 == 0:
         raise ConfigurationError(f"max_order must be odd and >= 1, got {max_order}")
-    if lagging_depth < 0:
-        raise ConfigurationError(f"lagging_depth must be >= 0, got {lagging_depth}")
-    if include_leading and leading_depth < 1:
-        raise ConfigurationError(
-            f"leading_depth must be >= 1 when the leading branch is enabled, got {leading_depth}"
-        )
-    if not include_leading and leading_depth != 0:
-        raise ConfigurationError(
-            f"leading_depth = {leading_depth} needs include_leading = true; "
-            "with the leading branch off leave leading_depth at 0"
-        )
+    for name, depth in (("lagging_depth", lagging_depth), ("leading_depth", leading_depth)):
+        if depth < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {depth}")
     lags = tuple(range(memory_depth + 1))
     aligned_orders = tuple(range(0, max_order, 2))
     cross_orders = tuple(range(2, max_order, 2))
-    lagging = tuple(range(1, lagging_depth + 1))
-    leading = tuple(range(1, leading_depth + 1)) if include_leading else ()
+    lagging = tuple(range(1, lagging_depth + 1)) if cross_orders else ()
+    leading = tuple(range(1, leading_depth + 1)) if cross_orders else ()
     return GmpStructure(
         aligned_orders=aligned_orders,
         aligned_lags=lags,
@@ -704,10 +695,7 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
 # value is parsed, so each error names both.
 
 # What ``_parse_value`` says a value of each kind must be.
-_VALUE_FORMS = dict(
-    int="an integer", ints="integers", float="a float", bool="'true' or 'false'",
-    complex="two floats",
-)
+_VALUE_FORMS = dict(int="an integer", ints="integers", float="a float", complex="two floats")
 
 
 def _read_ascii(path) -> str:
@@ -765,9 +753,9 @@ def _read_entries(lines, source) -> dict:
 def _parse_value(key, entry, kind):
     """The value of ``key``'s ``(source, line number, value)`` entry as
     ``kind``: ``str``, ``int``, ``ints`` (a tuple of any number of them),
-    ``float``, ``bool`` (``true`` or ``false``) or ``complex`` (real and
-    imaginary part).  A kind ending in ``?`` also takes ``none`` as None.
-    Any other value raises FormatError."""
+    ``float`` or ``complex`` (real and imaginary part).  A kind ending in
+    ``?`` also takes ``none`` as None.  Any other value raises
+    FormatError."""
     source, lineno, raw = entry
     base = kind.rstrip("?")
     if base != kind and raw == "none":
@@ -784,8 +772,6 @@ def _parse_value(key, entry, kind):
         if base == "complex":
             real, imag = raw.split()
             return complex(float(real), float(imag))
-        if base == "bool" and raw in ("true", "false"):
-            return raw == "true"
     except ValueError:
         pass
     form = _VALUE_FORMS[base] + (" or 'none'" if base != kind else "")
@@ -793,8 +779,9 @@ def _parse_value(key, entry, kind):
 
 
 def _format_value(value) -> str:
-    """``value`` as ``_parse_value`` reads it back; floats are written
-    with ``repr``, so they read back bit for bit."""
+    """``value`` as ``_parse_value`` reads it back, and a bool as ``true``
+    or ``false``; floats are written with ``repr``, so they read back bit
+    for bit."""
     if value is None:
         return "none"
     if isinstance(value, bool):

@@ -74,19 +74,14 @@ _SCHEMA = (
     ("dpd", "memory_depth", "int", 9),
     ("dpd", "max_order", "int", 7),
     ("dpd", "lagging_depth", "int", 1),
-    ("dpd", "include_leading", "bool", False),
     ("dpd", "leading_depth", "int", 0),
-    ("schedule", "mode", "str", "default"),
     ("schedule", "lambda_scale", "float", 1.0),
     ("schedule", "threshold_scale", "float", 1.0),
     ("bcd", "outer_iterations", "int", 10),
     ("bcd", "inner_ridge_iterations", "int", 50),
     ("bcd", "inner_tolerance", "float", 1e-8),
-    ("bcd", "keep_best_iterate", "bool", True),
     ("bcd", "ridge_epsilon", "float", 1e-8),
-    ("bcd", "warm_start", "bool", True),
     ("standard_lasso", "lambda", "float", 1e-4),
-    ("standard_lasso", "zero_threshold", "float", 0.0),
     ("output", "dir", "str", "out"),
     ("run", "seed", "int", 2),
 )
@@ -96,51 +91,48 @@ _SCHEMA = (
 class ScheduleSpec:
     """How a run obtains its per-order penalties.
 
-    ``default`` mode builds the tabulated ladder for the structure at
-    hand; ``custom`` mode takes explicit per-order values from the
-    config.  The scale factors apply in both modes.
+    With no per-order entries, the tabulated ladder for the structure at
+    hand; with any ``schedule.lambda_<k>`` or ``schedule.threshold_<k>``
+    entry, a custom schedule of those values.  The scale factors apply
+    to both.
     """
 
-    mode: str = "default"
     lambda_scale: float = 1.0
     threshold_scale: float = 1.0
     lambda_by_order: tuple = ()
     threshold_by_order: tuple = ()
 
     def __post_init__(self):
-        if self.mode not in ("default", "custom"):
-            raise ConfigurationError(
-                f"schedule.mode must be 'default' or 'custom', got {self.mode!r}"
-            )
         for name, scale in (
             ("lambda_scale", self.lambda_scale),
             ("threshold_scale", self.threshold_scale),
         ):
             if not (math.isfinite(scale) and scale > 0):
                 raise ConfigurationError(f"schedule.{name} must be positive, got {scale}")
-        if self.mode == "default" and (self.lambda_by_order or self.threshold_by_order):
-            raise ConfigurationError(
-                "per-order schedule values require schedule.mode = custom"
-            )
-        if self.mode == "custom" and not self.lambda_by_order:
-            raise ConfigurationError(
-                "schedule.mode = custom needs at least one schedule.lambda_<k> entry"
-            )
 
     def build(self, structure: GmpStructure) -> RegularizationSchedule:
         """The schedule for ``structure``.  A custom one must give a
-        penalty and a zero threshold for each of its envelope powers;
-        the first missing ``schedule.<kind>_<k>`` key is named."""
-        if self.mode == "default":
+        penalty and a zero threshold for each of its envelope powers and
+        for no other power; the first ``schedule.<kind>_<k>`` key that
+        is missing or names a power the structure lacks is named."""
+        if not (self.lambda_by_order or self.threshold_by_order):
             return default_schedule(structure, self.lambda_scale, self.threshold_scale)
+        orders = set(structure.orders)
         for kind, entries in (
             ("lambda", self.lambda_by_order),
             ("threshold", self.threshold_by_order),
         ):
-            missing = sorted(set(structure.orders) - dict(entries).keys())
+            given = dict(entries).keys()
+            missing = sorted(orders - given)
             if missing:
                 raise ConfigurationError(
-                    f"schedule.mode = custom needs schedule.{kind}_{missing[0]}"
+                    f"a custom schedule needs schedule.{kind}_{missing[0]}"
+                )
+            unused = sorted(given - orders)
+            if unused:
+                raise ConfigurationError(
+                    f"schedule.{kind}_{unused[0]} is set, but the structure has "
+                    f"no envelope power {unused[0]}"
                 )
         lam = {k: v * self.lambda_scale for k, v in self.lambda_by_order}
         tau = {k: v * self.threshold_scale for k, v in self.threshold_by_order}
@@ -158,7 +150,6 @@ class ExperimentConfig:
     schedule_spec: ScheduleSpec
     bcd: BcdConfig
     standard_lasso_lambda: float
-    standard_lasso_zero_threshold: float
     output_dir: str
     seed: int
     base_dir: str = "."
@@ -169,14 +160,6 @@ class ExperimentConfig:
         ):
             raise ConfigurationError(
                 f"standard_lasso.lambda must be positive, got {self.standard_lasso_lambda}"
-            )
-        if not (
-            math.isfinite(self.standard_lasso_zero_threshold)
-            and self.standard_lasso_zero_threshold >= 0
-        ):
-            raise ConfigurationError(
-                f"standard_lasso.zero_threshold must be >= 0, got "
-                f"{self.standard_lasso_zero_threshold}"
             )
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"run.seed must fit in 64 bits, got {self.seed}")
@@ -213,10 +196,8 @@ class ExperimentConfig:
             ("dpd", "memory_depth"): max(d.aligned_lags),
             ("dpd", "max_order"): max(d.aligned_orders) + 1,
             ("dpd", "lagging_depth"): max(d.lagging_cross, default=0),
-            ("dpd", "include_leading"): bool(d.leading_cross),
             ("dpd", "leading_depth"): max(d.leading_cross, default=0),
             ("standard_lasso", "lambda"): self.standard_lasso_lambda,
-            ("standard_lasso", "zero_threshold"): self.standard_lasso_zero_threshold,
             ("output", "dir"): self.output_dir,
             ("run", "seed"): self.seed,
         }
@@ -304,7 +285,6 @@ def config_from_entries(entries, base_dir=".") -> ExperimentConfig:
         ),
         bcd=BcdConfig(**section("bcd")),
         standard_lasso_lambda=values[("standard_lasso", "lambda")],
-        standard_lasso_zero_threshold=values[("standard_lasso", "zero_threshold")],
         output_dir=values[("output", "dir")],
         seed=values[("run", "seed")],
         base_dir=str(base_dir),
@@ -421,7 +401,7 @@ def _training_stage(config: ExperimentConfig):
     return reference, model, learned, matrix
 
 
-def matched_count_lasso(matrix, target, target_count, zero_threshold, bcd):
+def matched_count_lasso(matrix, target, target_count, bcd):
     """Bisect log-lambda so standard Lasso hits a given kernel count.
 
     The kernel count falls as the penalty grows, so the search brackets
@@ -435,7 +415,7 @@ def matched_count_lasso(matrix, target, target_count, zero_threshold, bcd):
     best = None
     for step in range(MATCHED_COUNT_STEPS):
         lam = math.sqrt(lam_lo * lam_hi)
-        coeffs = lasso_iterated_ridge(matrix, target, lam, zero_threshold, bcd)
+        coeffs = lasso_iterated_ridge(matrix, target, lam, config=bcd)
         count = kernel_count(coeffs)
         gap = abs(count - target_count)
         if best is None or gap < best[0]:
@@ -475,11 +455,7 @@ def run_experiment1(config: ExperimentConfig):
     ls_nmse = nmse_db_arrays(apply_model(reference, ls_full).samples, target.samples)
 
     std_lambda, std_coeffs, matched = matched_count_lasso(
-        matrix,
-        target,
-        trace.selected.kernel_count,
-        config.standard_lasso_zero_threshold,
-        config.bcd,
+        matrix, target, trace.selected.kernel_count, config.bcd
     )
 
     maps = [
@@ -583,11 +559,7 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
 
     ls_full = least_squares(matrix, target)
     lasso_nr = lasso_iterated_ridge(
-        matrix,
-        target,
-        config.standard_lasso_lambda,
-        config.standard_lasso_zero_threshold,
-        config.bcd,
+        matrix, target, config.standard_lasso_lambda, config=config.bcd
     )
     lasso_r = _refine_or_keep(matrix, target, lasso_nr)
     bwlasso_nr, _ = block_weighted_lasso(matrix, target, schedule, config.bcd)

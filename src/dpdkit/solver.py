@@ -82,9 +82,7 @@ class BcdConfig:
     outer_iterations: int = 10
     inner_ridge_iterations: int = 50
     inner_tolerance: float = 1e-8
-    keep_best_iterate: bool = True
     ridge_epsilon: float = 1e-8
-    warm_start: bool = True
 
     def __post_init__(self):
         # Each sweep keeps a copy of the coefficients in the fit's trace.
@@ -526,14 +524,15 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
     Columns are grouped by envelope power; each outer iteration sweeps
     the groups in ascending order, re-solving one group against the
     residual of all others with that group's penalty weight and zero
-    threshold.  A group update is accepted only when it lowers the
-    objective (residual power plus weighted l1 term) by more than the
-    rounding error of the computed change, (block size + 1) * eps times
-    the sum of the moduli of its terms, so the objective never increases,
-    and a tie, or a change in the last bits of the system, leaves the
-    group as it was.
+    threshold, warm-started from the group's previous coefficients when
+    any of them is nonzero.  A group update is accepted only when it
+    lowers the objective (residual power plus weighted l1 term) by more
+    than the rounding error of the computed change, (block size + 1) *
+    eps times the sum of the moduli of its terms, so the objective never
+    increases, and a tie, or a change in the last bits of the system,
+    leaves the group as it was.
     Returns the coefficient vector of the lowest-training-NMSE iteration
-    (or the last, per config) together with the full trace.
+    together with the full trace.
 
     The descent works on the normal equations: it keeps ``c = S^H r``
     and the residual power, and updates both from the cached Gram, so a
@@ -574,14 +573,7 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
             # A zero block solves against corr_k as it is, so the first
             # sweep of a single block is lasso_iterated_ridge bit for bit.
             rhs = corr_k + gram_k @ w_old if np.any(w_old) else corr_k
-            w_new = _lasso_core(
-                gram_k,
-                rhs,
-                lam[k],
-                tau[k],
-                config,
-                initial=w_old if config.warm_start else None,
-            )
+            w_new = _lasso_core(gram_k, rhs, lam[k], tau[k], config, initial=w_old)
             d = w_new - w_old
             # ||r - S_k d||^2 - ||r||^2, given S_k^H r = corr_k.
             quadratic = float(np.real(np.vdot(d, gram_k @ d)))
@@ -619,10 +611,7 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
                 rejected_orders=tuple(rejected),
             )
         )
-    if config.keep_best_iterate:
-        selected = int(np.argmin([r.nmse_db for r in records]))
-    else:
-        selected = len(records) - 1
+    selected = int(np.argmin([r.nmse_db for r in records]))
     trace = FitTrace(records=tuple(records), selected_index=selected)
     return system.coefficients(records[selected].coefficients.copy()), trace
 

@@ -131,12 +131,10 @@ def residual_domain_block_lasso(matrix, target, schedule, config):
     kernel matrix and its subproblem is solved by the package's Lasso
     core on the normal equations of that plain block against the
     residual plus the block's own contribution, seeded from the block's
-    previous coefficients when the config warm-starts; the update is
-    kept only when the residual power plus the block's weighted l1 term
-    strictly falls. Returns
+    previous coefficients; the update is kept only when the residual
+    power plus the block's weighted l1 term strictly falls. Returns
     (records, selected): the coefficient array after each sweep and the
-    index of the record with the lowest residual power (or the last one
-    when the config does not keep the best iterate).
+    index of the record with the lowest residual power.
     """
     data = matrix.data
     x = np.asarray(target, dtype=np.complex128)
@@ -157,12 +155,7 @@ def residual_domain_block_lasso(matrix, target, schedule, config):
             block_target = residual + sub @ w_old
             system = normal_system(sub, block_target)
             w_new = _lasso_core(
-                system.gram,
-                system.rhs,
-                lam,
-                schedule.threshold_for(k),
-                config,
-                initial=w_old if config.warm_start else None,
+                system.gram, system.rhs, lam, schedule.threshold_for(k), config, initial=w_old
             )
             new_residual = block_target - sub @ w_new
             before = np.sum(np.abs(residual) ** 2) + lam * np.sum(np.abs(w_old))
@@ -172,8 +165,7 @@ def residual_domain_block_lasso(matrix, target, schedule, config):
                 residual = new_residual
         records.append(omega.copy())
         powers.append(float(np.sum(np.abs(residual) ** 2)))
-    selected = int(np.argmin(powers)) if config.keep_best_iterate else len(records) - 1
-    return records, selected
+    return records, int(np.argmin(powers))
 
 
 def cholesky_ridge_solve(gram, rhs, weights):

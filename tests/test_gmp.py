@@ -61,7 +61,7 @@ def test_small_structure_count_by_hand():
 
 
 def test_cross_branches_exclude_order_zero():
-    structure = full_structure(3, 7, 2, include_leading=True, leading_depth=1)
+    structure = full_structure(3, 7, 2, leading_depth=1)
     assert 0 in structure.aligned_orders
     assert 0 not in structure.lagging_orders
     assert 0 not in structure.leading_orders
@@ -72,20 +72,36 @@ def test_even_max_order_rejected():
         full_structure(4, 6, 1)
 
 
-def test_leading_depth_without_leading_branch_rejected():
-    with pytest.raises(ConfigurationError, match="leading_depth.*include_leading"):
-        full_structure(4, 7, 1, leading_depth=2)
+@pytest.mark.parametrize("name", ["lagging_depth", "leading_depth"])
+def test_negative_cross_depth_rejected(name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be >= 0, got -1"):
+        full_structure(4, 7, **{name: -1})
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_leading_branch_present_exactly_when_its_depth_is_positive(depth):
+    structure = full_structure(4, 5, 1, leading_depth=depth)
+    assert structure.leading_cross == tuple(range(1, depth + 1))
+    has_leading = any(d.branch is Branch.LEADING for d in structure.descriptors())
+    assert has_leading == (depth >= 1)
+
+
+def test_cross_branches_hold_no_offsets_without_cross_orders():
+    # max_order = 1: only k = 0, which the cross branches drop.
+    structure = full_structure(2, 1, 2, leading_depth=3)
+    assert structure == full_structure(2, 1)
+    assert structure.lagging_cross == structure.leading_cross == ()
 
 
 def test_descriptors_are_built_once_per_structure():
-    structure = full_structure(3, 5, 2, include_leading=True, leading_depth=1)
+    structure = full_structure(3, 5, 2, leading_depth=1)
     first = structure.descriptors()
     assert structure.descriptors() is first
-    assert first == full_structure(3, 5, 2, include_leading=True, leading_depth=1).descriptors()
+    assert first == full_structure(3, 5, 2, leading_depth=1).descriptors()
 
 
 def test_canonical_descriptor_order():
-    structure = full_structure(1, 3, 1, include_leading=True, leading_depth=1)
+    structure = full_structure(1, 3, 1, leading_depth=1)
     descriptors = structure.descriptors()
     branches = [d.branch for d in descriptors]
     first_lagging = branches.index(Branch.LAGGING)
@@ -150,7 +166,7 @@ def test_matrix_matches_naive_loop_with_leading():
     rng = np.random.default_rng(21)
     samples = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     samples /= np.max(np.abs(samples))  # keep entries at unit scale
-    structure = full_structure(3, 5, 2, include_leading=True, leading_depth=1)
+    structure = full_structure(3, 5, 2, leading_depth=1)
     matrix = build_kernel_matrix(_sig(samples), structure)
     oracle, columns = naive_kernel_matrix(samples, structure)
     assert matrix.data.shape == oracle.shape
@@ -174,13 +190,7 @@ def test_matrix_matches_naive_loop_with_leading():
 def test_data_is_the_same_at_any_row_block_and_matches_the_definition(
     n, memory_depth, max_order, lagging_depth, leading_depth, seed
 ):
-    structure = full_structure(
-        memory_depth,
-        max_order,
-        lagging_depth,
-        include_leading=leading_depth > 0,
-        leading_depth=leading_depth,
-    )
+    structure = full_structure(memory_depth, max_order, lagging_depth, leading_depth)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     samples /= np.max(np.abs(samples))  # keep entries at unit scale
@@ -251,7 +261,7 @@ _BLOCK_STRUCTURES = {
         aligned_orders=(2,), aligned_lags=(1,),
         leading_orders=(2, 4), leading_lags=(0, 2), leading_cross=(1, 5),
     ),
-    "all": full_structure(3, 5, 2, include_leading=True, leading_depth=2),
+    "all": full_structure(3, 5, 2, leading_depth=2),
 }
 
 
@@ -285,7 +295,7 @@ def test_apply_model_is_the_column_sum_bitwise_across_blocks(monkeypatch, name, 
 
 
 def test_apply_model_is_the_column_sum_bitwise_at_full_blocks():
-    structure = full_structure(4, 7, 2, include_leading=True, leading_depth=2)
+    structure = full_structure(4, 7, 2, leading_depth=2)
     signal = generate_ofdm(OfdmConfig(64, 52, 17, 8, seed=10))
     assert len(signal) > 2 * ROW_CHUNK
     _assert_within_rounding_of_column_sum(

@@ -37,7 +37,7 @@ from dpdkit.pipeline import (
     run_experiment2,
 )
 from dpdkit.signal import DB_FLOOR, IqSignal, generate_ofdm, read_iq, write_iq
-from dpdkit.solver import BcdConfig, lasso_iterated_ridge
+from dpdkit.solver import BcdConfig, default_schedule, lasso_iterated_ridge
 
 
 # A deliberately small problem: 2048 samples, 12 kernels.  Experiments
@@ -145,9 +145,9 @@ def test_bad_float_value_rejected():
         parse_config("signal.target_rms = loud\n")
 
 
-def test_bad_bool_value_rejected():
-    with pytest.raises(ConfigurationError, match="include_leading"):
-        parse_config("dpd.include_leading = yes\n")
+def test_bad_complex_value_rejected():
+    with pytest.raises(ConfigurationError, match="ilc.target_gain expects two floats or 'none'"):
+        parse_config("ilc.target_gain = loud\n")
 
 
 def test_target_gain_accepts_pair_and_none():
@@ -181,6 +181,9 @@ CONFIG_ERRORS = [
     ("non-ASCII byte", "signal.seed = 1\n# r\u00e9glage\n", (), "non-ASCII byte 0xc3", 2),
     ("bad override", "signal.n_symbols = 8\n", ("signal.n_active=eight",),
      "signal.n_active expects an integer, got 'eight'", None),
+    # The schedule takes the ladder or per-order entries; no key picks one.
+    ("leftover schedule.mode", "signal.n_symbols = 8\nschedule.mode = default\n", (),
+     "unknown config key schedule.mode", 2),
 ]
 
 
@@ -214,7 +217,6 @@ def test_config_errors_name_the_file_and_line(tmp_path, via, text, overrides, me
 def test_custom_schedule_builds_from_per_order_entries():
     config = parse_config(
         "dpd.memory_depth = 3\ndpd.max_order = 3\ndpd.lagging_depth = 1\n"
-        "schedule.mode = custom\n"
         "schedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n"
         "schedule.threshold_0 = 0.1\nschedule.threshold_2 = 0.3\n"
         "schedule.lambda_scale = 2.0\n"
@@ -227,26 +229,46 @@ def test_custom_schedule_builds_from_per_order_entries():
 
 
 def test_custom_schedule_requires_lambda_entries():
-    with pytest.raises(ConfigurationError):
-        parse_config("schedule.mode = custom\n").schedule()
+    with pytest.raises(ConfigurationError, match="needs schedule.lambda_0"):
+        parse_config("dpd.max_order = 3\nschedule.threshold_0 = 0.1\n").schedule()
 
 
-def test_default_schedule_rejects_per_order_entries():
-    with pytest.raises(ConfigurationError):
-        parse_config("schedule.lambda_2 = 0.5\n")
+def test_per_order_entries_alone_select_the_custom_schedule():
+    structure = "dpd.memory_depth = 3\ndpd.max_order = 3\n"
+    ladder = parse_config(structure).schedule()
+    assert ladder == default_schedule(full_structure(3, 3, 1))
+    custom = parse_config(
+        structure + "schedule.lambda_0 = 0.5\nschedule.lambda_2 = 0.25\n"
+        "schedule.threshold_0 = 0.0\nschedule.threshold_2 = 0.125\n"
+    ).schedule()
+    assert custom.lambda_by_order == {0: 0.5, 2: 0.25}
+    assert custom.threshold_by_order == {0: 0.0, 2: 0.125}
+
+
+@pytest.mark.parametrize("kind", ["lambda", "threshold"])
+def test_schedule_entry_for_a_missing_power_is_usage_error(tmp_path, kind):
+    # TINY has max_order = 3: envelope powers 0 and 2 only.
+    entries = "".join(
+        f"schedule.{name}_{k} = 0.01\n" for name in ("lambda", "threshold") for k in (0, 2)
+    )
+    cfg = write_cfg(tmp_path, extra=entries + f"schedule.{kind}_20 = 0.01\n")
+    with pytest.raises(ConfigurationError, match=f"schedule.{kind}_20 is set, but"):
+        load_config(cfg).schedule()
+    code, _, err = run_cli(["exp1", "--config", str(cfg)])
+    assert code == 1
+    assert f"schedule.{kind}_20" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_odd_order_schedule_key_rejected():
     with pytest.raises(ConfigurationError, match="lambda_3"):
-        parse_config("schedule.mode = custom\nschedule.lambda_3 = 0.5\n")
+        parse_config("schedule.lambda_3 = 0.5\n")
 
 
 def test_non_canonical_schedule_order_key_rejected():
     # lambda_02 would name the order of lambda_2 a second time.
     with pytest.raises(ConfigurationError, match="lambda_02"):
-        parse_config(
-            "schedule.mode = custom\nschedule.lambda_2 = 1e-3\nschedule.lambda_02 = 5.0\n"
-        )
+        parse_config("schedule.lambda_2 = 1e-3\nschedule.lambda_02 = 5.0\n")
 
 
 def test_non_ascii_entry_rejected():
@@ -284,13 +306,24 @@ def test_canonical_text_round_trips_to_same_hash(tmp_path):
 def test_custom_schedule_survives_canonical_round_trip():
     config = parse_config(
         "dpd.memory_depth = 3\ndpd.max_order = 3\n"
-        "schedule.mode = custom\n"
         "schedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n"
         "schedule.threshold_0 = 0.1\nschedule.threshold_2 = 0.3\n"
     )
     again = parse_config(config.canonical_text())
     assert again.config_hash == config.config_hash
     assert again.schedule().lambda_for(2) == pytest.approx(0.04)
+
+
+def test_cross_depths_without_cross_orders_hash_alike():
+    # max_order = 1 leaves no envelope power for a cross branch, so every
+    # depth builds the same aligned-only structure, written with depth 0.
+    configs = [
+        parse_config(f"dpd.max_order = 1\ndpd.lagging_depth = {lag}\ndpd.leading_depth = {lead}\n")
+        for lag, lead in ((0, 0), (1, 0), (2, 3))
+    ]
+    assert len({config.config_hash for config in configs}) == 1
+    assert "dpd.lagging_depth = 0\n" in configs[2].canonical_text()
+    assert "dpd.leading_depth = 0\n" in configs[2].canonical_text()
 
 
 def test_config_hash_is_sha256_of_canonical_text(tmp_path):
@@ -304,18 +337,17 @@ def test_config_hash_is_sha256_of_canonical_text(tmp_path):
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("desk-scale", "8ca510c244d3c76e2a9a779eddcb55d0244f317138321f8a94eef280d73a642d"),
-        ("wideband", "c41f32e5fb913ef531e19976e6b5995e129127274a91dfad2c9367ded026102f"),
+        ("desk-scale", "056c248903bda745945a76b480583e327b4ba4d1a657f8260bdaab444954e7b3"),
+        ("wideband", "64855f42a44eb445cf29d1255720fa23a196841c13ec1fff85cac04c34f141d5"),
     ],
+    ids=["desk-scale", "wideband"],
 )
 def test_shipped_config_hashes_are_pinned(name, digest):
     assert load_config(SHIPPED_CONFIGS / f"{name}.cfg").config_hash == digest
 
 
-# One value per schema key that differs from the base below.  The base
-# enables the leading branch, since without it dpd.leading_depth must
-# stay 0, and so turning the branch off resets the depth too; a custom
-# schedule needs its per-order entries.
+# One value per schema key that differs from the base below, which has
+# a leading branch.
 SETTING_CHANGES = {
     "signal.n_subcarriers": ["signal.n_subcarriers=128"],
     "signal.n_active": ["signal.n_active=40"],
@@ -333,21 +365,14 @@ SETTING_CHANGES = {
     "dpd.memory_depth": ["dpd.memory_depth=4"],
     "dpd.max_order": ["dpd.max_order=5"],
     "dpd.lagging_depth": ["dpd.lagging_depth=2"],
-    "dpd.include_leading": ["dpd.include_leading=false", "dpd.leading_depth=0"],
     "dpd.leading_depth": ["dpd.leading_depth=2"],
-    "schedule.mode": [
-        "schedule.mode=custom", "schedule.lambda_0=0.01", "schedule.lambda_2=0.04"
-    ],
     "schedule.lambda_scale": ["schedule.lambda_scale=2.0"],
     "schedule.threshold_scale": ["schedule.threshold_scale=0.01"],
     "bcd.outer_iterations": ["bcd.outer_iterations=5"],
     "bcd.inner_ridge_iterations": ["bcd.inner_ridge_iterations=60"],
     "bcd.inner_tolerance": ["bcd.inner_tolerance=1e-9"],
-    "bcd.keep_best_iterate": ["bcd.keep_best_iterate=false"],
     "bcd.ridge_epsilon": ["bcd.ridge_epsilon=1e-9"],
-    "bcd.warm_start": ["bcd.warm_start=false"],
     "standard_lasso.lambda": ["standard_lasso.lambda=0.3"],
-    "standard_lasso.zero_threshold": ["standard_lasso.zero_threshold=1e-6"],
     "output.dir": ["output.dir=elsewhere"],
     "run.seed": ["run.seed=7"],
 }
@@ -356,7 +381,7 @@ SETTING_CHANGES = {
 def test_any_setting_change_changes_hash(tmp_path):
     assert set(SETTING_CHANGES) == {f"{s}.{k}" for s, k, _, _ in _SCHEMA}
     text = TINY + f"output.dir = {tmp_path / 'out'}\n"
-    text += "dpd.include_leading = true\ndpd.leading_depth = 1\n"
+    text += "dpd.leading_depth = 1\n"
     write_pa_model(tmp_path / "pa.txt", default_pa_model())
     hashes = {parse_config(text).config_hash}
     for key, overrides in SETTING_CHANGES.items():
@@ -449,9 +474,9 @@ def test_matched_count_finds_an_achieved_count():
     # Pick a count the solver actually achieves somewhere on the path, so
     # the bisection has an exact landing spot to find.
     lam_max = 2.0 * float(np.max(np.abs(matrix.data.conj().T @ target.samples)))
-    reference = lasso_iterated_ridge(matrix, target, 0.05 * lam_max, 1e-8, bcd)
+    reference = lasso_iterated_ridge(matrix, target, 0.05 * lam_max, config=bcd)
     want = kernel_count(reference)
-    lam, coeffs, matched = matched_count_lasso(matrix, target, want, 1e-8, bcd)
+    lam, coeffs, matched = matched_count_lasso(matrix, target, want, bcd)
     assert matched
     assert kernel_count(coeffs) == want
     assert 0.0 < lam < lam_max
@@ -459,7 +484,7 @@ def test_matched_count_finds_an_achieved_count():
 
 def test_matched_count_reports_unreachable_target():
     matrix, target = _tiny_training_pair()
-    lam, coeffs, matched = matched_count_lasso(matrix, target, 50, 1e-8, BcdConfig())
+    lam, coeffs, matched = matched_count_lasso(matrix, target, 50, BcdConfig())
     assert not matched
     assert kernel_count(coeffs) <= matrix.data.shape[1]
 
@@ -605,7 +630,7 @@ def test_experiments_never_form_the_kernel_matrix(tmp_path, monkeypatch):
     "extra, override, message",
     [
         # A custom schedule without thresholds.
-        ("schedule.mode = custom\nschedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n",
+        ("schedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n",
          (), "schedule.threshold_0"),
         # Envelope power 16, beyond the tabulated default ladder.
         ("", ("dpd.max_order=17",), "envelope power 14"),
@@ -671,7 +696,6 @@ def linear_pa_report(tmp_path_factory):
         + f"output.dir = {tmp / 'out'}\n"
         + "bcd.inner_ridge_iterations = 800\n"
         + "bcd.inner_tolerance = 1e-12\n"
-        + "standard_lasso.zero_threshold = 1e-6\n"
     )
     return run_experiment2(config), tmp / "out"
 
@@ -745,12 +769,11 @@ def test_cli_bad_config_value_is_usage_error(tmp_path):
     assert "n_symbols" in err
 
 
-def test_cli_leading_depth_without_leading_branch_is_usage_error(tmp_path):
-    cfg = write_cfg(tmp_path, extra="dpd.leading_depth = 5\n")
+def test_cli_negative_leading_depth_is_usage_error(tmp_path):
+    cfg = write_cfg(tmp_path, extra="dpd.leading_depth = -1\n")
     code, _, err = run_cli(["exp1", "--config", str(cfg)])
     assert code == 1
-    assert "usage error" in err
-    assert "leading_depth" in err and "include_leading" in err
+    assert "usage error: leading_depth must be >= 0, got -1" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1063,7 +1086,6 @@ def test_cli_fit_bwlasso_names_missing_schedule_order(tmp_path):
     partial = tmp_path / "partial.cfg"
     partial.write_text(
         TINY
-        + "schedule.mode = custom\n"
         + "schedule.lambda_0 = 0.01\n"
         + "schedule.threshold_0 = 0.1\n"
     )
@@ -1078,7 +1100,7 @@ def test_cli_fit_bwlasso_names_missing_schedule_order(tmp_path):
 def test_cli_fit_bwlasso_names_missing_schedule_threshold(tmp_path):
     cfg, s, x = _fit_inputs(tmp_path)
     code, _, err = run_cli(
-        ["fit", "bwlasso", "--config", str(cfg), "--set", "schedule.mode=custom",
+        ["fit", "bwlasso", "--config", str(cfg),
          "--set", "schedule.lambda_0=0.01", "--set", "schedule.lambda_2=0.04",
          "--signal", str(s), "--target", str(x), "--out", str(tmp_path / "w.txt")]
     )

@@ -555,18 +555,10 @@ def test_trace_selection_modes():
         rng.standard_normal(256) + 1j * rng.standard_normal(256)
     )
     schedule = _uniform_schedule(structure, 0.02)
-    best, trace = block_weighted_lasso(
-        matrix, x, schedule, BcdConfig(outer_iterations=6, keep_best_iterate=True)
-    )
+    best, trace = block_weighted_lasso(matrix, x, schedule, BcdConfig(outer_iterations=6))
     nmses = [record.nmse_db for record in trace.records]
     assert trace.selected.iteration == trace.records[int(np.argmin(nmses))].iteration
     assert np.array_equal(best.values, trace.selected.coefficients)
-    last, trace2 = block_weighted_lasso(
-        matrix, x, schedule, BcdConfig(outer_iterations=6, keep_best_iterate=False)
-    )
-    assert np.array_equal(last.values, trace2.records[-1].coefficients)
-    assert len(trace2.records) == 6
-    assert [record.iteration for record in trace2.records] == list(range(1, 7))
 
 
 def _random_block_problem(seed):
@@ -588,9 +580,7 @@ def _random_block_problem(seed):
         lambda_scale=10 ** rng.uniform(-2, 3),
         threshold_scale=rng.uniform(0.0, 1.0),
     )
-    config = BcdConfig(
-        outer_iterations=int(rng.integers(3, 11)), warm_start=bool(rng.integers(0, 2))
-    )
+    config = BcdConfig(outer_iterations=int(rng.integers(3, 11)))
     return matrix, x, schedule, config
 
 
@@ -986,8 +976,7 @@ def test_standard_lasso_solves_ever_smaller_systems_on_desk_scale():
             matrix,
             learned.drive,
             config.standard_lasso_lambda,
-            config.standard_lasso_zero_threshold,
-            config.bcd,
+            config=config.bcd,
         )
     )
     n_kernels = matrix.structure.kernel_count
@@ -1094,7 +1083,7 @@ def test_matched_count_makes_no_copy_of_the_kernel_matrix():
     matrix, target = _kernel_problem()
     normal_system(matrix, target)  # cache the system first, as the experiments do
     peak = _peak_traced_bytes(
-        lambda: matched_count_lasso(matrix, target, 5, 0.0, BcdConfig())
+        lambda: matched_count_lasso(matrix, target, 5, BcdConfig())
     )
     assert peak < matrix.data.nbytes / 2
 
@@ -1182,7 +1171,7 @@ def test_fit_path_never_forms_the_kernel_matrix():
         ls_refine(matrix, target, coeffs.support())
         least_squares(matrix, target)
         lasso_iterated_ridge(matrix, target, 1e-2, 1e-4)
-        matched_count_lasso(matrix, target, 5, 0.0, BcdConfig())
+        matched_count_lasso(matrix, target, 5, BcdConfig())
 
     peak = _peak_traced_bytes(fit)
     (matrix,) = built
