@@ -343,12 +343,9 @@ def normal_system(design, target) -> NormalSystem:
     sequences in one pass (``_kernel_normal_equations``) and caches it
     for the last target, compared by content: the fits that follow on
     one matrix and one target share it, and a new target takes a pass
-    of its own.  A plain matrix forms its system on each call.  Its Gram
-    is one BLAS ``zherk`` on the Fortran-ordered view ``S.T``, which
-    fills the upper triangle of ``conj(S^H S)``: the transpose holds the
-    lower triangle of ``S^H S``, and the strict upper triangle is
-    mirrored from it.  With ``S^H x = conj(x^H S)``, no conjugate copy
-    of ``S`` is made.
+    of its own.  A plain matrix forms its system on each call, its Gram
+    by one numpy product ``S^H S``, whose strict upper triangle is then
+    mirrored from the lower one and whose diagonal is made real.
     """
     km = design if isinstance(design, KernelMatrix) else None
     if km is None:
@@ -370,17 +367,11 @@ def normal_system(design, target) -> NormalSystem:
         if km is not None:
             gram, rhs = _kernel_normal_equations(km, x)
         else:
-            n_rows, n_cols = design.shape
             rhs = (x.conj() @ design).conj()
-            if not (n_rows and n_cols):
-                # OpenBLAS rejects a rank-0 update.
-                gram = np.zeros((n_cols, n_cols), dtype=np.complex128)
-            else:
-                import scipy.linalg  # here, not at start-up: it takes about 0.3 s to load
-
-                gram = scipy.linalg.blas.zherk(1.0, design.T, trans=0).T
-                mirror = np.triu_indices(n_cols, 1)
-                gram[mirror] = gram.T[mirror].conj()
+            gram = design.conj().T @ design
+            mirror = np.triu_indices(design.shape[1], 1)
+            gram[mirror] = gram.T[mirror].conj()
+            np.fill_diagonal(gram, gram.diagonal().real)
     gram.setflags(write=False)
     rhs.setflags(write=False)
     system = NormalSystem(gram, rhs, _power(x), None if km is None else km.structure)

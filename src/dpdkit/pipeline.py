@@ -20,7 +20,6 @@ import hashlib
 import math
 import os
 from pathlib import Path
-import re
 
 import numpy as np
 
@@ -89,18 +88,13 @@ _SCHEMA = (
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """How a run obtains its per-order penalties.
-
-    With no per-order entries, the tabulated ladder for the structure at
-    hand; with any ``schedule.lambda_<k>`` or ``schedule.threshold_<k>``
-    entry, a custom schedule of those values.  The scale factors apply
-    to both.
-    """
+    """The ``schedule`` section: the two scale factors of the tabulated
+    ladder (``solver.default_schedule``), which multiply every order's
+    penalty and zero threshold.  A schedule of arbitrary per-order
+    weights is a ``RegularizationSchedule``, built in Python."""
 
     lambda_scale: float = 1.0
     threshold_scale: float = 1.0
-    lambda_by_order: tuple = ()
-    threshold_by_order: tuple = ()
 
     def __post_init__(self):
         for name, scale in (
@@ -109,34 +103,6 @@ class ScheduleSpec:
         ):
             if not (math.isfinite(scale) and scale > 0):
                 raise ConfigurationError(f"schedule.{name} must be positive, got {scale}")
-
-    def build(self, structure: GmpStructure) -> RegularizationSchedule:
-        """The schedule for ``structure``.  A custom one must give a
-        penalty and a zero threshold for each of its envelope powers and
-        for no other power; the first ``schedule.<kind>_<k>`` key that
-        is missing or names a power the structure lacks is named."""
-        if not (self.lambda_by_order or self.threshold_by_order):
-            return default_schedule(structure, self.lambda_scale, self.threshold_scale)
-        orders = set(structure.orders)
-        for kind, entries in (
-            ("lambda", self.lambda_by_order),
-            ("threshold", self.threshold_by_order),
-        ):
-            given = dict(entries).keys()
-            missing = sorted(orders - given)
-            if missing:
-                raise ConfigurationError(
-                    f"a custom schedule needs schedule.{kind}_{missing[0]}"
-                )
-            unused = sorted(given - orders)
-            if unused:
-                raise ConfigurationError(
-                    f"schedule.{kind}_{unused[0]} is set, but the structure has "
-                    f"no envelope power {unused[0]}"
-                )
-        lam = {k: v * self.lambda_scale for k, v in self.lambda_by_order}
-        tau = {k: v * self.threshold_scale for k, v in self.threshold_by_order}
-        return RegularizationSchedule(lam, tau)
 
 
 @dataclass(frozen=True)
@@ -165,7 +131,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"run.seed must fit in 64 bits, got {self.seed}")
 
     def schedule(self) -> RegularizationSchedule:
-        return self.schedule_spec.build(self.structure)
+        return default_schedule(self.structure, **vars(self.schedule_spec))
 
     def validation_signal(self) -> OfdmConfig:
         """The held-out signal: same shape, independent seed."""
@@ -209,11 +175,6 @@ class ExperimentConfig:
             else:
                 value = getattr(sections[section], key)
             lines.append(f"{section}.{key} = {_format_value(value)}")
-            if section == "schedule" and key == "threshold_scale":
-                for k, v in spec.lambda_by_order:
-                    lines.append(f"schedule.lambda_{k} = {v!r}")
-                for k, v in spec.threshold_by_order:
-                    lines.append(f"schedule.threshold_{k} = {v!r}")
         return "\n".join(lines) + "\n"
 
     @property
@@ -239,16 +200,6 @@ def write_table(path, columns, rows, comment=None) -> None:
     _write_text(path, lines, comment)
 
 
-def _schedule_order_key(name):
-    """``(kind, k)`` of a dynamic schedule key ``schedule.lambda_<k>`` or
-    ``schedule.threshold_<k>`` with an even order k written as ``str(k)``,
-    or None if not one: ``lambda_02`` would repeat ``lambda_2``."""
-    match = re.fullmatch(r"schedule\.(lambda|threshold)_(0|[1-9][0-9]*)", name)
-    if match is None or int(match[2]) % 2:
-        return None
-    return match[1], int(match[2])
-
-
 def config_from_entries(entries, base_dir=".") -> ExperimentConfig:
     """The config of ``entries``, which map each ``section.key`` to its
     ``(source, line number, value)`` as ``gmp._read_entries`` gives them.
@@ -256,18 +207,12 @@ def config_from_entries(entries, base_dir=".") -> ExperimentConfig:
     naming the entry's source and line."""
     slots = {f"{s}.{k}": ((s, k), kind) for s, k, kind, _ in _SCHEMA}
     values = {(s, k): default for s, k, _, default in _SCHEMA}
-    by_order = {"lambda": {}, "threshold": {}}
     for name, entry in entries.items():
-        dynamic = _schedule_order_key(name)
-        if dynamic is not None:
-            kind, order = dynamic
-            by_order[kind][order] = _parse_value(name, entry, "float")
-        elif name in slots:
-            slot, kind = slots[name]
-            values[slot] = _parse_value(name, entry, kind)
-        else:
+        if name not in slots:
             source, lineno, _ = entry
             raise FormatError(f"unknown config key {name}", path=source, line=lineno)
+        slot, kind = slots[name]
+        values[slot] = _parse_value(name, entry, kind)
 
     def section(name):
         """The keys of section ``name`` as keyword arguments."""
@@ -278,11 +223,7 @@ def config_from_entries(entries, base_dir=".") -> ExperimentConfig:
         pa_preset=values[("pa", "preset")],
         ilc=IlcConfig(**section("ilc")),
         structure=full_structure(**section("dpd")),
-        schedule_spec=ScheduleSpec(
-            **section("schedule"),
-            lambda_by_order=tuple(sorted(by_order["lambda"].items())),
-            threshold_by_order=tuple(sorted(by_order["threshold"].items())),
-        ),
+        schedule_spec=ScheduleSpec(**section("schedule")),
         bcd=BcdConfig(**section("bcd")),
         standard_lasso_lambda=values[("standard_lasso", "lambda")],
         output_dir=values[("output", "dir")],

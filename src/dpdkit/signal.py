@@ -92,7 +92,15 @@ class IqSignal:
 
     @property
     def rms(self) -> float:
-        return float(np.sqrt(np.mean(np.abs(self.samples) ** 2)))
+        # The squares overflow from about 1e154 on; the samples divided by
+        # their largest part do not, and give the same RMS.
+        x = self.samples
+        with np.errstate(over="ignore"):
+            rms = float(np.sqrt(np.mean(np.abs(x) ** 2)))
+            if math.isinf(rms):
+                scale = max(np.abs(x.real).max(), np.abs(x.imag).max())
+                rms = float(scale * np.sqrt(np.mean(np.abs(x / scale) ** 2)))
+        return rms
 
 
 @dataclass(frozen=True)

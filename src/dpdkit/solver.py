@@ -41,7 +41,7 @@ plain Lasso's coefficients sink there within a few iterates; at the
 count-matched penalty on the 300-kernel ``wideband`` structure the last
 iterates factor 33 columns.  A least-squares fit equilibrates
 its Gram straight into the array that its condition gate reads and
-``zposv`` factors.  scipy, which supplies ``zposv``, is imported at the
+``zposv`` factors.  scipy supplies only ``zposv``; it is imported at the
 first solve, so a process that never fits never loads it.
 """
 

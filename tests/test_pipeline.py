@@ -181,9 +181,14 @@ CONFIG_ERRORS = [
     ("non-ASCII byte", "signal.seed = 1\n# r\u00e9glage\n", (), "non-ASCII byte 0xc3", 2),
     ("bad override", "signal.n_symbols = 8\n", ("signal.n_active=eight",),
      "signal.n_active expects an integer, got 'eight'", None),
-    # The schedule takes the ladder or per-order entries; no key picks one.
+    # The schedule is the tabulated ladder: no key picks another, and no
+    # entry sets one order's weight.
     ("leftover schedule.mode", "signal.n_symbols = 8\nschedule.mode = default\n", (),
      "unknown config key schedule.mode", 2),
+    ("per-order entry", "signal.n_symbols = 8\nschedule.lambda_0 = 0.01\n", (),
+     "unknown config key schedule.lambda_0", 2),
+    ("per-order override", "signal.n_symbols = 8\n", ("schedule.lambda_0=0.01",),
+     "unknown config key schedule.lambda_0", None),
 ]
 
 
@@ -214,61 +219,9 @@ def test_config_errors_name_the_file_and_line(tmp_path, via, text, overrides, me
 # Schedule configuration.
 
 
-def test_custom_schedule_builds_from_per_order_entries():
-    config = parse_config(
-        "dpd.memory_depth = 3\ndpd.max_order = 3\ndpd.lagging_depth = 1\n"
-        "schedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n"
-        "schedule.threshold_0 = 0.1\nschedule.threshold_2 = 0.3\n"
-        "schedule.lambda_scale = 2.0\n"
-    )
-    schedule = config.schedule()
-    assert schedule.lambda_for(0) == pytest.approx(0.02)
-    assert schedule.lambda_for(2) == pytest.approx(0.08)
-    assert schedule.threshold_for(0) == pytest.approx(0.1)
-    assert schedule.threshold_for(2) == pytest.approx(0.3)
-
-
-def test_custom_schedule_requires_lambda_entries():
-    with pytest.raises(ConfigurationError, match="needs schedule.lambda_0"):
-        parse_config("dpd.max_order = 3\nschedule.threshold_0 = 0.1\n").schedule()
-
-
-def test_per_order_entries_alone_select_the_custom_schedule():
-    structure = "dpd.memory_depth = 3\ndpd.max_order = 3\n"
-    ladder = parse_config(structure).schedule()
-    assert ladder == default_schedule(full_structure(3, 3, 1))
-    custom = parse_config(
-        structure + "schedule.lambda_0 = 0.5\nschedule.lambda_2 = 0.25\n"
-        "schedule.threshold_0 = 0.0\nschedule.threshold_2 = 0.125\n"
-    ).schedule()
-    assert custom.lambda_by_order == {0: 0.5, 2: 0.25}
-    assert custom.threshold_by_order == {0: 0.0, 2: 0.125}
-
-
-@pytest.mark.parametrize("kind", ["lambda", "threshold"])
-def test_schedule_entry_for_a_missing_power_is_usage_error(tmp_path, kind):
-    # TINY has max_order = 3: envelope powers 0 and 2 only.
-    entries = "".join(
-        f"schedule.{name}_{k} = 0.01\n" for name in ("lambda", "threshold") for k in (0, 2)
-    )
-    cfg = write_cfg(tmp_path, extra=entries + f"schedule.{kind}_20 = 0.01\n")
-    with pytest.raises(ConfigurationError, match=f"schedule.{kind}_20 is set, but"):
-        load_config(cfg).schedule()
-    code, _, err = run_cli(["exp1", "--config", str(cfg)])
-    assert code == 1
-    assert f"schedule.{kind}_20" in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_odd_order_schedule_key_rejected():
-    with pytest.raises(ConfigurationError, match="lambda_3"):
+    with pytest.raises(ConfigurationError, match="unknown config key schedule.lambda_3"):
         parse_config("schedule.lambda_3 = 0.5\n")
-
-
-def test_non_canonical_schedule_order_key_rejected():
-    # lambda_02 would name the order of lambda_2 a second time.
-    with pytest.raises(ConfigurationError, match="lambda_02"):
-        parse_config("schedule.lambda_2 = 1e-3\nschedule.lambda_02 = 5.0\n")
 
 
 def test_non_ascii_entry_rejected():
@@ -286,10 +239,9 @@ def test_non_ascii_comment_rejected_as_in_a_file():
 
 
 def test_default_schedule_scales_flow_through():
-    config = parse_config(
-        "dpd.memory_depth = 3\ndpd.max_order = 3\n"
-        "schedule.lambda_scale = 10.0\n"
-    )
+    structure = "dpd.memory_depth = 3\ndpd.max_order = 3\n"
+    assert parse_config(structure).schedule() == default_schedule(full_structure(3, 3, 1))
+    config = parse_config(structure + "schedule.lambda_scale = 10.0\n")
     assert config.schedule().lambda_for(0) == pytest.approx(1e-3)
 
 
@@ -303,17 +255,6 @@ def test_canonical_text_round_trips_to_same_hash(tmp_path):
     assert again.config_hash == config.config_hash
 
 
-def test_custom_schedule_survives_canonical_round_trip():
-    config = parse_config(
-        "dpd.memory_depth = 3\ndpd.max_order = 3\n"
-        "schedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n"
-        "schedule.threshold_0 = 0.1\nschedule.threshold_2 = 0.3\n"
-    )
-    again = parse_config(config.canonical_text())
-    assert again.config_hash == config.config_hash
-    assert again.schedule().lambda_for(2) == pytest.approx(0.04)
-
-
 def test_cross_depths_without_cross_orders_hash_alike():
     # max_order = 1 leaves no envelope power for a cross branch, so every
     # depth builds the same aligned-only structure, written with depth 0.
@@ -324,6 +265,13 @@ def test_cross_depths_without_cross_orders_hash_alike():
     assert len({config.config_hash for config in configs}) == 1
     assert "dpd.lagging_depth = 0\n" in configs[2].canonical_text()
     assert "dpd.leading_depth = 0\n" in configs[2].canonical_text()
+
+
+@pytest.mark.parametrize("name", [None, "desk-scale", "wideband"])
+def test_canonical_text_is_every_schema_key_once_in_schema_order(name):
+    config = parse_config("") if name is None else load_config(SHIPPED_CONFIGS / f"{name}.cfg")
+    keys = [line.partition(" = ")[0] for line in config.canonical_text().splitlines()]
+    assert keys == [f"{section}.{key}" for section, key, _, _ in _SCHEMA]
 
 
 def test_config_hash_is_sha256_of_canonical_text(tmp_path):
@@ -627,18 +575,13 @@ def test_experiments_never_form_the_kernel_matrix(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("run", [run_experiment1, run_experiment2])
 @pytest.mark.parametrize(
-    "extra, override, message",
-    [
-        # A custom schedule without thresholds.
-        ("schedule.lambda_0 = 0.01\nschedule.lambda_2 = 0.04\n",
-         (), "schedule.threshold_0"),
-        # Envelope power 16, beyond the tabulated default ladder.
-        ("", ("dpd.max_order=17",), "envelope power 14"),
-    ],
-    ids=["custom-without-thresholds", "default-beyond-ladder"],
+    "override, message",
+    # Envelope power 16, beyond the tabulated default ladder.
+    [(("dpd.max_order=17",), "envelope power 14")],
+    ids=["default-beyond-ladder"],
 )
-def test_schedule_errors_come_before_any_training_work(tmp_path, run, extra, override, message):
-    config = parse_config(TINY + f"output.dir = {tmp_path / 'out'}\n" + extra, overrides=override)
+def test_schedule_errors_come_before_any_training_work(tmp_path, run, override, message):
+    config = parse_config(TINY + f"output.dir = {tmp_path / 'out'}\n", overrides=override)
     with mock.patch("dpdkit.pipeline.ilc_learn", side_effect=AssertionError("training ran")):
         with pytest.raises(ConfigurationError, match=message):
             run(config)
@@ -823,6 +766,19 @@ def test_cli_gen_signal_validation_uses_run_seed(tmp_path):
     config = load_config(cfg)
     expected = generate_ofdm(config.validation_signal())
     assert np.array_equal(read_iq(out).samples, expected.samples)
+
+
+def test_cli_gen_signal_reports_an_rms_whose_squares_overflow(tmp_path):
+    # |s|^2 leaves the float range from about 1e154 on.  Any numpy
+    # RuntimeWarning on the way would fail this test.
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "s.iq"
+    code, stdout, _ = run_cli(["gen-signal", "--config", str(cfg),
+                               "--set", "signal.target_rms=1e300", "--out", str(out)])
+    assert code == 0
+    reported = float(stdout.rpartition("rms ")[2])
+    assert reported == pytest.approx(1e300, rel=1e-9)
+    assert read_iq(out).rms == reported
 
 
 def test_cli_sim_pa_matches_library(tmp_path):
@@ -1082,30 +1038,16 @@ def test_cli_fit_trace_requires_bwlasso(tmp_path):
 
 
 def test_cli_fit_bwlasso_names_missing_schedule_order(tmp_path):
+    # The ladder ends at envelope power 14; max_order = 17 needs 16.
     cfg, s, x = _fit_inputs(tmp_path)
-    partial = tmp_path / "partial.cfg"
-    partial.write_text(
-        TINY
-        + "schedule.lambda_0 = 0.01\n"
-        + "schedule.threshold_0 = 0.1\n"
-    )
+    w = tmp_path / "w.txt"
     code, _, err = run_cli(
-        ["fit", "bwlasso", "--config", str(partial), "--signal", str(s),
-         "--target", str(x), "--out", str(tmp_path / "w.txt")]
+        ["fit", "bwlasso", "--config", str(cfg), "--set", "dpd.max_order=17",
+         "--signal", str(s), "--target", str(x), "--out", str(w)]
     )
     assert code == 1
-    assert "2" in err
-
-
-def test_cli_fit_bwlasso_names_missing_schedule_threshold(tmp_path):
-    cfg, s, x = _fit_inputs(tmp_path)
-    code, _, err = run_cli(
-        ["fit", "bwlasso", "--config", str(cfg),
-         "--set", "schedule.lambda_0=0.01", "--set", "schedule.lambda_2=0.04",
-         "--signal", str(s), "--target", str(x), "--out", str(tmp_path / "w.txt")]
-    )
-    assert code == 1
-    assert "schedule.threshold_0" in err
+    assert "no tabulated penalty beyond envelope power 14, structure has 16" in err
+    assert not w.exists()
 
 
 def test_cli_refine_rejects_empty_support(tmp_path):

@@ -31,6 +31,11 @@ def test_signal_length_and_rms():
     assert signal.rms == pytest.approx(1.0, rel=1e-9)
 
 
+def test_rms_is_the_plain_formula_where_the_squares_are_finite():
+    signal = generate_ofdm(OfdmConfig(64, 42, 4, 4, seed=3, target_rms=1e150))
+    assert signal.rms == float(np.sqrt(np.mean(np.abs(signal.samples) ** 2)))
+
+
 def test_target_rms_scaling():
     signal = generate_ofdm(OfdmConfig(64, 42, 4, 4, seed=3, target_rms=0.25))
     assert signal.rms == pytest.approx(0.25, rel=1e-9)

@@ -1,10 +1,10 @@
 """Start-up cost: a process that never solves a system never loads scipy.
 
-scipy.linalg supplies the two routines of the dense solves, LAPACK
-``zposv`` and BLAS ``zherk``, and takes longer to import than the rest
-of dpdkit; ``solver`` and ``gmp`` import it at the first call that needs
-it.  The probe runs in a fresh interpreter, because the test process
-has imported scipy long before.
+scipy.linalg supplies one routine, the LAPACK ``zposv`` of the dense
+solves, and takes longer to import than the rest of dpdkit; ``solver``
+imports it at the first solve.  Forming a normal system, from a kernel
+matrix or a plain matrix, takes numpy alone.  The probe runs in a fresh
+interpreter, because the test process has imported scipy long before.
 """
 import json
 import os
@@ -28,8 +28,11 @@ def step(name):
     steps.append([name, "scipy" in sys.modules])
 
 
+import numpy as np
+
 import dpdkit
 from dpdkit.cli import cli
+from dpdkit.gmp import normal_system
 
 step("import dpdkit")
 config = dpdkit.load_config(sys.argv[1])
@@ -52,7 +55,12 @@ for argv in (
 ):
     assert cli(argv) == 0, argv
     step("dpdkit " + argv[0])
-dpdkit.least_squares(dpdkit.build_kernel_matrix(learned.drive, config.structure), reference)
+matrix = dpdkit.build_kernel_matrix(learned.drive, config.structure)
+normal_system(matrix, reference)
+step("normal_system")
+normal_system(np.eye(3, dtype=complex), np.ones(3))
+step("normal_system, plain matrix")
+dpdkit.least_squares(matrix, reference)
 step("least_squares")
 print(json.dumps(steps))
 """
@@ -83,5 +91,7 @@ def test_scipy_loads_at_the_first_solve_and_not_before(tmp_path):
         "dpdkit sim-pa": False,
         "dpdkit ilc": False,
         "dpdkit evaluate": False,
+        "normal_system": False,
+        "normal_system, plain matrix": False,
         "least_squares": True,
     }
