@@ -176,6 +176,8 @@ def _cmd_fit(args):
     config = load_config(args.config, args.set)
     if args.trace and args.method != "bwlasso":
         raise UsageError("--trace is only produced by the bwlasso method")
+    # A schedule that cannot be built fails before any input is read.
+    schedule = config.schedule() if args.method == "bwlasso" else None
     signal = read_iq(args.signal)
     target = read_iq(args.target)
     matrix = build_kernel_matrix(signal, config.structure)
@@ -186,7 +188,7 @@ def _cmd_fit(args):
             matrix, target, config.standard_lasso_lambda, config=config.bcd
         )
     else:
-        coeffs, trace = block_weighted_lasso(matrix, target, config.schedule(), config.bcd)
+        coeffs, trace = block_weighted_lasso(matrix, target, schedule, config.bcd)
         if args.trace:
             write_table(
                 args.trace,

@@ -444,10 +444,8 @@ def _envelopes(samples, rows, lo: int, hi: int, plan) -> None:
     ``lo .. hi - 1``, zero outside the source.
 
     The envelopes are powers of ``|s|^2 = re^2 + im^2``, taken once over
-    that window: ``|s|^k`` is the product of k/2 copies, with no square
-    root and no ``pow``, and a row of higher power at the same offset as
-    a lower one continues its product.  A base of power 0 has a row of
-    ones.
+    that window: the row of ``|s|^k`` is a row of ones multiplied k/2
+    times by its window, with no square root and no ``pow``.
     """
     count = rows.shape[1]
     if any(half for _, half, _ in plan):
@@ -458,28 +456,16 @@ def _envelopes(samples, rows, lo: int, hi: int, plan) -> None:
             inside = squared[src_lo - lo : src_hi - lo]
             np.multiply(window.real, window.real, out=inside)
             inside += window.imag**2
-    # The row of highest power so far at each offset, and that power.
-    built = {}
     for b, half, at in plan:
         row = rows[b]
-        if half == 0:
-            row[:] = 1.0
-            continue
-        factor = squared[at : at + count]
-        done, below = built.get(at, (0, None))
-        if done:
-            np.multiply(rows[below], factor, out=row)
-        else:
-            row[:] = factor
-        for _ in range(half - done - 1):
-            row *= factor
-        built[at] = (half, b)
+        row[:] = 1.0
+        for _ in range(half):
+            row *= squared[at : at + count]
 
 
 def _psi_blocks(samples, bases, lag, n_rows: int):
     """``(start, stop, psi)`` for each block of ``_base_blocks``, with
-    the complex base rows ``psi[b] = carrier * envelope[b]``; a base of
-    power 0 is the carrier itself.
+    the complex base rows ``psi[b] = carrier * envelope[b]``.
 
     One array per call holds the rows of every block, so a block's rows
     hold until the caller asks for the next.  The envelopes are written
@@ -492,11 +478,8 @@ def _psi_blocks(samples, bases, lag, n_rows: int):
         samples, bases, lag, n_rows, rows.view(np.float64)
     ):
         psi = rows[:, : carrier.size]
-        for b, desc in enumerate(bases):
-            if desc.order_exponent == 0:
-                psi[b] = carrier
-            else:
-                np.multiply(carrier, envelope[b], out=psi[b])
+        for b in range(len(bases)):
+            np.multiply(carrier, envelope[b], out=psi[b])
         yield start, stop, psi
 
 

@@ -153,23 +153,17 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
     gain = config.target_gain if config.target_gain is not None else model.smallsignal_gain
     rate = reference.sample_rate_hz
 
-    # The error, and then the step scaled from it, are formed in place in
-    # one reused buffer; each new drive is a fresh array, which its
-    # signal takes over.
-    error = np.empty_like(target)
-
-    def output_error(output):
-        np.divide(output.samples, gain, out=error)
-        return np.subtract(target, error, out=error)
-
+    # Each new drive is a fresh array, which its signal takes over.
     drive = target.copy()
     driven, output = _forward(drive, rate, model, 0)
-    history = [_ratio_db(_power(output_error(output)), ref_power)]
+    error = target - output.samples / gain
+    history = [_ratio_db(_power(error), ref_power)]
     rising = 0
     for iteration in range(1, config.iterations + 1):
-        drive = drive + np.multiply(config.learning_rate, error, out=error)
+        drive = drive + config.learning_rate * error
         driven, output = _forward(drive, rate, model, iteration)
-        history.append(_ratio_db(_power(output_error(output)), ref_power))
+        error = target - output.samples / gain
+        history.append(_ratio_db(_power(error), ref_power))
         if not history[-1] <= history[-2]:
             rising += 1
             if rising >= 3:

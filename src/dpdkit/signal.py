@@ -92,15 +92,18 @@ class IqSignal:
 
     @property
     def rms(self) -> float:
-        # The squares overflow from about 1e154 on; the samples divided by
-        # their largest part do not, and give the same RMS.
+        # The squares overflow from about 1e154 on and lose digits or
+        # vanish below about 1e-154; the samples divided by their largest
+        # part do neither, and give the same RMS.
         x = self.samples
         with np.errstate(over="ignore"):
-            rms = float(np.sqrt(np.mean(np.abs(x) ** 2)))
-            if math.isinf(rms):
-                scale = max(np.abs(x.real).max(), np.abs(x.imag).max())
-                rms = float(scale * np.sqrt(np.mean(np.abs(x / scale) ** 2)))
-        return rms
+            mean_square = np.mean(np.abs(x) ** 2)
+            if np.finfo(np.float64).tiny <= mean_square < math.inf:
+                return float(np.sqrt(mean_square))
+            scale = max(np.abs(x.real).max(), np.abs(x.imag).max())
+            if scale == 0.0:
+                return 0.0
+            return float(scale * np.sqrt(np.mean(np.abs(x / scale) ** 2)))
 
 
 @dataclass(frozen=True)

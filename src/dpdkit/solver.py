@@ -58,7 +58,7 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from .gmp import CoefficientVector, normal_system
+from .gmp import CoefficientVector, effective_memory_depth, kernel_count, normal_system
 from .signal import _ratio_db
 
 CONDITION_LIMIT = 1e12
@@ -466,15 +466,13 @@ def _fold(system, b, u, V, keep, drop, cap):
     return np.asfortranarray(schur), b[keep] - cross @ u_fold, u, V
 
 
-def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config=None):
+def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config: BcdConfig = BcdConfig()):
     """Single-weight complex Lasso solved by iterated ridge regression,
     from uniform first weights."""
     if not (math.isfinite(lam) and lam > 0):
         raise ConfigurationError(f"lasso penalty must be positive, got {lam}")
     if not (math.isfinite(zero_threshold) and zero_threshold >= 0):
         raise ConfigurationError(f"zero_threshold must be >= 0, got {zero_threshold}")
-    if config is None:
-        config = BcdConfig()
     system = normal_system(S, x)
     return system.coefficients(_lasso_core(system.gram, system.rhs, lam, zero_threshold, config))
 
@@ -518,7 +516,7 @@ class FitTrace:
         ]
 
 
-def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
+def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config: BcdConfig = BcdConfig()):
     """Order-blocked l1 fit by cyclic block coordinate descent.
 
     Columns are grouped by envelope power; each outer iteration sweeps
@@ -538,8 +536,6 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
     and the residual power, and updates both from the cached Gram, so a
     block update costs O(P * block size) whatever the row count.
     """
-    if config is None:
-        config = BcdConfig()
     system = normal_system(S, x)
     if system.structure is None:
         raise ConfigurationError(
@@ -594,26 +590,21 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config=None):
                 objective += step
             else:
                 rejected.append(k)
-        snapshot = omega.copy()
-        snapshot.setflags(write=False)
-        nonzero = np.flatnonzero(snapshot)
-        depth = (
-            max(columns[j].deepest_sample for j in nonzero) if nonzero.size else -1
-        )
+        snapshot = system.coefficients(omega)
         records.append(
             FitRecord(
                 iteration=iteration,
                 nmse_db=_ratio_db(residual_power, target_power),
-                kernel_count=int(nonzero.size),
-                effective_memory_depth=depth,
-                coefficients=snapshot,
+                kernel_count=kernel_count(snapshot),
+                effective_memory_depth=effective_memory_depth(snapshot),
+                coefficients=snapshot.values,
                 objective=objective,
                 rejected_orders=tuple(rejected),
             )
         )
     selected = int(np.argmin([r.nmse_db for r in records]))
     trace = FitTrace(records=tuple(records), selected_index=selected)
-    return system.coefficients(records[selected].coefficients.copy()), trace
+    return system.coefficients(records[selected].coefficients), trace
 
 
 @dataclass(frozen=True)

@@ -1050,6 +1050,17 @@ def test_cli_fit_bwlasso_names_missing_schedule_order(tmp_path):
     assert not w.exists()
 
 
+def test_cli_fit_bwlasso_schedule_error_comes_before_the_kernel_matrix(tmp_path):
+    cfg, s, x = _fit_inputs(tmp_path)
+    with mock.patch("dpdkit.cli.build_kernel_matrix", wraps=build_kernel_matrix) as spy:
+        code, _, _ = run_cli(
+            ["fit", "bwlasso", "--config", str(cfg), "--set", "dpd.max_order=17",
+             "--signal", str(s), "--target", str(x), "--out", str(tmp_path / "w.txt")]
+        )
+    assert code == 1
+    spy.assert_not_called()
+
+
 def test_cli_refine_rejects_empty_support(tmp_path):
     cfg, s, x = _fit_inputs(tmp_path)
     w = tmp_path / "w.txt"

@@ -36,6 +36,23 @@ def test_rms_is_the_plain_formula_where_the_squares_are_finite():
     assert signal.rms == float(np.sqrt(np.mean(np.abs(signal.samples) ** 2)))
 
 
+def test_rms_is_the_plain_formula_where_the_mean_square_is_a_normal_float():
+    signal = generate_ofdm(OfdmConfig(64, 42, 4, 4, seed=3, target_rms=1e-150))
+    assert signal.rms == float(np.sqrt(np.mean(np.abs(signal.samples) ** 2)))
+
+
+@pytest.mark.parametrize("target", [1e-300, 1e-160])
+def test_rms_whose_squares_underflow(target):
+    # |s|^2 leaves the normal floats from about 1e-154 on, and is zero
+    # below about 1e-162.
+    signal = generate_ofdm(OfdmConfig(64, 42, 4, 4, seed=3, target_rms=target))
+    assert signal.rms == pytest.approx(target, rel=1e-12, abs=0.0)
+
+
+def test_rms_of_an_all_zero_signal_is_zero():
+    assert IqSignal(np.zeros(8, dtype=np.complex128), 1.0).rms == 0.0
+
+
 def test_target_rms_scaling():
     signal = generate_ofdm(OfdmConfig(64, 42, 4, 4, seed=3, target_rms=0.25))
     assert signal.rms == pytest.approx(0.25, rel=1e-9)

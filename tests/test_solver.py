@@ -985,6 +985,25 @@ def test_standard_lasso_solves_ever_smaller_systems_on_desk_scale():
     assert 0 < np.count_nonzero(coeffs.values) <= sizes[-1]
 
 
+def test_penalty_ladder_does_not_select_on_desk_scale():
+    # On the shipped desk run point the per-order zero thresholds, not
+    # the penalties, prune: a ladder a thousand or a million times
+    # smaller keeps the same 15 kernels and selects the same iteration.
+    # A change that makes the penalties select has to change this test.
+    path = SHIPPED_CONFIGS / "desk-scale.cfg"
+    _, _, learned, matrix = _training_stage(load_config(path))
+    fits = []
+    for scale in ("1", "1e-3", "1e-6"):
+        config = load_config(path, overrides=[f"schedule.lambda_scale={scale}"])
+        coeffs, trace = block_weighted_lasso(
+            matrix, learned.drive, config.schedule(), config.bcd
+        )
+        fits.append((coeffs.support().tolist(), trace.selected.iteration))
+    assert len(fits[0][0]) == 15
+    assert fits[1] == fits[0]
+    assert fits[2] == fits[0]
+
+
 def test_non_finite_ridge_systems_are_rank_deficiency():
     rng = np.random.default_rng(41)
     S = _random_design(rng, 16, 3)
