@@ -27,6 +27,7 @@ import enum
 from functools import cached_property
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +223,26 @@ class CoefficientVector:
         """Indices of the active (nonzero) coefficients."""
         return np.flatnonzero(self.values)
 
+    @cached_property
+    def _plan(self):
+        """``apply_model``'s ``(layout, weights, shifts)`` of the support,
+        or None for an empty one; it depends on neither the signal nor
+        ``ROW_CHUNK``.  Columns 2 i and 2 i + 1 of the read-only
+        ``weights[b]`` are the real and imaginary parts of the coefficient
+        of base b at the i-th lag, so the GEMM output reads as the complex
+        g_l of every lag, and ``shifts[i]`` is the largest lag less that
+        lag."""
+        support = self.support()
+        if not support.size:
+            return None
+        descriptors = self.structure.descriptors()
+        bases, base, lag = _bases_of([descriptors[j] for j in support])
+        lags, at = np.unique(lag, return_inverse=True)
+        weights = np.zeros((len(bases), 2 * lags.size))
+        weights.view(np.complex128)[base, at] = self.values[support]
+        weights.setflags(write=False)
+        return _block_layout(bases, lag), weights, (lags[-1] - lags).tolist()
+
 
 def kernel_count(coeffs: CoefficientVector) -> int:
     """Number of active (nonzero) kernels."""
@@ -266,10 +287,13 @@ class KernelMatrix:
     ``psi_b(n - l)`` of one of a few base sequences
     ``psi_b(q) = s(q) e_b(q)``, one per (branch, k, m): the carrier
     times the real envelope ``e_b(q) = |s(q -+ m)|^k``, a power of
-    ``|s|^2``.  15 bases carry the 300 columns of the wideband structure.  The normal equations (``normal_system``), the
-    whole matrix (``data``) and the model output of ``apply_model`` are
-    all cut from blocks of ``ROW_CHUNK`` samples of the carrier and the
-    envelopes (``_base_blocks``).  The normal equations and ``data`` form
+    ``|s|^2``.  15 bases carry the 300 columns of the wideband
+    structure.  The normal equations (``normal_system``), the whole
+    matrix (``data``) and the model output of ``apply_model`` are all
+    cut from blocks of ``ROW_CHUNK`` samples of the carrier and the
+    envelopes (``_base_blocks``), laid out by ``_block_layout``; each
+    envelope row continues the row of the next lower power at its offset
+    (``_envelopes``).  The normal equations and ``data`` form
     the complex base rows ``s e_b`` of each block (``_psi_blocks``); the
     normal equations take N * B * P work rather than N * P^2, and memory
     that grows with the block and with P^2, not with N * P.
@@ -301,7 +325,8 @@ class KernelMatrix:
         bases, base, lag = _bases_of(self.columns)
         shifts = (lag.max() - lag).tolist()
         data = np.empty(self.shape, dtype=np.complex128)
-        for start, stop, psi in _psi_blocks(self.samples, bases, lag, self.shape[0]):
+        layout = _block_layout(bases, lag)
+        for start, stop, psi in _psi_blocks(self.samples, layout, self.shape[0]):
             for j, (b, at) in enumerate(zip(base.tolist(), shifts)):
                 data[start:stop, j] = psi[b, at : at + stop - start]
         data.setflags(write=False)
@@ -396,33 +421,60 @@ def _bases_of(descriptors) -> tuple:
     return bases, np.array(base, dtype=np.intp), np.array(lag, dtype=np.intp)
 
 
-def _base_blocks(samples, bases, lag, n_rows: int, envelope):
+class _BlockLayout(NamedTuple):
+    """How ``_base_blocks`` cuts blocks of some bases at some lags."""
+
+    lo: int        # smallest lag
+    hi: int        # largest lag
+    behind: int    # widest lagging offset, 0 if none
+    ahead: int     # widest leading offset, 0 if none
+    recipe: tuple  # (b, below, at, times) per base, see ``_envelopes``
+
+
+def _block_layout(bases, lag) -> _BlockLayout:
+    """The ``_BlockLayout`` of the bases ``bases`` at the lags ``lag``.
+
+    A block's envelope window reaches ``behind`` samples before its
+    carrier and ``ahead`` after it, and base b's envelope starts at
+    ``at``: ``behind - m`` (lagging), ``behind`` (aligned) or
+    ``behind + m`` (leading).  The recipe lists the bases by ``at`` and,
+    at each ``at``, by increasing k.  ``below`` is the base of the next
+    lower power at that ``at`` and ``times`` is k/2 less its k/2; for the
+    lowest power there, ``below`` is None and ``times`` is k/2.
+    """
+    behind = max([d.envelope_offset for d in bases if d.branch is Branch.LAGGING] + [0])
+    ahead = max([d.envelope_offset for d in bases if d.branch is Branch.LEADING] + [0])
+    side = {Branch.ALIGNED: 0, Branch.LAGGING: -1, Branch.LEADING: 1}
+    steps = sorted(
+        (behind + side[d.branch] * (d.envelope_offset or 0), d.order_exponent // 2, b)
+        for b, d in enumerate(bases)
+    )
+    recipe, top = [], {}
+    for at, half, b in steps:
+        below, done = top.get(at, (None, 0))
+        recipe.append((b, below, at, half - done))
+        top[at] = (b, half)
+    return _BlockLayout(int(np.min(lag)), int(np.max(lag)), behind, ahead, tuple(recipe))
+
+
+def _base_blocks(samples, layout: _BlockLayout, n_rows: int, envelope):
     """``(start, stop, carrier, envelope)`` for each ``ROW_CHUNK``-row
-    block of the rows ``0 .. n_rows - 1`` of columns at the lags ``lag``:
-    the one evaluator of kernel columns.
+    block of the rows ``0 .. n_rows - 1`` of columns at the lags of
+    ``layout``: the one evaluator of kernel columns.
 
     Each block spans its rows widened by the lag span: ``carrier[i]`` is
     ``s(q)`` and ``envelope[b, i]`` the real envelope of base b at
-    q = start - max(lag) + i, both zero outside the source.  Base b is
+    q = start - hi + i, both zero outside the source.  Base b is
     ``psi_b(q) = carrier * envelope[b]`` (``_psi_blocks``), and its column
-    at lag l is cut from ``max(lag) - l`` on, ``stop - start`` samples
-    long.  The carrier is a view of the samples when the block lies
-    inside them, and a zero-padded copy only at the edges of the signal.
-    The envelopes (``_envelopes``) are written into the leading columns
-    of ``envelope``, one row per base and at least as wide as the widest
+    at lag l is cut from ``hi - l`` on, ``stop - start`` samples long.
+    The carrier is a view of the samples when the block lies inside
+    them, and a zero-padded copy only at the edges of the signal.  The
+    envelopes (``_envelopes``) are written into the leading columns of
+    ``envelope``, one row per base and at least as wide as the widest
     block, so a block's envelopes hold until the caller asks for the
     next block.
     """
-    lo, hi = int(np.min(lag)), int(np.max(lag))
-    behind = max([d.envelope_offset for d in bases if d.branch is Branch.LAGGING] + [0])
-    ahead = max([d.envelope_offset for d in bases if d.branch is Branch.LEADING] + [0])
-    # Per base: its row, k / 2, and where its envelope starts in the
-    # block widened by ``behind`` and ``ahead``.
-    side = {Branch.ALIGNED: 0, Branch.LAGGING: -1, Branch.LEADING: 1}
-    plan = [
-        (b, d.order_exponent // 2, behind + side[d.branch] * (d.envelope_offset or 0))
-        for b, d in enumerate(bases)
-    ]
+    lo, hi, behind, ahead, recipe = layout
     n = samples.size
     for start in range(0, n_rows, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n_rows)
@@ -435,20 +487,24 @@ def _base_blocks(samples, bases, lag, n_rows: int, envelope):
             if src_hi > src_lo:
                 carrier[src_lo - first : src_hi - first] = samples[src_lo:src_hi]
         rows = envelope[:, :count]
-        _envelopes(samples, rows, first - behind, first + count + ahead, plan)
+        _envelopes(samples, rows, first - behind, first + count + ahead, recipe)
         yield start, stop, carrier, rows
 
 
-def _envelopes(samples, rows, lo: int, hi: int, plan) -> None:
-    """Fill ``rows`` with the envelopes of ``plan`` from the samples at
-    ``lo .. hi - 1``, zero outside the source.
+def _envelopes(samples, rows, lo: int, hi: int, recipe) -> None:
+    """Fill ``rows`` with the envelopes of ``recipe`` (``_block_layout``)
+    from the samples at ``lo .. hi - 1``, zero outside the source.
 
     The envelopes are powers of ``|s|^2 = re^2 + im^2``, taken once over
-    that window: the row of ``|s|^k`` is a row of ones multiplied k/2
-    times by its window, with no square root and no ``pow``.
+    that window, with no square root and no ``pow``.  Power 0 is a row
+    of ones, the lowest other power at an offset copies its window, and
+    each higher power multiplies the row ``below`` it by the window,
+    ``times`` times: one pass per row where the powers at an offset have
+    no gaps.  The products run in the order of a row of ones multiplied
+    k/2 times by the window, so every row is that product bit for bit.
     """
     count = rows.shape[1]
-    if any(half for _, half, _ in plan):
+    if any(times for *_, times in recipe):
         src_lo, src_hi = max(lo, 0), min(hi, samples.size)
         squared = np.empty(hi - lo) if src_lo == lo and src_hi == hi else np.zeros(hi - lo)
         if src_hi > src_lo:
@@ -456,14 +512,21 @@ def _envelopes(samples, rows, lo: int, hi: int, plan) -> None:
             inside = squared[src_lo - lo : src_hi - lo]
             np.multiply(window.real, window.real, out=inside)
             inside += window.imag**2
-    for b, half, at in plan:
+    for b, below, at, times in recipe:
         row = rows[b]
-        row[:] = 1.0
-        for _ in range(half):
-            row *= squared[at : at + count]
+        if not times:
+            row[:] = 1.0
+            continue
+        factor = squared[at : at + count]
+        if below is None:
+            row[:] = factor
+        else:
+            np.multiply(rows[below], factor, out=row)
+        for _ in range(times - 1):
+            row *= factor
 
 
-def _psi_blocks(samples, bases, lag, n_rows: int):
+def _psi_blocks(samples, layout: _BlockLayout, n_rows: int):
     """``(start, stop, psi)`` for each block of ``_base_blocks``, with
     the complex base rows ``psi[b] = carrier * envelope[b]``.
 
@@ -472,13 +535,14 @@ def _psi_blocks(samples, bases, lag, n_rows: int):
     into the first half of each row: numpy copies an envelope row before
     the product that overlaps it overwrites it.
     """
-    width = min(ROW_CHUNK, n_rows) + int(np.max(lag) - np.min(lag))
-    rows = np.empty((len(bases), width), dtype=np.complex128)
+    n_bases = len(layout.recipe)
+    width = min(ROW_CHUNK, n_rows) + layout.hi - layout.lo
+    rows = np.empty((n_bases, width), dtype=np.complex128)
     for start, stop, carrier, envelope in _base_blocks(
-        samples, bases, lag, n_rows, rows.view(np.float64)
+        samples, layout, n_rows, rows.view(np.float64)
     ):
         psi = rows[:, : carrier.size]
-        for b in range(len(bases)):
+        for b in range(n_bases):
             np.multiply(carrier, envelope[b], out=psi[b])
         yield start, stop, psi
 
@@ -529,7 +593,7 @@ def _kernel_normal_equations(km, target) -> tuple:
     products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
     correlation = np.zeros((n_bases, lags.size), dtype=np.complex128)
     # The bases delayed by each lag difference d, over blocks of q.
-    for q0, block_stop, psi in _psi_blocks(km.samples, bases, diffs, q_hi):
+    for q0, block_stop, psi in _psi_blocks(km.samples, _block_layout(bases, diffs), q_hi):
         count = block_stop - q0
         # psi[:, i] is psi(q0 - span + i) and head[:, i] is conj(psi(q0 + i)),
         # conjugated row by row: a ufunc on the strided block would take
@@ -607,15 +671,19 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     less than a full kernel-matrix product.  Every column is the carrier
     times a real envelope, ``s(n - l) e_b(n - l)`` (see ``KernelMatrix``),
     so the output is ``sum over the lags l of s(n - l) g_l(n - l)``, with
-    ``g_l = sum over b of c_(l,b) e_b``.  Each ``ROW_CHUNK``-sample block
-    of the output evaluates the carrier and the support's envelopes once,
-    over the block widened by the support's lag span, forms every
-    ``g_l`` with one real GEMM ``E^T W`` (``W`` holds the real and
-    imaginary parts of each lag's coefficients, so the product reads as
-    complex), and then adds ``g_l s`` for one lag l at a time, in
-    increasing l.  The envelopes, the GEMM output and the product buffer
-    are allocated once per call.  A single term of power 0 gives exactly
-    ``c s(n - l)``.
+    ``g_l = sum over b of c_(l,b) e_b``.  The support's bases, lags,
+    block layout and real weights ``W`` are built once per coefficient
+    vector (``CoefficientVector._plan``) and shared by every call on it,
+    such as the passes of a learning loop.  Each ``ROW_CHUNK``-sample
+    block of the output evaluates the carrier and the support's envelopes
+    once, over the block widened by the support's lag span, each row
+    continuing the next lower power at its offset (``_envelopes``),
+    forms every ``g_l`` with one real GEMM ``E^T W`` (``W`` holds the
+    real and imaginary parts of each lag's coefficients, so the product
+    reads as complex), and then adds ``g_l s`` for one lag l at a time,
+    in increasing l.  The envelopes, the GEMM output and the product
+    buffer are allocated once per call.  A single term of power 0 gives
+    exactly ``c s(n - l)``.
 
     The output is therefore not bit for bit the column sum: each sample
     is within a few rounding errors of it, and its bits may change with
@@ -625,25 +693,17 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     no copy and no second scan.
     """
     samples = _signal_samples(signal)
-    support = coeffs.support()
     out = np.zeros(samples.size, dtype=np.complex128)
-    if support.size:
-        descriptors = coeffs.structure.descriptors()
-        bases, base, lag = _bases_of([descriptors[j] for j in support])
-        lags, at = np.unique(lag, return_inverse=True)
-        # Columns 2 i and 2 i + 1 of weights[b] are the real and imaginary
-        # parts of the coefficient of base b at lag lags[i], so that the
-        # GEMM output reads as the complex g_l of every lag.
-        weights = np.zeros((len(bases), 2 * lags.size))
-        weights.view(np.complex128)[base, at] = coeffs.values[support]
-        width = min(ROW_CHUNK, samples.size) + int(lags[-1] - lags[0])
-        envelope = np.empty((len(bases), width))
-        gains = np.empty((width, lags.size), dtype=np.complex128)
+    plan = coeffs._plan
+    if plan is not None:
+        layout, weights, shifts = plan
+        width = min(ROW_CHUNK, samples.size) + layout.hi - layout.lo
+        envelope = np.empty((weights.shape[0], width))
+        gains = np.empty((width, len(shifts)), dtype=np.complex128)
         term = np.empty(min(ROW_CHUNK, samples.size), dtype=np.complex128)
-        shifts = (lags[-1] - lags).tolist()
         with np.errstate(over="ignore", invalid="ignore"):
             for start, stop, carrier, rows in _base_blocks(
-                samples, bases, lag, samples.size, envelope
+                samples, layout, samples.size, envelope
             ):
                 n = stop - start
                 g = gains[: carrier.size]

@@ -23,7 +23,14 @@ from dpdkit.gmp import (
     read_coefficients,
     write_coefficients,
 )
-from dpdkit.pa_sim import PaModel, default_pa_model, read_pa_model, write_pa_model
+from dpdkit.pa_sim import (
+    IlcConfig,
+    PaModel,
+    default_pa_model,
+    ilc_learn,
+    read_pa_model,
+    write_pa_model,
+)
 from dpdkit.signal import IqSignal, OfdmConfig, generate_ofdm
 
 from helpers import naive_kernel_matrix
@@ -387,6 +394,95 @@ def test_apply_model_linear_in_coefficients():
         + apply_model(_sig(samples), CoefficientVector(structure, w2)).samples
     )
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(rhs)), 1.0)
+
+
+# Several powers at one offset on every branch, with gaps in the powers
+# (2, 4, 8 and 0, 2, 6) and a power 0 among them.
+_CHAINED = GmpStructure(
+    aligned_orders=(0, 2, 4, 6), aligned_lags=(0, 2),
+    lagging_orders=(2, 4, 8), lagging_lags=(1,), lagging_cross=(1, 3),
+    leading_orders=(0, 2, 6), leading_lags=(0, 3), leading_cross=(2,),
+)
+
+
+def test_chained_envelope_rows_are_the_plain_product_bitwise(monkeypatch):
+    # Samples with signed-zero parts, and samples near 1e150, whose
+    # squares reach 1e300 and whose higher powers overflow to inf.
+    monkeypatch.setattr(gmp, "ROW_CHUNK", 7)
+    rng = np.random.default_rng(12)
+    n = 40
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    samples[::5] = complex(-0.0, 0.5)
+    samples[1::5] = complex(0.75, -0.0)
+    samples[2::9] *= 1e150
+    samples[3] = complex(-0.0, -0.0)
+    bases, _, lag = gmp._bases_of(_CHAINED.descriptors())
+    layout = gmp._block_layout(bases, lag)
+    # Rows that continue the row of a lower power, across gaps of 2 too.
+    chained = [times for _, below, _, times in layout.recipe if below is not None]
+    assert len(chained) >= 7 and max(chained) == 2
+    # |s(q)|^2 at q = -pad .. n + pad - 1, zero outside the signal.
+    pad = 16
+    padded = np.zeros(n + 2 * pad, dtype=np.complex128)
+    padded[pad : pad + n] = samples
+    squared = padded.real * padded.real + padded.imag**2
+    side = {Branch.ALIGNED: 0, Branch.LAGGING: -1, Branch.LEADING: 1}
+    envelope = np.empty((len(bases), 7 + layout.hi - layout.lo))
+    blocks = 0
+    with np.errstate(over="ignore"):
+        for start, _, _, rows in gmp._base_blocks(samples, layout, n, envelope):
+            blocks += 1
+            first = start - layout.hi + pad
+            for b, d in enumerate(bases):
+                at = first + side[d.branch] * (d.envelope_offset or 0)
+                plain = np.ones(rows.shape[1])
+                for _ in range(d.order_exponent // 2):
+                    plain *= squared[at : at + rows.shape[1]]
+                assert np.array_equal(rows[b].view(np.uint64), plain.view(np.uint64))
+    assert blocks == 6
+    assert np.isinf(envelope).any()
+
+
+def _counting_bases_of(monkeypatch):
+    calls = []
+    bases_of = gmp._bases_of
+
+    def spy(descriptors):
+        calls.append(len(descriptors))
+        return bases_of(descriptors)
+
+    monkeypatch.setattr(gmp, "_bases_of", spy)
+    return calls
+
+
+def test_ilc_builds_the_amplifier_plan_once(monkeypatch):
+    model = default_pa_model()
+    reference = generate_ofdm(OfdmConfig(64, 52, 8, 4, seed=13))
+    calls = _counting_bases_of(monkeypatch)
+    result = ilc_learn(reference, model, IlcConfig(iterations=3))
+    assert len(result.error_db) == 4  # four amplifier passes
+    assert calls == [model.coefficients.support().size]
+
+
+def test_apply_model_plan_is_reused_and_read_only(monkeypatch):
+    rng = np.random.default_rng(14)
+    signal = _sig(rng.standard_normal(50) + 1j * rng.standard_normal(50))
+    coeffs = _sparse_coefficients(_CHAINED, rng)
+    calls = _counting_bases_of(monkeypatch)
+    first = apply_model(signal, coeffs).samples
+    assert np.array_equal(_bits(apply_model(signal, coeffs).samples), _bits(first))
+    assert len(calls) == 1
+    fresh = CoefficientVector(_CHAINED, coeffs.values)
+    assert np.array_equal(_bits(apply_model(signal, fresh).samples), _bits(first))
+    assert len(calls) == 2
+    _, weights, _ = coeffs._plan
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+    # The plan holds nothing of the block size: a smaller one set after
+    # the plan is built still gives the column sum.
+    monkeypatch.setattr(gmp, "ROW_CHUNK", 7)
+    _assert_within_rounding_of_column_sum(signal, coeffs)
 
 
 # --- structural metrics --------------------------------------------------
