@@ -690,12 +690,16 @@ def apply_model(signal, coeffs: CoefficientVector) -> IqSignal:
     ``ROW_CHUNK`` and with the BLAS build.  An output that leaves the
     floating-point range raises DivergenceError, with no numpy warning
     on the way.  The returned signal takes the new array as it is, with
-    no copy and no second scan.
+    no copy and no second scan.  The output is allocated uninitialized,
+    since the first lag of every block writes each of its samples; an
+    empty support gives zeros.
     """
     samples = _signal_samples(signal)
-    out = np.zeros(samples.size, dtype=np.complex128)
     plan = coeffs._plan
-    if plan is not None:
+    if plan is None:
+        out = np.zeros(samples.size, dtype=np.complex128)
+    else:
+        out = np.empty(samples.size, dtype=np.complex128)
         layout, weights, shifts = plan
         width = min(ROW_CHUNK, samples.size) + layout.hi - layout.lo
         envelope = np.empty((weights.shape[0], width))

@@ -172,7 +172,9 @@ def generate_ofdm(config: OfdmConfig) -> IqSignal:
 
     Each symbol places independent constellation points on the active
     bins of a zero-padded spectrum and transforms to time domain; the
-    concatenated waveform is scaled to ``target_rms`` exactly.
+    concatenated waveform is scaled to ``target_rms`` exactly.  A
+    ``target_rms`` that scales the waveform out of the floating-point
+    range raises ConfigurationError, with no numpy warning on the way.
     """
     rng = np.random.default_rng(config.seed)
     points = _CONSTELLATIONS[config.constellation]
@@ -185,8 +187,15 @@ def generate_ofdm(config: OfdmConfig) -> IqSignal:
     samples = np.fft.ifft(spectrum, axis=1).ravel()
 
     scale = config.target_rms / float(np.sqrt(np.mean(np.abs(samples) ** 2)))
-    samples = samples * scale
-    return IqSignal(samples, config.sample_rate_hz)
+    if math.isfinite(scale):
+        with np.errstate(over="ignore"):
+            samples = samples * scale
+        if np.isfinite(samples).all():
+            return IqSignal(samples, config.sample_rate_hz)
+    raise ConfigurationError(
+        f"signal.target_rms = {config.target_rms!r} scales the waveform "
+        "out of the floating-point range"
+    )
 
 
 @dataclass(frozen=True)

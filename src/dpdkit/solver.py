@@ -27,11 +27,16 @@ correlation ``S^H r`` of the residual instead of the N-sample residual
 update of Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010);
 ``kkt_check`` forms ``S^H r`` the same way.
 
-Every dense solve is one LAPACK ``zposv`` that factors in place a
-Fortran-ordered system owned by its caller.  An l1 call checks its Gram
-finite once and keeps the ridge system of its active set as one such
-array, which each iterate copies and factors.  The array is cut down
-when coefficients leave the active set, and it sheds the columns whose
+Every dense solve is one LAPACK ``zposv``, in ``_factor_solve``, that
+checks the diagonal finite and factors in place a Fortran-ordered
+system owned by its caller.  An l1 call checks its Gram and right-hand
+side finite once and keeps the ridge system of its active set as one
+such array.  An iterate is one solve plus a fixed handful of vector
+operations: copy the array into a work array, add the weights to its
+diagonal, solve, then take the moduli, the largest change and the next
+weights, in the order of the active set.  Masks are formed only when an
+iterate cuts, folds or restores.  The array is cut down when
+coefficients leave the active set, and it sheds the columns whose
 weight has reached its cap: the majorizer gives a modulus at or below
 ``ridge_epsilon`` the constant weight lam / (2 ridge_epsilon) (the
 perturbed local quadratic approximation of Hunter and Li, Ann. Stat.
@@ -249,29 +254,44 @@ def least_squares(S, x):
 _zposv = None
 
 
+def _diagonal(system):
+    """The diagonal of a contiguous square array, as a view: every
+    (n + 1)-th element in memory order."""
+    return system.ravel(order="K")[:: system.shape[0] + 1]
+
+
 def _ridge_solve(system, rhs, weights):
     """Solve ``(system + diag(weights)) w = rhs`` by Cholesky, in place.
 
     ``system`` is a Fortran-ordered complex array that the caller owns
     and has checked finite; ``rhs`` is one column or several, and
     ``weights`` one per row or one for all.  The weights are added to
-    its diagonal, and one LAPACK ``zposv`` (``potrf`` then ``potrs`` on
-    the upper triangle, the routines behind ``cho_factor``/``cho_solve``)
-    factors and solves in it.  A diagonal or right-hand side that is not
-    finite, or a system that is not positive definite, raises
-    RankDeficiencyError.
+    its diagonal and ``_factor_solve`` solves in it.  A right-hand side
+    that is not finite raises RankDeficiencyError.
     """
-    global _zposv
-    n = rhs.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    # A view: the system is contiguous, so its diagonal is every
-    # (n + 1)-th element in memory order.
-    diagonal = system.ravel(order="K")[:: n + 1]
+    if not np.isfinite(rhs).all():
+        raise RankDeficiencyError("ridge system or right-hand side is not finite")
+    diagonal = _diagonal(system)
     # A finite Gram and finite weights may still sum to inf.
     with np.errstate(over="ignore", invalid="ignore"):
         diagonal += weights
-    if not (np.isfinite(diagonal).all() and np.isfinite(rhs).all()):
+    return _factor_solve(system, diagonal, rhs)
+
+
+def _factor_solve(system, diagonal, rhs):
+    """Solve ``system w = rhs`` by one LAPACK ``zposv`` (``potrf`` then
+    ``potrs`` on the upper triangle, the routines behind
+    ``cho_factor``/``cho_solve``), which factors ``system`` in place;
+    ``diagonal`` is the view of its diagonal.
+
+    This is the one call of ``zposv``: every least-squares fit, fold and
+    l1 iterate solves here.  A diagonal that is not finite, or a system
+    that is not positive definite, raises RankDeficiencyError.
+    """
+    global _zposv
+    if rhs.shape[0] == 0:
+        return np.zeros(0, dtype=np.complex128)
+    if not np.isfinite(diagonal).all():
         raise RankDeficiencyError("ridge system or right-hand side is not finite")
     if _zposv is None:
         import scipy.linalg
@@ -336,101 +356,135 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     coefficient only asymptotically, so anything that small is
     numerically zero.
 
-    Each iterate copies the ridge system of the free columns into a work
-    array that ``_ridge_solve`` factors; a weight that overflows to inf
-    raises RankDeficiencyError there.  After an iterate, a free column
-    whose modulus lies in [zero_threshold, eps] has the weight cap
-    lam / (2 eps) for the next one; once such columns are at least half
-    of the free ones, ``_fold`` eliminates them from the system.  The
-    folded coefficients are recovered from each later solve; as long as
-    they stay in that interval their weight stays the cap, so the
-    iterates solve the same equations as on the whole active set, with
-    the sums in another order.  When one leaves it, the unfolded system
-    of the active set is cut afresh from ``gram`` and folded again.
-    With ``zero_threshold`` above eps no column folds, and the iterates
-    are those of the unfolded system bit for bit.
+    An iterate copies the ridge system of the free columns into a work
+    array, adds the weights to its diagonal, solves with
+    ``_factor_solve``, and takes the moduli, the largest change and the
+    next weights, the coefficients kept in the order of ``active``.  The
+    Gram and ``rhs`` are checked finite once per call, a folded
+    right-hand side once per fold, and the diagonal on every solve, so a
+    weight that overflows to inf raises RankDeficiencyError there.  The
+    survivor and cap masks are built only when a modulus falls below
+    ``zero_threshold`` or the cap count calls for a fold or a restore.
+
+    After an iterate, a free column whose modulus lies in
+    [zero_threshold, eps] has the weight cap lam / (2 eps) for the next
+    one; once such columns are at least half of the free ones, ``_fold``
+    eliminates them from the system.  The folded coefficients are
+    recovered from each later solve; as long as they stay in that
+    interval their weight stays the cap, so the iterates solve the same
+    equations as on the whole active set, with the sums in another
+    order.  When one leaves it, the unfolded system of the active set is
+    cut afresh from ``gram`` and folded again.  With ``zero_threshold``
+    above eps no column folds, and the iterates are those of the
+    unfolded system bit for bit.
     """
     n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)
     if n_col == 0:
         return omega
     # Zero is optimal whenever the penalty dominates every correlation.
-    if lam >= 2.0 * float(np.max(np.abs(rhs))):
+    if lam >= 2.0 * float(np.abs(rhs).max()):
         return omega
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise RankDeficiencyError("ridge system or right-hand side is not finite")
     eps = config.ridge_epsilon
-
-    with np.errstate(over="ignore"):
+    # A modulus at or above a zero threshold above eps never has the cap.
+    can_fold = zero_threshold <= eps
+    # ``system`` is the ridge system of the free columns active[:n_free];
+    # the folded ones, active[n_free:], are eliminated from it and
+    # recovered as u - V @ w from its solution w.  ``coef`` holds the
+    # last iterate's coefficients in the order of ``active``.
+    system, b = np.array(gram, dtype=np.complex128, order="F"), rhs
+    u, V = np.zeros(0, dtype=np.complex128), np.zeros((0, n_col), dtype=np.complex128)
+    active, n_free = np.arange(n_col), n_col
+    coef = np.zeros(n_col, dtype=np.complex128)
+    work = np.empty_like(system)
+    diagonal = _diagonal(work)
+    # Weights may overflow to inf, and the diagonal with them; the
+    # solve's diagonal check turns that into RankDeficiencyError.
+    with np.errstate(over="ignore", invalid="ignore"):
         if initial is not None and np.any(initial):
             start = np.abs(np.asarray(initial, dtype=np.complex128))
             weights = lam / (2.0 * np.maximum(start, max(zero_threshold, eps)))
         else:
             weights = np.full(n_col, lam / 2.0)
         cap = lam / (2.0 * eps)  # the weight of every modulus at or below eps
-
-    if not np.isfinite(gram).all():
-        raise RankDeficiencyError("ridge system or right-hand side is not finite")
-    # ``system`` is the ridge system of the free columns active[:n_free];
-    # the folded ones, active[n_free:], are eliminated from it and
-    # recovered as u - V @ w from its solution w.
-    system, b = np.array(gram, dtype=np.complex128, order="F"), rhs
-    u, V = np.zeros(0, dtype=np.complex128), np.zeros((0, n_col), dtype=np.complex128)
-    work = np.empty_like(system)
-    active, n_free = np.arange(n_col), n_col
-    # A modulus at or above a zero threshold above eps never has the cap.
-    can_fold = zero_threshold <= eps
-    for _ in range(config.inner_ridge_iterations):
-        np.copyto(work, system)
-        solved = _ridge_solve(work, b, weights)
-        if n_free < active.size:
-            solved = np.concatenate([solved, u - V @ solved])
-        moduli = np.abs(solved)
-        survivors = moduli >= zero_threshold
-        kept = active[survivors]
-        new = np.zeros(n_col, dtype=np.complex128)
-        new[kept] = solved[survivors]
-        delta = float(np.max(np.abs(new - omega)))
-        omega = new
-        if kept.size == 0 or delta < config.inner_tolerance:
-            break
-        stay, folding = survivors[:n_free], False
-        if can_fold:
-            capped = survivors & (moduli <= eps)
-            if not capped[n_free:].all():
-                # A folded coefficient left the cap: restore the unfolded
-                # system of the active set, to fold again below.
-                active = np.sort(kept)
-                n_free = active.size
-                system, b = np.asfortranarray(gram[np.ix_(active, active)]), rhs[active]
-                u, V = u[:0], np.zeros((0, n_free), dtype=np.complex128)
-                work = np.empty_like(system)
-                moduli = np.abs(omega[active])
-                stay, capped = moduli >= zero_threshold, moduli <= eps
-            fold = capped[:n_free]
-            # Fold once at least half of the free columns have the cap, so
-            # that each fold at least halves the system: a fold costs about
-            # one iterate's solve, and folding the capped columns after
-            # every iterate measured slower on both shipped structures.
-            folding = 2 * np.count_nonzero(fold) >= n_free
-            if folding:
-                stay = stay ^ fold
-        if stay.all():
-            free_moduli = moduli[:n_free]
-        else:
-            free, free_moduli = active[:n_free], moduli[:n_free][stay]
-            del work  # factored; freed before the new system is formed
-            if folding:
-                system, b, u, V = _fold(
-                    system, b, u, V, np.flatnonzero(stay), np.flatnonzero(fold), cap
+        for _ in range(config.inner_ridge_iterations):
+            np.copyto(work, system)
+            diagonal += weights
+            solved = _factor_solve(work, diagonal, b)
+            if n_free < active.size:
+                solved = np.concatenate([solved, u - V @ solved])
+            moduli = np.abs(solved)
+            # Not ``<``: a NaN modulus leaves the active set as well.
+            cut = not moduli.min() >= zero_threshold
+            if cut:
+                survivors = moduli >= zero_threshold
+                solved[~survivors] = 0.0
+            delta = float(np.abs(solved - coef).max())
+            coef = solved
+            if delta < config.inner_tolerance or (cut and not survivors.any()):
+                break
+            reshape = cut or (
+                can_fold
+                and (
+                    2 * np.count_nonzero(moduli[:n_free] <= eps) >= n_free
+                    or (n_free < active.size and moduli[n_free:].max() > eps)
                 )
-                active = np.concatenate([free[stay], active[n_free:], free[fold]])
-            else:
-                system = np.asfortranarray(system[np.ix_(stay, stay)])
-                b, V, active = b[stay], V[:, stay], kept
-            n_free = system.shape[0]
-            work = np.empty_like(system)
-        with np.errstate(over="ignore"):
+            )
+            free_moduli = moduli[:n_free]
+            if reshape:
+                if not cut:
+                    survivors = moduli >= zero_threshold
+                kept = active[survivors]
+                stay, folding = survivors[:n_free], False
+                if can_fold:
+                    capped = survivors & (moduli <= eps)
+                    if not capped[n_free:].all():
+                        # A folded coefficient left the cap: restore the
+                        # unfolded system of the active set, to fold again
+                        # below.
+                        full = np.zeros(n_col, dtype=np.complex128)
+                        full[active] = coef
+                        active = np.sort(kept)
+                        n_free = active.size
+                        system, b = np.asfortranarray(gram[np.ix_(active, active)]), rhs[active]
+                        u, V = u[:0], np.zeros((0, n_free), dtype=np.complex128)
+                        coef = full[active]
+                        free_moduli = moduli = np.abs(coef)
+                        stay, capped = moduli >= zero_threshold, moduli <= eps
+                    fold = capped[:n_free]
+                    # Fold once at least half of the free columns have the
+                    # cap, so that each fold at least halves the system: a
+                    # fold costs about one iterate's solve, and folding the
+                    # capped columns after every iterate measured slower on
+                    # both shipped structures.
+                    folding = 2 * np.count_nonzero(fold) >= n_free
+                    if folding:
+                        stay = stay ^ fold
+                if not stay.all():
+                    free, free_coef = active[:n_free], coef[:n_free]
+                    free_moduli = free_moduli[stay]
+                    if folding:
+                        system, b, u, V = _fold(
+                            system, b, u, V, np.flatnonzero(stay), np.flatnonzero(fold), cap
+                        )
+                        active = np.concatenate([free[stay], active[n_free:], free[fold]])
+                        coef = np.concatenate([free_coef[stay], coef[n_free:], free_coef[fold]])
+                    else:
+                        # Gathered through the transpose, the cut keeps
+                        # the Fortran order.
+                        keep = np.flatnonzero(stay)
+                        system = system.T.take(keep, 0).take(keep, 1).T
+                        b, V = b[keep], V[:, keep]
+                        active, coef = kept, coef[survivors]
+                    n_free = system.shape[0]
+                if work.shape != system.shape:
+                    work = np.empty_like(system)
+                    diagonal = _diagonal(work)
             weights = lam / (2.0 * np.maximum(free_moduli, eps))
 
+    omega[active] = coef
     floor = max(zero_threshold, 10.0 * config.inner_tolerance, eps)
     omega[np.abs(omega) <= floor] = 0.0
     return omega
@@ -448,7 +502,8 @@ def _fold(system, b, u, V, keep, drop, cap):
     ``b_K - system_KD Sigma^-1 b_D``.  ``(u, V)`` recover the rows folded
     before from the solution of ``system``; the returned pair recovers
     those, then the dropped ones, from the solution of the returned
-    system.
+    system.  A folded right-hand side that is not finite raises
+    RankDeficiencyError.
     """
     k = keep.size
     order = np.concatenate([keep, drop])
@@ -461,9 +516,12 @@ def _fold(system, b, u, V, keep, drop, cap):
     v_fold, u_fold = solved[:, :-1], solved[:, -1]
     schur = block[:k, :k]
     schur -= (v_fold.T @ cross.T).T  # cross @ v_fold, in Fortran order
+    b = b[keep] - cross @ u_fold
+    if not np.isfinite(b).all():
+        raise RankDeficiencyError("ridge system or right-hand side is not finite")
     u = np.concatenate([u - V.take(drop, 1) @ u_fold, u_fold])
     V = np.vstack([V.take(keep, 1) - V.take(drop, 1) @ v_fold, v_fold])
-    return np.asfortranarray(schur), b[keep] - cross @ u_fold, u, V
+    return np.asfortranarray(schur), b, u, V
 
 
 def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config: BcdConfig = BcdConfig()):

@@ -180,23 +180,29 @@ def cholesky_ridge_solve(gram, rhs, weights):
     return scipy.linalg.cho_solve(factor, rhs)
 
 
-def gathered_lasso_core(gram, rhs, lam, zero_threshold, config):
+def gathered_lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     """Iterated ridge regression that cuts each iterate's ridge system
     out of the original Gram by index.
 
     The reference for the solver's Lasso core, which keeps the active
     set's Gram, cuts it down when coefficients leave the active set and
     folds out the columns at the cap weight: here every iterate gathers
-    ``gram`` and ``rhs`` at the active indices afresh, from uniform
-    first weights lam/2, and solves the whole active set's system
-    through ``cholesky_ridge_solve``.
+    ``gram`` and ``rhs`` at the active indices afresh and solves the
+    whole active set's system through ``cholesky_ridge_solve``.  The
+    first weights follow the core's rule: uniform lam/2, or, for a
+    nonzero ``initial`` vector, lam / (2 max(|initial|, floor)) with
+    floor the larger of ``zero_threshold`` and eps.
     """
     n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)
     if n_col == 0 or lam >= 2.0 * float(np.max(np.abs(rhs))):
         return omega
     eps = config.ridge_epsilon
-    weights = np.full(n_col, lam / 2.0)
+    if initial is not None and np.any(initial):
+        floor = max(zero_threshold, eps)
+        weights = lam / (2.0 * np.maximum(np.abs(initial), floor))
+    else:
+        weights = np.full(n_col, lam / 2.0)
     active = np.arange(n_col)
     for _ in range(config.inner_ridge_iterations):
         solved = cholesky_ridge_solve(gram[np.ix_(active, active)], rhs[active], weights)

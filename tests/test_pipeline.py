@@ -781,6 +781,18 @@ def test_cli_gen_signal_reports_an_rms_whose_squares_overflow(tmp_path):
     assert read_iq(out).rms == reported
 
 
+def test_cli_gen_signal_rejects_a_target_rms_beyond_the_float_range(tmp_path):
+    # The scale that takes the waveform to an RMS of 1e308 overflows.
+    # Any numpy RuntimeWarning on the way would fail this test.
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "s.iq"
+    code, _, err = run_cli(["gen-signal", "--config", str(cfg),
+                            "--set", "signal.target_rms=1e308", "--out", str(out)])
+    assert code == 1
+    assert "signal.target_rms" in err
+    assert not out.exists()
+
+
 def test_cli_sim_pa_matches_library(tmp_path):
     cfg = write_cfg(tmp_path)
     s, y = tmp_path / "s.iq", tmp_path / "y.iq"

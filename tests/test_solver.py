@@ -853,37 +853,58 @@ def test_ridge_solve_equals_cholesky_reference_bitwise(n, extra_rows, keep, seed
     )
 
 
+def _warm_start(rng, n, kind):
+    """A block's previous coefficients, as the block descent passes them:
+    none, all zero, a few nonzero, or all nonzero with moduli spread from
+    below eps to well above any zero threshold."""
+    if kind == "none":
+        return None
+    values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(
+        -10.0, 1.0, n
+    )
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.complex128)
+    if kind == "sparse":
+        return np.where(rng.random(n) < 0.3, values, 0.0)
+    return values
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 40),
     extra_rows=st.integers(0, 40),
     lam_fraction=st.floats(1e-3, 0.9),
     zero_threshold=st.sampled_from([0.0, 1e-3, 0.05]),
+    start=st.sampled_from(["none", "zeros", "sparse", "dense"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lasso_core_full_active_set_equals_gathered_path_bitwise(
-    n, extra_rows, lam_fraction, zero_threshold, seed
+    n, extra_rows, lam_fraction, zero_threshold, start, seed
 ):
     # The core cuts the active set's Gram down as coefficients leave it
     # and folds out the columns at the cap weight; the reference gathers
     # every iterate's system out of the original Gram by index and solves
-    # it through SciPy's Cholesky wrappers.
+    # it through SciPy's Cholesky wrappers.  Both take their first
+    # weights from the same warm start.
     rng = np.random.default_rng(seed)
     gram, rhs, _ = _hpd_system(rng, n, extra_rows)
     lam = lam_fraction * 2.0 * float(np.max(np.abs(rhs)))
+    initial = _warm_start(rng, n, start)
     config = BcdConfig()
     layouts = []
-    ridge_solve = solver._ridge_solve
+    factor_solve = solver._factor_solve
 
-    def spy(system, right, weights):
+    def spy(system, diagonal, right):
         layouts.append(system.flags.f_contiguous)
-        return ridge_solve(system, right, weights)
+        return factor_solve(system, diagonal, right)
 
-    with mock.patch.object(solver, "_ridge_solve", spy):
-        direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config)
-    # Every iterate and every fold factors a Fortran-ordered array in place.
+    with mock.patch.object(solver, "_factor_solve", spy):
+        direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config, initial=initial)
+    # Every iterate and every fold factors a Fortran-ordered array in
+    # place; lam is below the null penalty, so there is at least one.
+    assert layouts
     assert all(layouts)
-    reference = gathered_lasso_core(gram, rhs, lam, zero_threshold, config)
+    reference = gathered_lasso_core(gram, rhs, lam, zero_threshold, config, initial=initial)
     if zero_threshold > config.ridge_epsilon:
         # No surviving modulus has the cap weight, so no column folds and
         # the core solves the reference's systems.
@@ -902,17 +923,18 @@ def _assert_same_fit(direct, reference):
 
 
 def _solved_sizes(call):
-    """Run ``call`` with a spy on ``_ridge_solve``; return, per solve, the
-    size of the system before any folding: the rows of an iterate's
-    system, or the folded plus the kept rows of a fold."""
+    """Run ``call`` with a spy on ``_factor_solve``, which every solve goes
+    through; return, per solve, the size of the system before any
+    folding: the rows of an iterate's system, or the folded plus the kept
+    rows of a fold."""
     sizes = []
-    ridge_solve = solver._ridge_solve
+    factor_solve = solver._factor_solve
 
-    def spy(system, right, weights):
+    def spy(system, diagonal, right):
         sizes.append(right.shape[0] + (right.shape[1] - 1 if right.ndim == 2 else 0))
-        return ridge_solve(system, right, weights)
+        return factor_solve(system, diagonal, right)
 
-    with mock.patch.object(solver, "_ridge_solve", spy):
+    with mock.patch.object(solver, "_factor_solve", spy):
         result = call()
     return result, sizes
 
