@@ -15,11 +15,12 @@ exact settings that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import hashlib
 import math
 import os
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -56,35 +57,6 @@ from .solver import (
 MATCHED_COUNT_STEPS = 20
 MATCHED_COUNT_SLACK = 0.10
 
-# (section, key, kind, default); the kinds are those of ``gmp._parse_value``.
-_SCHEMA = (
-    ("signal", "n_subcarriers", "int", 64),
-    ("signal", "n_active", "int", 52),
-    ("signal", "n_symbols", "int", 64),
-    ("signal", "oversampling_factor", "int", 4),
-    ("signal", "constellation", "str", "qpsk"),
-    ("signal", "seed", "int", 1),
-    ("signal", "target_rms", "float", 1.0),
-    ("signal", "sample_rate_hz", "float", 1.0),
-    ("pa", "preset", "str", "default"),
-    ("ilc", "iterations", "int", 30),
-    ("ilc", "learning_rate", "float", 0.5),
-    ("ilc", "target_gain", "complex?", None),
-    ("dpd", "memory_depth", "int", 9),
-    ("dpd", "max_order", "int", 7),
-    ("dpd", "lagging_depth", "int", 1),
-    ("dpd", "leading_depth", "int", 0),
-    ("schedule", "lambda_scale", "float", 1.0),
-    ("schedule", "threshold_scale", "float", 1.0),
-    ("bcd", "outer_iterations", "int", 10),
-    ("bcd", "inner_ridge_iterations", "int", 50),
-    ("bcd", "inner_tolerance", "float", 1e-8),
-    ("bcd", "ridge_epsilon", "float", 1e-8),
-    ("standard_lasso", "lambda", "float", 1e-4),
-    ("output", "dir", "str", "out"),
-    ("run", "seed", "int", 2),
-)
-
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -97,12 +69,45 @@ class ScheduleSpec:
     threshold_scale: float = 1.0
 
     def __post_init__(self):
-        for name, scale in (
-            ("lambda_scale", self.lambda_scale),
-            ("threshold_scale", self.threshold_scale),
-        ):
+        for name, scale in vars(self).items():
             if not (math.isfinite(scale) and scale > 0):
                 raise ConfigurationError(f"schedule.{name} must be positive, got {scale}")
+
+
+# The config language, one (section, ExperimentConfig field, keys) entry
+# per section in file order.  The keys of a section backed by a config
+# class are its fields, in order, with their types as kinds and their
+# defaults; the others list (key, kind, default) rows.  The kinds are
+# those of ``gmp._parse_value``.
+_SECTIONS = (
+    ("signal", "signal", OfdmConfig),
+    ("pa", "pa_preset", (("preset", "str", "default"),)),
+    ("ilc", "ilc", IlcConfig),
+    ("dpd", "structure", (
+        ("memory_depth", "int", 9),
+        ("max_order", "int", 7),
+        ("lagging_depth", "int", 1),
+        ("leading_depth", "int", 0),
+    )),
+    ("schedule", "schedule_spec", ScheduleSpec),
+    ("bcd", "bcd", BcdConfig),
+    ("standard_lasso", "standard_lasso_lambda", (("lambda", "float", 1e-4),)),
+    ("output", "output_dir", (("dir", "str", "out"),)),
+    ("run", "seed", (("seed", "int", 2),)),
+)
+_KINDS = {int: "int", float: "float", str: "str", complex | None: "complex?"}
+
+
+def _rows(keys):
+    """The (key, kind, default) rows of a section's keys."""
+    if isinstance(keys, tuple):
+        return keys
+    hints = get_type_hints(keys)
+    return tuple((f.name, _KINDS[hints[f.name]], f.default) for f in fields(keys))
+
+
+# (section, key, kind, default), one row per key.
+_SCHEMA = tuple((section, *row) for section, _, keys in _SECTIONS for row in _rows(keys))
 
 
 @dataclass(frozen=True)
@@ -154,27 +159,24 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         """Fully resolved, ordered serialization; hashes and files use this."""
-        d, spec = self.structure, self.schedule_spec
-        # Keys that are not a field of their section's object; every other
-        # key is read from it by name.
-        derived = {
-            ("pa", "preset"): self.pa_preset,
-            ("dpd", "memory_depth"): max(d.aligned_lags),
-            ("dpd", "max_order"): max(d.aligned_orders) + 1,
-            ("dpd", "lagging_depth"): max(d.lagging_cross, default=0),
-            ("dpd", "leading_depth"): max(d.leading_cross, default=0),
-            ("standard_lasso", "lambda"): self.standard_lasso_lambda,
-            ("output", "dir"): self.output_dir,
-            ("run", "seed"): self.seed,
+        d = self.structure
+        dpd = {
+            "memory_depth": max(d.aligned_lags),
+            "max_order": max(d.aligned_orders) + 1,
+            "lagging_depth": max(d.lagging_cross, default=0),
+            "leading_depth": max(d.leading_cross, default=0),
         }
-        sections = {"signal": self.signal, "ilc": self.ilc, "schedule": spec, "bcd": self.bcd}
         lines = []
-        for section, key, _, _ in _SCHEMA:
-            if (section, key) in derived:
-                value = derived[(section, key)]
-            else:
-                value = getattr(sections[section], key)
-            lines.append(f"{section}.{key} = {_format_value(value)}")
+        for section, name, keys in _SECTIONS:
+            value = getattr(self, name)
+            for key, _, _ in _rows(keys):
+                if section == "dpd":
+                    item = dpd[key]
+                elif isinstance(keys, tuple):
+                    item = value
+                else:
+                    item = getattr(value, key)
+                lines.append(f"{section}.{key} = {_format_value(item)}")
         return "\n".join(lines) + "\n"
 
     @property
@@ -214,22 +216,16 @@ def config_from_entries(entries, base_dir=".") -> ExperimentConfig:
         slot, kind = slots[name]
         values[slot] = _parse_value(name, entry, kind)
 
-    def section(name):
-        """The keys of section ``name`` as keyword arguments."""
-        return {key: value for (s, key), value in values.items() if s == name}
-
-    return ExperimentConfig(
-        signal=OfdmConfig(**section("signal")),
-        pa_preset=values[("pa", "preset")],
-        ilc=IlcConfig(**section("ilc")),
-        structure=full_structure(**section("dpd")),
-        schedule_spec=ScheduleSpec(**section("schedule")),
-        bcd=BcdConfig(**section("bcd")),
-        standard_lasso_lambda=values[("standard_lasso", "lambda")],
-        output_dir=values[("output", "dir")],
-        seed=values[("run", "seed")],
-        base_dir=str(base_dir),
-    )
+    objects = {}
+    for section, name, keys in _SECTIONS:
+        kwargs = {key: value for (s, key), value in values.items() if s == section}
+        if section == "dpd":
+            objects[name] = full_structure(**kwargs)
+        elif isinstance(keys, tuple):
+            (objects[name],) = kwargs.values()
+        else:
+            objects[name] = keys(**kwargs)
+    return ExperimentConfig(**objects, base_dir=str(base_dir))
 
 
 def parse_config(text, base_dir=".", source="<config>", overrides=()) -> ExperimentConfig:

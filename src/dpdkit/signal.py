@@ -115,12 +115,12 @@ class OfdmConfig:
     waveform exactly.
     """
 
-    n_subcarriers: int
-    n_active: int
-    n_symbols: int
-    oversampling_factor: int
+    n_subcarriers: int = 64
+    n_active: int = 52
+    n_symbols: int = 64
+    oversampling_factor: int = 4
     constellation: str = "qpsk"
-    seed: int = 0
+    seed: int = 1
     target_rms: float = 1.0
     sample_rate_hz: float = 1.0
 

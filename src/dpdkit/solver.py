@@ -543,7 +543,7 @@ class FitRecord:
     fit's schedule, which every sweep shares, and ``rejected_orders``
     lists the orders whose block update the descent rejected in this
     sweep because it did not lower the objective by more than rounding
-    error.
+    error.  A block whose solve returns it unchanged takes no step.
     """
 
     iteration: int
@@ -628,6 +628,8 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config: BcdConf
             # sweep of a single block is lasso_iterated_ridge bit for bit.
             rhs = corr_k + gram_k @ w_old if np.any(w_old) else corr_k
             w_new = _lasso_core(gram_k, rhs, lam[k], tau[k], config, initial=w_old)
+            if np.array_equal(w_new, w_old):
+                continue
             d = w_new - w_old
             # ||r - S_k d||^2 - ||r||^2, given S_k^H r = corr_k.
             quadratic = float(np.real(np.vdot(d, gram_k @ d)))

@@ -25,9 +25,10 @@ from dpdkit.gmp import (
     read_coefficients,
     write_coefficients,
 )
-from dpdkit.pa_sim import PaModel, default_pa_model, pa_forward, write_pa_model
+from dpdkit.pa_sim import IlcConfig, PaModel, default_pa_model, pa_forward, write_pa_model
 from dpdkit.pipeline import (
     METHODS,
+    ScheduleSpec,
     _OutputDir,
     _SCHEMA,
     load_config,
@@ -36,7 +37,7 @@ from dpdkit.pipeline import (
     run_experiment1,
     run_experiment2,
 )
-from dpdkit.signal import DB_FLOOR, IqSignal, generate_ofdm, read_iq, write_iq
+from dpdkit.signal import DB_FLOOR, IqSignal, OfdmConfig, generate_ofdm, read_iq, write_iq
 from dpdkit.solver import BcdConfig, default_schedule, lasso_iterated_ridge
 
 
@@ -90,9 +91,44 @@ def read_table(path):
 # ---------------------------------------------------------------------------
 # Config parsing.
 
+# The canonical text of a config that sets nothing; a changed default
+# changes it.
+EMPTY_CONFIG_TEXT = """\
+signal.n_subcarriers = 64
+signal.n_active = 52
+signal.n_symbols = 64
+signal.oversampling_factor = 4
+signal.constellation = qpsk
+signal.seed = 1
+signal.target_rms = 1.0
+signal.sample_rate_hz = 1.0
+pa.preset = default
+ilc.iterations = 30
+ilc.learning_rate = 0.5
+ilc.target_gain = none
+dpd.memory_depth = 9
+dpd.max_order = 7
+dpd.lagging_depth = 1
+dpd.leading_depth = 0
+schedule.lambda_scale = 1.0
+schedule.threshold_scale = 1.0
+bcd.outer_iterations = 10
+bcd.inner_ridge_iterations = 50
+bcd.inner_tolerance = 1e-08
+bcd.ridge_epsilon = 1e-08
+standard_lasso.lambda = 0.0001
+output.dir = out
+run.seed = 2
+"""
+
 
 def test_empty_config_uses_documented_defaults():
     config = parse_config("")
+    assert config.signal == OfdmConfig()
+    assert config.ilc == IlcConfig()
+    assert config.schedule_spec == ScheduleSpec()
+    assert config.bcd == BcdConfig()
+    assert config.canonical_text() == EMPTY_CONFIG_TEXT
     s = config.signal
     assert (s.n_subcarriers, s.n_active, s.n_symbols) == (64, 52, 64)
     assert s.oversampling_factor == 4

@@ -29,6 +29,7 @@ from dpdkit.gmp import (
 from dpdkit.pipeline import _training_stage, load_config, matched_count_lasso
 from dpdkit.signal import IqSignal
 from dpdkit.solver import (
+    MAX_OUTER_ITERATIONS,
     BcdConfig,
     RegularizationSchedule,
     block_weighted_lasso,
@@ -617,6 +618,9 @@ def test_block_objective_tracked_and_never_rises():
             assert record.objective == pytest.approx(direct, rel=1e-9, abs=1e-12 * target_power)
             assert record.objective <= previous_objective
             assert set(record.rejected_orders) <= set(matrix.structure.orders)
+            for k in record.rejected_orders:
+                block = [j for j, d in enumerate(matrix.columns) if d.order_exponent == k]
+                assert np.array_equal(record.coefficients[block], previous[block])
             if not record.rejected_orders:
                 assert not np.array_equal(record.coefficients, previous)
             previous_objective, previous = record.objective, record.coefficients
@@ -655,15 +659,22 @@ def test_block_missing_order_in_schedule():
 
 
 def test_bcd_config_validation():
-    for outer in (0, 10_001, 10**20):
+    for outer in (0, MAX_OUTER_ITERATIONS + 1, 10**20):
         with pytest.raises(ConfigurationError):
             BcdConfig(outer_iterations=outer)
-    with pytest.raises(ConfigurationError):
-        BcdConfig(inner_ridge_iterations=0)
+    for inner in (0, -1):
+        with pytest.raises(ConfigurationError):
+            BcdConfig(inner_ridge_iterations=inner)
     with pytest.raises(ConfigurationError):
         BcdConfig(inner_tolerance=0.0)
     with pytest.raises(ConfigurationError):
         BcdConfig(ridge_epsilon=0.0)
+
+
+def test_bcd_config_accepts_its_bounds():
+    BcdConfig(inner_ridge_iterations=1)
+    BcdConfig(outer_iterations=1)
+    BcdConfig(outer_iterations=MAX_OUTER_ITERATIONS)
 
 
 # --- shared Gram and memory ----------------------------------------------
@@ -1005,6 +1016,21 @@ def test_standard_lasso_solves_ever_smaller_systems_on_desk_scale():
     assert sizes[0] == n_kernels
     assert max(sizes[-10:]) < n_kernels // 2
     assert 0 < np.count_nonzero(coeffs.values) <= sizes[-1]
+
+
+@pytest.mark.parametrize(
+    "name, sweep", [("desk-scale", 10), ("wideband", 9)], ids=["desk-scale", "wideband"]
+)
+def test_guard_rejects_one_update_on_the_shipped_configs(name, sweep):
+    # Only orders 0, 2 and 4 carry coefficients; the higher orders' solves
+    # leave their blocks at zero, which is no step and no rejection.  The
+    # guard turns down one order-4 update, in one sweep.
+    config = load_config(SHIPPED_CONFIGS / f"{name}.cfg")
+    _, _, learned, matrix = _training_stage(config)
+    _, trace = block_weighted_lasso(matrix, learned.drive, config.schedule(), config.bcd)
+    assert [r.rejected_orders for r in trace.records] == [
+        (4,) if r.iteration == sweep else () for r in trace.records
+    ]
 
 
 def test_penalty_ladder_does_not_select_on_desk_scale():
