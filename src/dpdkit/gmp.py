@@ -853,14 +853,12 @@ _COEFF_FORMAT_TAG = "gmp-coeff/1"
 _AXIS_KEYS = tuple(f.name for f in fields(GmpStructure))
 
 
-def write_coefficient_file(
-    path, tag, coeffs: CoefficientVector, headers=(), include_zeros=False, comment=None
-) -> None:
+def write_coefficient_file(path, tag, coeffs: CoefficientVector, headers=(), comment=None) -> None:
     """Write ``coeffs`` in the layout of format ``tag``.
 
     ``headers`` are extra ``(key, value)`` pairs written after the
     format line, ``comment`` becomes a leading ``#`` line, and zero
-    coefficients are omitted unless ``include_zeros``.
+    coefficients are omitted.
     """
     structure = coeffs.structure
     lines = [f"format = {tag}"]
@@ -870,7 +868,7 @@ def write_coefficient_file(
     ]
     lines.append("[coefficients]")
     for desc, value in zip(structure.descriptors(), coeffs.values):
-        if include_zeros or value != 0:
+        if value != 0:
             m = "-" if desc.envelope_offset is None else desc.envelope_offset
             lines.append(
                 f"{desc.branch.value} {desc.order_exponent} {desc.lag} {m} "
@@ -961,13 +959,9 @@ def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
     return extras, CoefficientVector(structure, values)
 
 
-def write_coefficients(
-    path, coeffs: CoefficientVector, include_zeros: bool = False, comment: str | None = None
-) -> None:
+def write_coefficients(path, coeffs: CoefficientVector, comment: str | None = None) -> None:
     """Write coefficients as structured text; zero entries are omitted."""
-    write_coefficient_file(
-        path, _COEFF_FORMAT_TAG, coeffs, include_zeros=include_zeros, comment=comment
-    )
+    write_coefficient_file(path, _COEFF_FORMAT_TAG, coeffs, comment=comment)
 
 
 def read_coefficients(path) -> CoefficientVector:

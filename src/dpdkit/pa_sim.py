@@ -111,12 +111,14 @@ class IlcResult:
 
     ``error_db`` holds the normalized error power in dB per forward
     pass; entry 0 is the open-loop error of driving with the reference
-    itself, entry i the error after i updates.
+    itself, entry i the error after i updates.  ``gain`` is the gain the
+    loop normalized the output by.
     """
 
     drive: IqSignal
     output: IqSignal
     error_db: tuple
+    gain: complex
 
 
 def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> tuple:
@@ -173,7 +175,7 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
                 )
         else:
             rising = 0
-    return IlcResult(drive=driven, output=output, error_db=tuple(history))
+    return IlcResult(drive=driven, output=output, error_db=tuple(history), gain=gain)
 
 
 # ---------------------------------------------------------------------------

@@ -330,12 +330,17 @@ def _kernel_map_rows(structure, values):
 
 
 def _training_stage(config: ExperimentConfig):
-    """Shared front end of both experiments: reference, drive, regressors."""
+    """Everything both experiments compute the same way: (reference,
+    model, learned, matrix, ls_full, bwlasso, trace).  The schedule is
+    built first, so a schedule error comes before any training work."""
+    schedule = config.schedule()
     reference = generate_ofdm(config.signal)
     model = config.load_pa_model()
     learned = ilc_learn(reference, model, config.ilc)
     matrix = build_kernel_matrix(reference, config.structure)
-    return reference, model, learned, matrix
+    bwlasso, trace = block_weighted_lasso(matrix, learned.drive, schedule, config.bcd)
+    ls_full = least_squares(matrix, learned.drive)
+    return reference, model, learned, matrix, ls_full, bwlasso, trace
 
 
 def matched_count_lasso(matrix, target, target_count, bcd):
@@ -382,13 +387,8 @@ def run_experiment1(config: ExperimentConfig):
     Returns (trace, kernel_maps) where kernel_maps[i] holds the active
     (branch, order, lag, offset, magnitude) rows after iteration i+1.
     """
-    # Built first: a schedule error comes before any training work.
-    schedule = config.schedule()
-    reference, model, learned, matrix = _training_stage(config)
+    reference, _, learned, matrix, ls_full, _, trace = _training_stage(config)
     target = learned.drive
-
-    coeffs, trace = block_weighted_lasso(matrix, target, schedule, config.bcd)
-    ls_full = least_squares(matrix, target)
     ls_nmse = nmse_db_arrays(apply_model(reference, ls_full).samples, target.samples)
 
     std_lambda, std_coeffs, matched = matched_count_lasso(
@@ -489,17 +489,13 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
     the table writes as ``-``.  Writes exp2_comparison.csv plus one
     coefficient file per fitted method.
     """
-    # Built first: a schedule error comes before any training work.
-    schedule = config.schedule()
-    reference, model, learned, matrix = _training_stage(config)
+    _, model, learned, matrix, ls_full, bwlasso_nr, _ = _training_stage(config)
     target = learned.drive
 
-    ls_full = least_squares(matrix, target)
     lasso_nr = lasso_iterated_ridge(
         matrix, target, config.standard_lasso_lambda, config=config.bcd
     )
     lasso_r = _refine_or_keep(matrix, target, lasso_nr)
-    bwlasso_nr, _ = block_weighted_lasso(matrix, target, schedule, config.bcd)
     bwlasso_r = _refine_or_keep(matrix, target, bwlasso_nr)
     fitted = {
         "ls-full": ls_full,
@@ -510,18 +506,13 @@ def run_experiment2(config: ExperimentConfig) -> ComparisonReport:
     }
 
     validation = generate_ofdm(config.validation_signal())
-    gain = (
-        config.ilc.target_gain
-        if config.ilc.target_gain is not None
-        else model.smallsignal_gain
-    )
 
     rows = []
     for method in METHODS:
         coeffs = fitted.get(method)
         drive = validation if coeffs is None else apply_model(validation, coeffs)
         with np.errstate(over="ignore", invalid="ignore"):
-            normalized = pa_forward(drive, model).samples / gain
+            normalized = pa_forward(drive, model).samples / learned.gain
         if not np.isfinite(normalized).all():
             raise DivergenceError(f"{method}: gain-normalized amplifier output is not finite")
         if coeffs is not None and not coeffs.support().size:

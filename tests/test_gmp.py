@@ -555,9 +555,9 @@ def test_coefficient_round_trip(tmp_path):
     assert np.array_equal(back.values, coeffs.values)
 
 
-def test_coefficient_file_omits_zeros_by_default(tmp_path):
+def test_coefficient_file_omits_zeros(tmp_path):
     structure = full_structure(1, 3, 1)
-    coeffs = CoefficientVector(structure, [1.0, 0, 0, 0, 0, 0])
+    coeffs = CoefficientVector(structure, [1.0, 0, complex(-0.0, -0.0), 0, 0, 0])
     path = tmp_path / "model.txt"
     write_coefficients(path, coeffs)
     records = [
@@ -565,14 +565,24 @@ def test_coefficient_file_omits_zeros_by_default(tmp_path):
         for line in path.read_text().splitlines()
         if line and not line.startswith(("#", "[")) and "=" not in line
     ]
-    assert len(records) == 1
-    write_coefficients(path, coeffs, include_zeros=True)
-    records = [
-        line
-        for line in path.read_text().splitlines()
-        if line and not line.startswith(("#", "[")) and "=" not in line
-    ]
-    assert len(records) == 6
+    assert records == ["aligned 0 0 - 1.0 0.0"]
+
+
+def test_coefficient_file_reads_hand_written_zero_records(tmp_path):
+    # The writer omits zeros, but a record of zeros, signed or not, is
+    # still a valid record and reads back bit for bit.
+    structure = full_structure(1, 3, 0)
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]
+    path = tmp_path / "model.txt"
+    write_coefficients(path, CoefficientVector(structure, [1.0, 0, 0, 0]))
+    with open(path, "a") as fh:
+        for desc, value in zip(structure.descriptors()[1:], zeros):
+            fh.write(
+                f"{desc.branch.value} {desc.order_exponent} {desc.lag} - "
+                f"{value.real!r} {value.imag!r}\n"
+            )
+    back = read_coefficients(path)
+    assert np.array_equal(_bits(back.values), _bits([1.0, *zeros]))
 
 
 def test_coefficient_file_unknown_kernel(tmp_path):
@@ -684,22 +694,21 @@ def _bits(values):
     return np.array(values, dtype=np.complex128).view(np.uint64)
 
 
-def _as_read_back(coeffs, include_zeros):
+def _as_read_back(coeffs):
     """What a round trip keeps: omitted zeros, signed or not, read as +0."""
     values = coeffs.values.copy()
-    if not include_zeros:
-        values[values == 0] = 0.0
+    values[values == 0] = 0.0
     return values
 
 
 @settings(max_examples=75, deadline=None)
-@given(coeffs=_coefficients(), include_zeros=st.booleans())
-def test_coefficient_file_round_trip_is_bitwise(tmp_path_factory, coeffs, include_zeros):
+@given(coeffs=_coefficients())
+def test_coefficient_file_round_trip_is_bitwise(tmp_path_factory, coeffs):
     path = tmp_path_factory.mktemp("coeffs") / "model.txt"
-    write_coefficients(path, coeffs, include_zeros=include_zeros, comment="any comment")
+    write_coefficients(path, coeffs, comment="any comment")
     back = read_coefficients(path)
     assert back.structure == coeffs.structure
-    assert np.array_equal(_bits(back.values), _bits(_as_read_back(coeffs, include_zeros)))
+    assert np.array_equal(_bits(back.values), _bits(_as_read_back(coeffs)))
 
 
 @settings(max_examples=75, deadline=None)
@@ -715,7 +724,7 @@ def test_pa_model_file_round_trip_is_bitwise(tmp_path_factory, coeffs, gain, lev
     back = read_pa_model(path)
     assert back.coefficients.structure == coeffs.structure
     assert np.array_equal(
-        _bits(back.coefficients.values), _bits(_as_read_back(coeffs, False))
+        _bits(back.coefficients.values), _bits(_as_read_back(coeffs))
     )
     assert np.array_equal(_bits([back.smallsignal_gain]), _bits([model.smallsignal_gain]))
     assert back.saturation_level == level

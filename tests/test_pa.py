@@ -161,6 +161,17 @@ def test_ilc_output_field_consistent(preset, unit_rms_ofdm):
     assert np.array_equal(result.output.samples, replay.samples)
 
 
+def test_ilc_result_names_the_gain_it_normalized_by(preset, unit_rms_ofdm):
+    default = ilc_learn(unit_rms_ofdm, preset, IlcConfig(iterations=1))
+    assert default.gain == preset.smallsignal_gain
+    target_gain = 0.9 - 0.1j
+    steered = ilc_learn(unit_rms_ofdm, preset, IlcConfig(iterations=1, target_gain=target_gain))
+    assert steered.gain == target_gain
+    out = pa_forward(unit_rms_ofdm, preset)
+    direct = nmse_db_arrays(out.samples / target_gain, unit_rms_ofdm.samples)
+    assert steered.error_db[0] == pytest.approx(direct, abs=1e-12)
+
+
 def test_ilc_preset_error_monotone_and_deep(preset, unit_rms_ofdm):
     result = ilc_learn(unit_rms_ofdm, preset, IlcConfig(iterations=30, learning_rate=0.5))
     assert len(result.error_db) == 31

@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from dpdkit import gmp, pipeline
 from dpdkit.cli import cli
 from dpdkit.errors import ConfigurationError, DivergenceError
 from dpdkit.gmp import (
@@ -610,6 +611,27 @@ def test_experiments_never_form_the_kernel_matrix(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("run", [run_experiment1, run_experiment2])
+def test_each_experiment_trains_once(tmp_path, run):
+    # One ILC run, one normal-equation pass and one fit of each shared
+    # model: the training stage is the only place that makes them.
+    targets = (
+        (gmp, "_kernel_normal_equations"),
+        (pipeline, "block_weighted_lasso"),
+        (pipeline, "least_squares"),
+        (pipeline, "ilc_learn"),
+    )
+    with contextlib.ExitStack() as stack:
+        spies = {
+            name: stack.enter_context(
+                mock.patch.object(module, name, wraps=getattr(module, name))
+            )
+            for module, name in targets
+        }
+        run(tiny_config(tmp_path))
+    assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(spies, 1)
+
+
+@pytest.mark.parametrize("run", [run_experiment1, run_experiment2])
 @pytest.mark.parametrize(
     "override, message",
     # Envelope power 16, beyond the tabulated default ladder.
@@ -637,7 +659,7 @@ def test_write_failing_mid_file_keeps_the_earlier_run_and_leaves_no_partial_file
     run_experiment2(tiny_config(tmp_path))
     earlier = {name: (out / name).read_bytes() for name in os.listdir(out)}
 
-    def half_written(path, coeffs, include_zeros=False, comment=None):
+    def half_written(path, coeffs, comment=None):
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"# {comment}\nformat = ")
         raise OSError("device full")

@@ -997,13 +997,35 @@ def test_lasso_core_unfolds_a_coefficient_that_leaves_the_cap(
     _assert_same_fit(direct, gathered_lasso_core(gram, rhs, lam, zero_threshold, config))
 
 
+def test_fold_recovers_earlier_folds_after_a_second_fold():
+    # Rows {6, 7, 8} fold first, then rows {4, 5} of the reduced system,
+    # at one cap.  Recovered as u - V @ w from the solution w of the
+    # twice-folded system, in folding order, all nine rows match a direct
+    # solve that puts the cap on all five folded rows.
+    rng = np.random.default_rng(0)
+    gram, rhs, _ = _hpd_system(rng, 9, 3)
+    cap = 2.0
+    system, b = np.asfortranarray(gram), rhs
+    u, V = np.zeros(0, dtype=np.complex128), np.zeros((0, 9), dtype=np.complex128)
+    for keep in (6, 4):
+        rows = system.shape[0]
+        system, b, u, V = solver._fold(
+            system, b, u, V, np.arange(keep), np.arange(keep, rows), cap
+        )
+    w = np.linalg.solve(system, b)
+    recovered = np.empty(9, dtype=np.complex128)
+    recovered[[0, 1, 2, 3, 6, 7, 8, 4, 5]] = np.concatenate([w, u - V @ w])
+    direct = np.linalg.solve(gram + np.diag([0.0] * 4 + [cap] * 5), rhs)
+    assert np.linalg.norm(recovered - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
 def test_standard_lasso_solves_ever_smaller_systems_on_desk_scale():
     # At the shipped penalty most of the 70 desk-scale coefficients sink
     # to the eps floor within a few iterates; folded out, they leave the
     # last iterates a system no larger than the kept support's few dozen
     # columns, where a solve of every kernel would take all 70.
     config = load_config(SHIPPED_CONFIGS / "desk-scale.cfg")
-    _, _, learned, matrix = _training_stage(config)
+    _, _, learned, matrix, *_ = _training_stage(config)
     coeffs, sizes = _solved_sizes(
         lambda: lasso_iterated_ridge(
             matrix,
@@ -1025,9 +1047,7 @@ def test_guard_rejects_one_update_on_the_shipped_configs(name, sweep):
     # Only orders 0, 2 and 4 carry coefficients; the higher orders' solves
     # leave their blocks at zero, which is no step and no rejection.  The
     # guard turns down one order-4 update, in one sweep.
-    config = load_config(SHIPPED_CONFIGS / f"{name}.cfg")
-    _, _, learned, matrix = _training_stage(config)
-    _, trace = block_weighted_lasso(matrix, learned.drive, config.schedule(), config.bcd)
+    *_, trace = _training_stage(load_config(SHIPPED_CONFIGS / f"{name}.cfg"))
     assert [r.rejected_orders for r in trace.records] == [
         (4,) if r.iteration == sweep else () for r in trace.records
     ]
@@ -1039,7 +1059,7 @@ def test_penalty_ladder_does_not_select_on_desk_scale():
     # smaller keeps the same 15 kernels and selects the same iteration.
     # A change that makes the penalties select has to change this test.
     path = SHIPPED_CONFIGS / "desk-scale.cfg"
-    _, _, learned, matrix = _training_stage(load_config(path))
+    _, _, learned, matrix, *_ = _training_stage(load_config(path))
     fits = []
     for scale in ("1", "1e-3", "1e-6"):
         config = load_config(path, overrides=[f"schedule.lambda_scale={scale}"])
