@@ -274,6 +274,14 @@ def max_memory_lag(coeffs: CoefficientVector) -> int:
 # normal equations and the per-block GEMM of ``apply_model`` need not be.
 ROW_CHUNK = 4096
 
+# Shifts per stack in ``_main_range_sums``: each GEMM adds this many lag
+# differences.  Medians of the pass on one OpenBLAS thread (2-core Xeon
+# VM, 41 interleaved runs) on the desk-scale, wideband and 131072-sample
+# desk-scale training matrices: 1 shift 4.0, 20.3 and 27.2 ms; 2 shifts
+# 3.8, 19.9 and 26.0 ms; 3 shifts 4.2, 21.4 and 30.8 ms; 5 shifts 4.2,
+# 20.6 and 28.1 ms.  A deeper stack copies more than its wider GEMM saves.
+_STACK = 2
+
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
@@ -294,15 +302,19 @@ class KernelMatrix:
     envelopes (``_base_blocks``), laid out by ``_block_layout``; each
     envelope row continues the row of the next lower power at its offset
     (``_envelopes``).  The normal equations and ``data`` form
-    the complex base rows ``s e_b`` of each block (``_psi_blocks``); the
-    normal equations take N * B * P work rather than N * P^2, and memory
-    that grows with the block and with P^2, not with N * P.
-    ``apply_model`` keeps the carrier factored out and makes one real
-    GEMM per block, so its output is within rounding of ``data @ w``
-    over the support, not bit for bit the column sum.  The matrix
-    caches one ``NormalSystem``, for the last target it was asked
-    about.  ``data``, the whole N x P matrix, is formed only when a
-    caller reads it; no fit reads it.
+    the complex base rows ``s e_b`` of each block (``_psi_blocks``).  The
+    normal equations (``_kernel_normal_equations``) take N * B * P work
+    rather than N * P^2: over the samples inside every lag's window,
+    GEMMs of the bases against a stack of them at ``_STACK`` consecutive
+    shifts, with the target beside them, in pieces of a block; over the
+    last few samples, where the windows end, one-sample products in a
+    prefix sum.  Their memory grows with the block and with P^2, not
+    with N * P.  ``apply_model`` keeps the carrier factored out and
+    makes one real GEMM per block, so its output is within rounding of
+    ``data @ w`` over the support, not bit for bit the column sum.  The
+    matrix caches one ``NormalSystem``, for the last target it was
+    asked about.  ``data``, the whole N x P matrix, is formed only when
+    a caller reads it; no fit reads it.
     """
 
     samples: np.ndarray
@@ -457,9 +469,9 @@ def _block_layout(bases, lag) -> _BlockLayout:
     return _BlockLayout(int(np.min(lag)), int(np.max(lag)), behind, ahead, tuple(recipe))
 
 
-def _base_blocks(samples, layout: _BlockLayout, n_rows: int, envelope):
+def _base_blocks(samples, layout: _BlockLayout, n_rows: int, envelope, begin: int = 0):
     """``(start, stop, carrier, envelope)`` for each ``ROW_CHUNK``-row
-    block of the rows ``0 .. n_rows - 1`` of columns at the lags of
+    block of the rows ``begin .. n_rows - 1`` of columns at the lags of
     ``layout``: the one evaluator of kernel columns.
 
     Each block spans its rows widened by the lag span: ``carrier[i]`` is
@@ -476,7 +488,7 @@ def _base_blocks(samples, layout: _BlockLayout, n_rows: int, envelope):
     """
     lo, hi, behind, ahead, recipe = layout
     n = samples.size
-    for start in range(0, n_rows, ROW_CHUNK):
+    for start in range(begin, n_rows, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n_rows)
         first, count = start - hi, stop - start + hi - lo
         if first >= 0 and first + count <= n:
@@ -526,7 +538,7 @@ def _envelopes(samples, rows, lo: int, hi: int, recipe) -> None:
             row *= factor
 
 
-def _psi_blocks(samples, layout: _BlockLayout, n_rows: int):
+def _psi_blocks(samples, layout: _BlockLayout, n_rows: int, begin: int = 0):
     """``(start, stop, psi)`` for each block of ``_base_blocks``, with
     the complex base rows ``psi[b] = carrier * envelope[b]``.
 
@@ -536,10 +548,10 @@ def _psi_blocks(samples, layout: _BlockLayout, n_rows: int):
     the product that overlaps it overwrites it.
     """
     n_bases = len(layout.recipe)
-    width = min(ROW_CHUNK, n_rows) + layout.hi - layout.lo
+    width = min(ROW_CHUNK, max(n_rows - begin, 0)) + layout.hi - layout.lo
     rows = np.empty((n_bases, width), dtype=np.complex128)
     for start, stop, carrier, envelope in _base_blocks(
-        samples, layout, n_rows, rows.view(np.float64)
+        samples, layout, n_rows, rows.view(np.float64), begin
     ):
         psi = rows[:, : carrier.size]
         for b in range(n_bases):
@@ -560,82 +572,126 @@ def _kernel_normal_equations(km, target) -> tuple:
         S^H x[(b, l)]             = sum of conj(psi_b(q)) x(q + l)
 
     with x zero outside its rows.  Entries with d < 0 are the conjugate
-    mirror.  The window of q depends on l1 only through its end, so
-    the q axis is cut at every window end into segments, each inside or
-    outside each window.  One pass over ``ROW_CHUNK``-sample blocks of
-    the bases, widened by the lag span D, adds one B x B product per
-    segment piece and per lag difference d; each Gram entry then sums
-    the products of the segments inside its window.  Every term of an
-    entry is a term of the column product, and no term is added and
-    taken off again, so the summation error stays within that of the
-    column product.  ``S^H x`` takes one B-vector product per lag and
-    block.  Only blocks of the bases exist at any time.
+    mirror.  The window of q depends on l1 only through its end, so the
+    q axis splits in two at N - hi, hi the deepest lag and lo the
+    shallowest.  The pass sums the conjugates, ``psi_b1(q)
+    conj(psi_b2(q - d))``, one B x B product per lag difference d, and
+    ``psi_b(q) conj(x(q + hi - d))`` beside it: for d = hi - l that is
+    ``S^H x`` of lag l.
+
+    The main range ``[0, N - hi)`` lies inside every window
+    (``_main_range_sums``).  There the sum of each difference is one
+    product of two shifted runs of the bases, so one GEMM of the bases
+    a samples ahead with a stack of the bases and the target at
+    ``_STACK`` consecutive shifts behind adds ``_STACK`` differences at
+    once.  The tail ``[N - hi, N - lo)`` is where the windows end: its
+    one-sample products are summed in q order, a prefix sum, and each
+    lag adds the prefix at the end of its window to its main-range
+    sum.  Every nonzero term of an entry is a term of the
+    column product and is added once, so the summation error stays
+    within that of the column product; the grouping of the sums, and so
+    their last bits, follow ``ROW_CHUNK``, ``_STACK`` and the BLAS build.
+
+    Each lag's sums fill one block row of the Gram in lag-major order,
+    (lag, base), from its diagonal on: the diagonal block's upper
+    triangle is the mirror of its lower one and its diagonal is real,
+    and the block rows below mirror those above, so that matrix is
+    exactly Hermitian.  The Gram takes its rows and columns in
+    canonical order.  Only blocks of the bases exist at any time.
     """
-    n_cols = len(km.columns)
     bases, base, lag = _bases_of(km.columns)
     lags = np.unique(lag)
     lo, hi = int(lags[0]), int(lags[-1])
     span = hi - lo
-    diffs = np.unique(lags[None, :] - lags[:, None])
-    diffs = diffs[diffs >= 0]
-    n = km.samples.size
+    n, n_bases, wide = km.samples.size, len(bases), len(bases) + 1
     # A signal shorter than a lag leaves that lag an empty window.
-    q_hi = max(n - lo, 0)
-    cuts = sorted({max(n - l, 0) for l in lags.tolist()} | {0, q_hi})
-    # (start, stop, inside): inside[i] tells whether lag lags[i] sees q
-    # in start..stop-1.
-    segments = [
-        (start, stop, [stop <= n - l for l in lags.tolist()])
-        for start, stop in zip(cuts, cuts[1:])
-    ]
-    segments = [segment for segment in segments if any(segment[2])]
-    n_bases = len(bases)
-    products = np.zeros((len(segments), diffs.size, n_bases, n_bases), dtype=np.complex128)
-    correlation = np.zeros((n_bases, lags.size), dtype=np.complex128)
-    # The bases delayed by each lag difference d, over blocks of q.
-    for q0, block_stop, psi in _psi_blocks(km.samples, _block_layout(bases, diffs), q_hi):
-        count = block_stop - q0
-        # psi[:, i] is psi(q0 - span + i) and head[:, i] is conj(psi(q0 + i)),
-        # conjugated row by row: a ufunc on the strided block would take
-        # a 128 kB buffer.
-        head = np.empty((n_bases, count), dtype=np.complex128)
-        for b in range(n_bases):
-            np.conjugate(psi[b, span:], out=head[b])
-        for s, (start, stop, _) in enumerate(segments):
-            # This block's piece of the segment, as indices into head.
-            i0, i1 = max(start, q0) - q0, min(stop, q0 + count) - q0
-            if i0 >= i1:
-                continue
-            for t, d in enumerate(diffs.tolist()):
-                products[s, t] += head[:, i0:i1] @ psi[:, i0 + span - d : i1 + span - d].T
-        # shifted[i] is x(q0 + lo + i), zero outside the matrix rows.
-        shifted = np.zeros(count + span, dtype=np.complex128)
-        n_lo, n_hi = q0 + lo, min(q0 + lo + count + span, n)
-        if n_hi > n_lo:
-            shifted[: n_hi - n_lo] = target[n_lo:n_hi]
-        for i, l in enumerate(lags.tolist()):
-            correlation[:, i] += head @ shifted[l - lo : l - lo + count]
-        del head
-    rhs = correlation[base, np.searchsorted(lags, lag)]
-    # by_lag[i, t]: the products over the window of lag lags[i].
-    by_lag = np.zeros((lags.size, diffs.size, n_bases, n_bases), dtype=np.complex128)
-    for s, (_, _, inside) in enumerate(segments):
-        by_lag[np.flatnonzero(inside)] += products[s]
-    # Lower triangle, each entry read with its shallower column first.
-    rows, columns = np.tril_indices(n_cols)
-    forward = lag[columns] >= lag[rows]
-    a = np.where(forward, rows, columns)
-    b = np.where(forward, columns, rows)
-    values = by_lag[
-        np.searchsorted(lags, lag[a]), np.searchsorted(diffs, lag[b] - lag[a]), base[a], base[b]
-    ]
-    values = np.where(forward, values, values.conj())
-    result = np.empty((n_cols, n_cols), dtype=np.complex128)
-    result[columns, rows] = values.conj()
-    result[rows, columns] = values
-    diagonal = np.arange(n_cols)
-    result[diagonal, diagonal] = result[diagonal, diagonal].real
-    return result, rhs
+    ends = np.maximum(n - lags, 0)
+    main_end = int(ends[-1])
+    main = _main_range_sums(km.samples, target, bases, lags, main_end)
+    # tails[k] sums, in q order, the products at q < main_end + k.
+    tails = np.zeros((span + 1, *main.shape), dtype=np.complex128)
+    # column[d] holds psi(q - d) and x(q + hi - d).
+    column = np.empty((span + 1, wide), dtype=np.complex128)
+    layout = _block_layout(bases, np.array([0, span]))
+    for q0, q1, psi in _psi_blocks(km.samples, layout, int(ends[0]), main_end):
+        for q in range(q0, q1):
+            i = span + q - q0  # psi[:, i] is psi(q)
+            column[:, :n_bases] = psi[:, i - span : i + 1][:, ::-1].T
+            inside = target[q + lo : min(q + hi + 1, n)]
+            column[:, n_bases] = 0
+            column[span + 1 - inside.size :, n_bases] = inside[::-1]
+            product = tails[q - main_end + 1, :, : column.size]
+            np.multiply.outer(psi[:, i], column.conj().ravel(), out=product)
+    np.cumsum(tails, axis=0, out=tails)
+    # The Gram in lag-major order, one block row per lag.
+    lagged = np.empty((lags.size * n_bases,) * 2, dtype=np.complex128)
+    lower = np.tril_indices(n_bases, -1)
+    for i in range(lags.size):
+        at = slice(i * n_bases, (i + 1) * n_bases)
+        sums = (main + tails[ends[i] - main_end]).reshape(n_bases, -1, wide)
+        block = lagged[at, at.start :]
+        np.conjugate(sums[:, lags[i:] - lags[i], :n_bases].reshape(n_bases, -1), out=block)
+        square = block[:, :n_bases]
+        square.T[lower] = square[lower].conj()
+        np.fill_diagonal(square, square.diagonal().real)
+        np.conjugate(lagged[: at.start, at].T, out=lagged[at, : at.start])
+    correlation = (main + tails[-1]).reshape(n_bases, -1, wide)[:, hi - lags, n_bases].conj()
+    at = np.searchsorted(lags, lag)
+    where = at * n_bases + base
+    return lagged.take(where, 0).take(where, 1), correlation[base, at]
+
+
+def _main_range_sums(samples, target, bases, lags, main_end) -> np.ndarray:
+    """The sums of ``_kernel_normal_equations`` over its main range
+    ``[0, main_end)``, as a B x (D (B + 1)) array for the differences
+    d = 0 .. D - 1: column ``d (B + 1) + b2`` of row b1 sums
+    ``psi_b1(q) conj(psi_b2(q - d))`` and column ``d (B + 1) + B``
+    sums ``psi_b1(q) conj(x(q + hi - d))``.
+
+    With q = u + a and d = a + s, the term is ``psi(u + a)`` against
+    ``psi(u - s)``: a view of the bases a samples ahead, against a stack
+    of the bases and the target at the shifts s = 0 .. ``_STACK`` - 1.
+    Each piece of a block copies its stack once, conjugated, into one
+    buffer and reuses it for every step a, a multiple of ``_STACK``:
+    one GEMM per step and piece, its u cut where q reaches
+    ``main_end``.  u starts at -span, where the terms are zero, since
+    ``psi(q)`` is zero for q < 0.  Pieces are a (``_STACK`` + 1)-th of
+    a block, so the buffer stays near the size of the block's bases.
+    """
+    lo, hi = int(lags[0]), int(lags[-1])
+    span, depth = hi - lo, _STACK
+    diffs = np.unique(lags[None, :] - lags[:, None])
+    steps = sorted({d - d % depth for d in diffs[diffs >= 0].tolist()})
+    n_bases, wide = len(bases), len(bases) + 1
+    sums = np.zeros((n_bases, (steps[-1] + depth) * wide), dtype=np.complex128)
+    if not main_end:
+        return sums
+    widen = span + depth - 1
+    rows = -(-min(ROW_CHUNK, main_end + span) // (depth + 1))
+    buffer = np.empty(depth * wide * rows, dtype=np.complex128)
+    layout = _block_layout(bases, np.array([0, widen]))
+    # psi[:, widen + i] is psi(q0 + i), and the block's u are q - span.
+    for q0, q1, psi in _psi_blocks(samples, layout, main_end + span):
+        for u0 in range(q0 - span, q1 - span, rows):
+            u1 = min(u0 + rows, q1 - span)
+            width = u1 - u0
+            # stack[s wide + b] is psi_b(u - s), stack[s wide + B] x(u - s + hi).
+            stack = buffer[: depth * wide * width].reshape(depth * wide, width)
+            for s in range(depth):
+                at = widen + u0 - s - q0
+                stack[s * wide : s * wide + n_bases] = psi[:, at : at + width]
+                x0 = u0 - s + hi
+                skip = min(max(-x0, 0), width)
+                stack[s * wide + n_bases, :skip] = 0
+                stack[s * wide + n_bases, skip:] = target[x0 + skip : x0 + width]
+            np.conjugate(stack, out=stack)
+            for a in steps:
+                count = min(u1, main_end - a) - u0
+                if count > 0:
+                    at = widen + u0 + a - q0
+                    product = psi[:, at : at + count] @ stack[:, :count].T
+                    sums[:, a * wide : (a + depth) * wide] += product
+    return sums
 
 
 def _signal_samples(signal) -> np.ndarray:

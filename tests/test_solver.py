@@ -1053,6 +1053,25 @@ def test_guard_rejects_one_update_on_the_shipped_configs(name, sweep):
     ]
 
 
+def test_wideband_full_least_squares_keeps_clear_of_the_condition_gate(monkeypatch):
+    # The 300-kernel wideband LS fit (exp2's ls-full) reads a condition
+    # estimate of about 3.6e11 against the gate's 1e12.  A rounding change
+    # in the normal equations or the learned drive that moves it toward
+    # the gate fails here rather than making exp2 exit 3.
+    _, _, learned, matrix, *_ = _training_stage(load_config(SHIPPED_CONFIGS / "wideband.cfg"))
+    real_condition = solver._condition
+    estimates = []
+
+    def condition(gram):
+        estimates.append(real_condition(gram))
+        return estimates[-1]
+
+    monkeypatch.setattr(solver, "_condition", condition)
+    least_squares(matrix, learned.drive)
+    assert len(estimates) == 1
+    assert estimates[0] < solver.CONDITION_LIMIT / 2
+
+
 def test_penalty_ladder_does_not_select_on_desk_scale():
     # On the shipped desk run point the per-order zero thresholds, not
     # the penalties, prune: a ladder a thousand or a million times
@@ -1264,6 +1283,24 @@ def test_fit_path_never_forms_the_kernel_matrix():
     (matrix,) = built
     assert peak < matrix.shape[0] * matrix.shape[1] * 16 / 4
     assert "data" not in vars(matrix)
+
+
+def test_normal_equation_pass_streams():
+    # The pass holds one block of the bases, a stack the size of about
+    # one more and sums that grow with P^2, whatever the signal length:
+    # its peak at 8 row blocks is that at 2.
+    structure = full_structure(19, 15, 1)
+    peaks = []
+    for n in (2 * ROW_CHUNK + 7, 8 * ROW_CHUNK + 7):
+        rng = np.random.default_rng(n)
+        signal = IqSignal(
+            (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), 1.0
+        )
+        matrix = build_kernel_matrix(signal, structure)
+        target = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        gmp._kernel_normal_equations(matrix, target)  # caches the columns
+        peaks.append(_peak_traced_bytes(lambda: gmp._kernel_normal_equations(matrix, target)))
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 
 
 # Lag sets drawn with gaps, so lagging and leading lags differ from the
