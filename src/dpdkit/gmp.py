@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 import enum
 from functools import cached_property
+from itertools import pairwise
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -274,12 +275,11 @@ def max_memory_lag(coeffs: CoefficientVector) -> int:
 # normal equations and the per-block GEMM of ``apply_model`` need not be.
 ROW_CHUNK = 4096
 
-# Shifts per stack in ``_main_range_sums``: each GEMM adds this many lag
-# differences.  Medians of the pass on one OpenBLAS thread (2-core Xeon
-# VM, 41 interleaved runs) on the desk-scale, wideband and 131072-sample
-# desk-scale training matrices: 1 shift 4.0, 20.3 and 27.2 ms; 2 shifts
-# 3.8, 19.9 and 26.0 ms; 3 shifts 4.2, 21.4 and 30.8 ms; 5 shifts 4.2,
-# 20.6 and 28.1 ms.  A deeper stack copies more than its wider GEMM saves.
+# Shifts per stack in ``_segment_sums``: each GEMM adds this many lag
+# differences.  Pass medians on one OpenBLAS thread (2-core Xeon VM, 41
+# interleaved runs) on the desk-scale, wideband and 131072-sample
+# training matrices: 1 shift 3.8, 25.4, 38.3 ms; 2 shifts 3.9, 23.0,
+# 35.8 ms; 3 shifts 4.4, 25.4, 40.0 ms.  A deeper stack copies more.
 _STACK = 2
 
 
@@ -296,25 +296,16 @@ class KernelMatrix:
     ``psi_b(q) = s(q) e_b(q)``, one per (branch, k, m): the carrier
     times the real envelope ``e_b(q) = |s(q -+ m)|^k``, a power of
     ``|s|^2``.  15 bases carry the 300 columns of the wideband
-    structure.  The normal equations (``normal_system``), the whole
-    matrix (``data``) and the model output of ``apply_model`` are all
-    cut from blocks of ``ROW_CHUNK`` samples of the carrier and the
-    envelopes (``_base_blocks``), laid out by ``_block_layout``; each
-    envelope row continues the row of the next lower power at its offset
-    (``_envelopes``).  The normal equations and ``data`` form
-    the complex base rows ``s e_b`` of each block (``_psi_blocks``).  The
-    normal equations (``_kernel_normal_equations``) take N * B * P work
-    rather than N * P^2: over the samples inside every lag's window,
-    GEMMs of the bases against a stack of them at ``_STACK`` consecutive
-    shifts, with the target beside them, in pieces of a block; over the
-    last few samples, where the windows end, one-sample products in a
-    prefix sum.  Their memory grows with the block and with P^2, not
-    with N * P.  ``apply_model`` keeps the carrier factored out and
-    makes one real GEMM per block, so its output is within rounding of
-    ``data @ w`` over the support, not bit for bit the column sum.  The
-    matrix caches one ``NormalSystem``, for the last target it was
-    asked about.  ``data``, the whole N x P matrix, is formed only when
-    a caller reads it; no fit reads it.
+    structure.  Every consumer cuts its columns from blocks of
+    ``ROW_CHUNK`` samples of the carrier and the envelopes
+    (``_base_blocks``): the whole matrix (``data``), the model output
+    (``apply_model``) and the normal equations.  One loop over the
+    samples forms those from the complex base rows of each block
+    (``_kernel_normal_equations``), in N * B * P work rather than
+    N * P^2 and in memory that grows with the block and with P^2, not
+    with N * P.  The matrix caches one ``NormalSystem``, for the last
+    target it was asked about.  ``data``, the whole N x P matrix, is
+    formed only when a caller reads it; no fit reads it.
     """
 
     samples: np.ndarray
@@ -469,9 +460,9 @@ def _block_layout(bases, lag) -> _BlockLayout:
     return _BlockLayout(int(np.min(lag)), int(np.max(lag)), behind, ahead, tuple(recipe))
 
 
-def _base_blocks(samples, layout: _BlockLayout, n_rows: int, envelope, begin: int = 0):
+def _base_blocks(samples, layout: _BlockLayout, n_rows: int, envelope):
     """``(start, stop, carrier, envelope)`` for each ``ROW_CHUNK``-row
-    block of the rows ``begin .. n_rows - 1`` of columns at the lags of
+    block of the rows ``0 .. n_rows - 1`` of columns at the lags of
     ``layout``: the one evaluator of kernel columns.
 
     Each block spans its rows widened by the lag span: ``carrier[i]`` is
@@ -487,20 +478,24 @@ def _base_blocks(samples, layout: _BlockLayout, n_rows: int, envelope, begin: in
     next block.
     """
     lo, hi, behind, ahead, recipe = layout
-    n = samples.size
-    for start in range(begin, n_rows, ROW_CHUNK):
+    for start in range(0, n_rows, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n_rows)
         first, count = start - hi, stop - start + hi - lo
-        if first >= 0 and first + count <= n:
-            carrier = samples[first : first + count]
-        else:
-            carrier = np.zeros(count, dtype=np.complex128)
-            src_lo, src_hi = max(first, 0), min(first + count, n)
-            if src_hi > src_lo:
-                carrier[src_lo - first : src_hi - first] = samples[src_lo:src_hi]
         rows = envelope[:, :count]
         _envelopes(samples, rows, first - behind, first + count + ahead, recipe)
-        yield start, stop, carrier, rows
+        yield start, stop, _window(samples, first, count), rows
+
+
+def _window(samples, first: int, count: int) -> np.ndarray:
+    """``samples[first : first + count]``, zero outside the samples: a
+    view when the window lies inside them, else a zero-padded copy."""
+    if first >= 0 and first + count <= samples.size:
+        return samples[first : first + count]
+    window = np.zeros(count, dtype=np.complex128)
+    src_lo, src_hi = max(first, 0), min(first + count, samples.size)
+    if src_hi > src_lo:
+        window[src_lo - first : src_hi - first] = samples[src_lo:src_hi]
+    return window
 
 
 def _envelopes(samples, rows, lo: int, hi: int, recipe) -> None:
@@ -517,13 +512,9 @@ def _envelopes(samples, rows, lo: int, hi: int, recipe) -> None:
     """
     count = rows.shape[1]
     if any(times for *_, times in recipe):
-        src_lo, src_hi = max(lo, 0), min(hi, samples.size)
-        squared = np.empty(hi - lo) if src_lo == lo and src_hi == hi else np.zeros(hi - lo)
-        if src_hi > src_lo:
-            window = samples[src_lo:src_hi]
-            inside = squared[src_lo - lo : src_hi - lo]
-            np.multiply(window.real, window.real, out=inside)
-            inside += window.imag**2
+        window = _window(samples, lo, hi - lo)
+        squared = window.real * window.real
+        squared += window.imag**2
     for b, below, at, times in recipe:
         row = rows[b]
         if not times:
@@ -538,7 +529,7 @@ def _envelopes(samples, rows, lo: int, hi: int, recipe) -> None:
             row *= factor
 
 
-def _psi_blocks(samples, layout: _BlockLayout, n_rows: int, begin: int = 0):
+def _psi_blocks(samples, layout: _BlockLayout, n_rows: int):
     """``(start, stop, psi)`` for each block of ``_base_blocks``, with
     the complex base rows ``psi[b] = carrier * envelope[b]``.
 
@@ -548,10 +539,10 @@ def _psi_blocks(samples, layout: _BlockLayout, n_rows: int, begin: int = 0):
     the product that overlaps it overwrites it.
     """
     n_bases = len(layout.recipe)
-    width = min(ROW_CHUNK, max(n_rows - begin, 0)) + layout.hi - layout.lo
+    width = min(ROW_CHUNK, n_rows) + layout.hi - layout.lo
     rows = np.empty((n_bases, width), dtype=np.complex128)
     for start, stop, carrier, envelope in _base_blocks(
-        samples, layout, n_rows, rows.view(np.float64), begin
+        samples, layout, n_rows, rows.view(np.float64)
     ):
         psi = rows[:, : carrier.size]
         for b in range(n_bases):
@@ -572,125 +563,94 @@ def _kernel_normal_equations(km, target) -> tuple:
         S^H x[(b, l)]             = sum of conj(psi_b(q)) x(q + l)
 
     with x zero outside its rows.  Entries with d < 0 are the conjugate
-    mirror.  The window of q depends on l1 only through its end, so the
-    q axis splits in two at N - hi, hi the deepest lag and lo the
-    shallowest.  The pass sums the conjugates, ``psi_b1(q)
-    conj(psi_b2(q - d))``, one B x B product per lag difference d, and
-    ``psi_b(q) conj(x(q + hi - d))`` beside it: for d = hi - l that is
-    ``S^H x`` of lag l.
-
-    The main range ``[0, N - hi)`` lies inside every window
-    (``_main_range_sums``).  There the sum of each difference is one
-    product of two shifted runs of the bases, so one GEMM of the bases
-    a samples ahead with a stack of the bases and the target at
-    ``_STACK`` consecutive shifts behind adds ``_STACK`` differences at
-    once.  The tail ``[N - hi, N - lo)`` is where the windows end: its
-    one-sample products are summed in q order, a prefix sum, and each
-    lag adds the prefix at the end of its window to its main-range
-    sum.  Every nonzero term of an entry is a term of the
-    column product and is added once, so the summation error stays
-    within that of the column product; the grouping of the sums, and so
-    their last bits, follow ``ROW_CHUNK``, ``_STACK`` and the BLAS build.
+    mirror.  A window depends on its lag only through its end, so one
+    loop over q (``_segment_sums``) sums the conjugate products, one
+    B x B product per lag difference with ``S^H x`` beside it, in
+    segments of q, and a prefix sum over them gives each lag its sums at
+    its window end.  Every nonzero term of an entry is added once, so
+    the summation error stays within that of the column product; its
+    last bits follow ``ROW_CHUNK``, ``_STACK`` and the BLAS build.
 
     Each lag's sums fill one block row of the Gram in lag-major order,
-    (lag, base), from its diagonal on: the diagonal block's upper
-    triangle is the mirror of its lower one and its diagonal is real,
-    and the block rows below mirror those above, so that matrix is
-    exactly Hermitian.  The Gram takes its rows and columns in
-    canonical order.  Only blocks of the bases exist at any time.
+    from its diagonal on: the diagonal blocks mirror their lower
+    triangle and have a real diagonal, and the block rows below mirror
+    those above, so the matrix is exactly Hermitian.  One gather puts
+    it in canonical order once the sums are freed.  Every pair of bases
+    is summed at every lag difference, so a structure whose branches
+    have different lag sets pays for base pairs whose columns never meet.
     """
     bases, base, lag = _bases_of(km.columns)
     lags = np.unique(lag)
-    lo, hi = int(lags[0]), int(lags[-1])
-    span = hi - lo
-    n, n_bases, wide = km.samples.size, len(bases), len(bases) + 1
+    n_bases = len(bases)
     # A signal shorter than a lag leaves that lag an empty window.
-    ends = np.maximum(n - lags, 0)
-    main_end = int(ends[-1])
-    main = _main_range_sums(km.samples, target, bases, lags, main_end)
-    # tails[k] sums, in q order, the products at q < main_end + k.
-    tails = np.zeros((span + 1, *main.shape), dtype=np.complex128)
-    # column[d] holds psi(q - d) and x(q + hi - d).
-    column = np.empty((span + 1, wide), dtype=np.complex128)
-    layout = _block_layout(bases, np.array([0, span]))
-    for q0, q1, psi in _psi_blocks(km.samples, layout, int(ends[0]), main_end):
-        for q in range(q0, q1):
-            i = span + q - q0  # psi[:, i] is psi(q)
-            column[:, :n_bases] = psi[:, i - span : i + 1][:, ::-1].T
-            inside = target[q + lo : min(q + hi + 1, n)]
-            column[:, n_bases] = 0
-            column[span + 1 - inside.size :, n_bases] = inside[::-1]
-            product = tails[q - main_end + 1, :, : column.size]
-            np.multiply.outer(psi[:, i], column.conj().ravel(), out=product)
-    np.cumsum(tails, axis=0, out=tails)
+    ends = np.maximum(km.samples.size - lags, 0)
+    sums = _segment_sums(km.samples, target, bases, lags, int(ends[-1]), int(ends[0]))
+    np.cumsum(sums, axis=0, out=sums)
+    sums = sums.reshape(sums.shape[0], n_bases, -1, n_bases + 1)
     # The Gram in lag-major order, one block row per lag.
     lagged = np.empty((lags.size * n_bases,) * 2, dtype=np.complex128)
     lower = np.tril_indices(n_bases, -1)
     for i in range(lags.size):
         at = slice(i * n_bases, (i + 1) * n_bases)
-        sums = (main + tails[ends[i] - main_end]).reshape(n_bases, -1, wide)
         block = lagged[at, at.start :]
-        np.conjugate(sums[:, lags[i:] - lags[i], :n_bases].reshape(n_bases, -1), out=block)
+        ahead = sums[ends[i] - ends[-1]][:, lags[i:] - lags[i], :n_bases]
+        np.conjugate(ahead.reshape(n_bases, -1), out=block)
         square = block[:, :n_bases]
         square.T[lower] = square[lower].conj()
         np.fill_diagonal(square, square.diagonal().real)
         np.conjugate(lagged[: at.start, at].T, out=lagged[at, : at.start])
-    correlation = (main + tails[-1]).reshape(n_bases, -1, wide)[:, hi - lags, n_bases].conj()
-    at = np.searchsorted(lags, lag)
-    where = at * n_bases + base
-    return lagged.take(where, 0).take(where, 1), correlation[base, at]
+    rhs = sums[-1, base, lags[-1] - lag, n_bases].conj()
+    del sums
+    where = np.searchsorted(lags, lag) * n_bases + base
+    return lagged[np.ix_(where, where)], rhs
 
 
-def _main_range_sums(samples, target, bases, lags, main_end) -> np.ndarray:
-    """The sums of ``_kernel_normal_equations`` over its main range
-    ``[0, main_end)``, as a B x (D (B + 1)) array for the differences
-    d = 0 .. D - 1: column ``d (B + 1) + b2`` of row b1 sums
-    ``psi_b1(q) conj(psi_b2(q - d))`` and column ``d (B + 1) + B``
-    sums ``psi_b1(q) conj(x(q + hi - d))``.
+def _segment_sums(samples, target, bases, lags, main_end, end) -> np.ndarray:
+    """The sums of ``_kernel_normal_equations`` over q in [0, ``end``) in
+    segments: 0 over [0, ``main_end``), and k over q = main_end + k - 1.
+    Column ``d (B + 1) + b2`` of row b1 of a segment sums ``psi_b1(q)
+    conj(psi_b2(q - d))``, and column ``d (B + 1) + B`` sums ``psi_b1(q)
+    conj(x(q + hi - d))``, hi the deepest lag, for ``S^H x`` of lag hi - d.
 
-    With q = u + a and d = a + s, the term is ``psi(u + a)`` against
-    ``psi(u - s)``: a view of the bases a samples ahead, against a stack
-    of the bases and the target at the shifts s = 0 .. ``_STACK`` - 1.
-    Each piece of a block copies its stack once, conjugated, into one
-    buffer and reuses it for every step a, a multiple of ``_STACK``:
-    one GEMM per step and piece, its u cut where q reaches
-    ``main_end``.  u starts at -span, where the terms are zero, since
-    ``psi(q)`` is zero for q < 0.  Pieces are a (``_STACK`` + 1)-th of
-    a block, so the buffer stays near the size of the block's bases.
+    With d = a + s, the bases at q meet a stack of the bases and the
+    target at q - a - s, for the shifts s = 0 .. ``_STACK`` - 1 and each
+    step a, a multiple of ``_STACK``.  Each piece of a block copies its
+    stack once, conjugated and reaching back to the deepest step, and
+    serves step a with a view of it a samples back.  Pieces are a
+    (``_STACK`` + 1)-th of a block, so the stack stays near the size of
+    the block's bases, and are cut at ``main_end``: a main piece adds
+    one GEMM per step to segment 0, a tail piece one product per sample
+    and step to the segment of its sample.
     """
-    lo, hi = int(lags[0]), int(lags[-1])
-    span, depth = hi - lo, _STACK
-    diffs = np.unique(lags[None, :] - lags[:, None])
-    steps = sorted({d - d % depth for d in diffs[diffs >= 0].tolist()})
-    n_bases, wide = len(bases), len(bases) + 1
-    sums = np.zeros((n_bases, (steps[-1] + depth) * wide), dtype=np.complex128)
-    if not main_end:
-        return sums
-    widen = span + depth - 1
-    rows = -(-min(ROW_CHUNK, main_end + span) // (depth + 1))
-    buffer = np.empty(depth * wide * rows, dtype=np.complex128)
-    layout = _block_layout(bases, np.array([0, widen]))
-    # psi[:, widen + i] is psi(q0 + i), and the block's u are q - span.
-    for q0, q1, psi in _psi_blocks(samples, layout, main_end + span):
-        for u0 in range(q0 - span, q1 - span, rows):
-            u1 = min(u0 + rows, q1 - span)
-            width = u1 - u0
-            # stack[s wide + b] is psi_b(u - s), stack[s wide + B] x(u - s + hi).
+    hi, depth = int(lags[-1]), _STACK
+    steps = sorted({d - d % depth for d in (lags - lags[:, None]).ravel().tolist() if d >= 0})
+    reach, n_bases, wide = steps[-1], len(bases), len(bases) + 1
+    sums = np.zeros((end - main_end + 1, n_bases, (reach + depth) * wide), dtype=np.complex128)
+    widen = reach + depth - 1
+    rows = -(-min(ROW_CHUNK, end) // (depth + 1))
+    buffer = np.empty(depth * wide * (rows + reach), dtype=np.complex128)
+    # psi[:, widen + i] is psi(q0 + i), and x[widen + i] is x(q0 + i + hi).
+    for q0, q1, psi in _psi_blocks(samples, _block_layout(bases, np.array([0, widen])), end):
+        x = _window(target, q0 - widen + hi, psi.shape[1])
+        for p0, p1 in pairwise(sorted({*range(q0, q1, rows), q1, min(max(main_end, q0), q1)})):
+            width = p1 - p0 + reach
+            # Column j of the stack is at q = p0 - reach + j: rows s wide + b
+            # hold psi_b(q - s), and row s wide + B holds x(q - s + hi).
             stack = buffer[: depth * wide * width].reshape(depth * wide, width)
             for s in range(depth):
-                at = widen + u0 - s - q0
+                at = widen + p0 - reach - s - q0
                 stack[s * wide : s * wide + n_bases] = psi[:, at : at + width]
-                x0 = u0 - s + hi
-                skip = min(max(-x0, 0), width)
-                stack[s * wide + n_bases, :skip] = 0
-                stack[s * wide + n_bases, skip:] = target[x0 + skip : x0 + width]
+                stack[s * wide + n_bases] = x[at : at + width]
             np.conjugate(stack, out=stack)
+            view = psi[:, widen + p0 - q0 : widen + p1 - q0]
             for a in steps:
-                count = min(u1, main_end - a) - u0
-                if count > 0:
-                    at = widen + u0 + a - q0
-                    product = psi[:, at : at + count] @ stack[:, :count].T
-                    sums[:, a * wide : (a + depth) * wide] += product
+                behind = stack[:, reach - a : reach - a + p1 - p0]
+                columns = slice(a * wide, (a + depth) * wide)
+                if p1 <= main_end:
+                    sums[0, :, columns] += view @ behind.T
+                else:
+                    tail = sums[p0 - main_end + 1 : p1 - main_end + 1, :, columns]
+                    np.multiply(view.T[:, :, None], behind.T[:, None, :], out=tail)
     return sums
 
 

@@ -1288,7 +1288,8 @@ def test_fit_path_never_forms_the_kernel_matrix():
 def test_normal_equation_pass_streams():
     # The pass holds one block of the bases, a stack the size of about
     # one more and sums that grow with P^2, whatever the signal length:
-    # its peak at 8 row blocks is that at 2.
+    # its peak at 8 row blocks is that at 2.  It frees the sums before it
+    # gathers the Gram in canonical order from the lag-major one.
     structure = full_structure(19, 15, 1)
     peaks = []
     for n in (2 * ROW_CHUNK + 7, 8 * ROW_CHUNK + 7):
@@ -1298,9 +1299,10 @@ def test_normal_equation_pass_streams():
         )
         matrix = build_kernel_matrix(signal, structure)
         target = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        gmp._kernel_normal_equations(matrix, target)  # caches the columns
+        gram, _ = gmp._kernel_normal_equations(matrix, target)  # caches the columns
         peaks.append(_peak_traced_bytes(lambda: gmp._kernel_normal_equations(matrix, target)))
     assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+    assert max(peaks) < 4 * gram.nbytes
 
 
 # Lag sets drawn with gaps, so lagging and leading lags differ from the
@@ -1324,35 +1326,43 @@ def _orders(highest):
         st.integers(1, 14),
         st.sampled_from([ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, ROW_CHUNK + 11]),
     ),
+    # Row blocks of 1 to 64 rows, so that piece cuts, block edges and the
+    # start of the tail coincide and cross, and the shipped block.
+    chunk=st.one_of(st.integers(1, 64), st.just(ROW_CHUNK)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_base_sequence_products_match_the_column_products(aligned, lagging, leading, n, seed):
+def test_base_sequence_products_match_the_column_products(
+    aligned, lagging, leading, n, chunk, seed
+):
     structure = GmpStructure(*aligned, *lagging, *leading)
     descriptors = structure.descriptors()
     assume(descriptors)
-    rng = np.random.default_rng(seed)
-    signal = IqSignal((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), 1.0)
-    matrix = build_kernel_matrix(signal, structure)
-    n_rows = matrix.shape[0]
-    x = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
-    system = normal_system(matrix, x)
-    gram, rhs = system.gram, system.rhs
-    # A second target on the cached matrix forms its whole system anew:
-    # the Gram of the first, and the S^H x of a fresh matrix, bit for bit.
-    x2 = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
-    second = normal_system(matrix, x2)
-    fresh = build_kernel_matrix(signal, structure)
-    assert np.array_equal(second.gram, gram)
-    assert np.array_equal(second.rhs, normal_system(fresh, x2).rhs)
-    assert "data" not in vars(matrix)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gmp, "ROW_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+        signal = IqSignal(samples, 1.0)
+        matrix = build_kernel_matrix(signal, structure)
+        n_rows = matrix.shape[0]
+        x = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
+        system = normal_system(matrix, x)
+        gram, rhs = system.gram, system.rhs
+        # A second target on the cached matrix forms its whole system anew:
+        # the Gram of the first, and the S^H x of a fresh matrix, bit for bit.
+        x2 = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
+        second = normal_system(matrix, x2)
+        fresh = build_kernel_matrix(signal, structure)
+        assert np.array_equal(second.gram, gram)
+        assert np.array_equal(second.rhs, normal_system(fresh, x2).rhs)
+        assert "data" not in vars(matrix)
 
-    S = matrix.data
-    eps = np.finfo(np.float64).eps
-    _assert_is_gram_of(gram, S)
-    plain = normal_system(S, x)
-    plain_gram, plain_rhs = plain.gram, plain.rhs
-    assert np.all(np.abs(gram - plain_gram) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(S)))
-    assert np.all(np.abs(rhs - plain_rhs) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(x)))
-    # One path: reading data first changes no bit.  The matrix caches
-    # the system of x2, so this forms the system of x again.
-    assert np.array_equal(normal_system(matrix, x).gram, gram)
+        S = matrix.data
+        eps = np.finfo(np.float64).eps
+        _assert_is_gram_of(gram, S)
+        plain = normal_system(S, x)
+        plain_gram, plain_rhs = plain.gram, plain.rhs
+        assert np.all(np.abs(gram - plain_gram) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(S)))
+        assert np.all(np.abs(rhs - plain_rhs) <= 2 * n_rows * eps * (np.abs(S).T @ np.abs(x)))
+        # One path: reading data first changes no bit.  The matrix caches
+        # the system of x2, so this forms the system of x again.
+        assert np.array_equal(normal_system(matrix, x).gram, gram)
