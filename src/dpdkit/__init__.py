@@ -7,6 +7,8 @@ Submodules: ``signal`` (OFDM stimulus, metrics, IQ files), ``gmp``
 (config files and the packaged experiments), ``cli`` (command line).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigurationError,
     DegenerateAlignmentError,
@@ -80,63 +82,9 @@ from .pipeline import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BcdConfig",
-    "Branch",
-    "CoefficientVector",
-    "ComparisonReport",
-    "ConfigurationError",
-    "DB_FLOOR",
-    "DegenerateAlignmentError",
-    "DegenerateInputError",
-    "DimensionError",
-    "DivergenceError",
-    "DpdError",
-    "ExperimentConfig",
-    "FitRecord",
-    "FitTrace",
-    "FormatError",
-    "GmpStructure",
-    "IlcConfig",
-    "IlcResult",
-    "IqSignal",
-    "KernelDescriptor",
-    "KernelMatrix",
-    "KktReport",
-    "MetricReport",
-    "OfdmConfig",
-    "PaModel",
-    "RankDeficiencyError",
-    "RegularizationSchedule",
-    "ReportRow",
-    "ScheduleSpec",
-    "apply_model",
-    "block_weighted_lasso",
-    "build_kernel_matrix",
-    "default_pa_model",
-    "default_schedule",
-    "effective_memory_depth",
-    "evm_db",
-    "full_structure",
-    "generate_ofdm",
-    "ilc_learn",
-    "kernel_count",
-    "kkt_check",
-    "lasso_iterated_ridge",
-    "least_squares",
-    "load_config",
-    "ls_refine",
-    "max_memory_lag",
-    "nmse_db",
-    "nmse_db_arrays",
-    "pa_forward",
-    "parse_config",
-    "read_coefficients",
-    "read_iq",
-    "read_pa_model",
-    "run_experiment1",
-    "run_experiment2",
-    "write_coefficients",
-    "write_iq",
-    "write_pa_model",
-]
+# The public names are those the imports above bind, less the
+# submodules that importing them binds too.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

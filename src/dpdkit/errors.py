@@ -2,8 +2,13 @@
 
 The command line maps these onto exit codes: configuration problems are
 usage errors, file-format problems are data errors, and the remaining
-types signal numerical failures.
+types signal numerical failures.  The private checks at the end hold
+the value rules that several parameter types share.
 """
+
+import cmath
+import math
+from numbers import Integral
 
 
 class DpdError(Exception):
@@ -58,3 +63,29 @@ class DivergenceError(DpdError):
     """Iterative learning loop whose error keeps growing, or a model or
     gain-normalized amplifier output that leaves the floating-point
     range."""
+
+
+def _integer(name, value, low, high=None):
+    """Raise ConfigurationError unless ``value`` is an integer, not a
+    bool, in ``[low, high]`` (no upper bound when ``high`` is None)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ConfigurationError(f"{name} must {bound}, got {value}")
+
+
+def _positive(name, value):
+    """Raise ConfigurationError unless ``value`` is a finite number above
+    zero."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be positive, got {value}")
+
+
+def _gain(name, value) -> complex:
+    """``value`` as a complex number; raise ConfigurationError unless it
+    is finite and non-zero."""
+    gain = complex(value)
+    if not cmath.isfinite(gain) or gain == 0:
+        raise ConfigurationError(f"{name} must be finite and non-zero, got {value}")
+    return gain

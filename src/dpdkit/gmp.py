@@ -834,16 +834,14 @@ def _parse_value(key, entry, kind):
 
 def _format_value(value) -> str:
     """``value`` as ``_parse_value`` reads it back, and a bool as ``true``
-    or ``false``; floats are written with ``repr``, so they read back bit
-    for bit."""
+    or ``false``; ``str`` of a float, numpy's too, is its shortest
+    round-trip text, so it reads back bit for bit."""
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, complex):
-        return f"{value.real!r} {value.imag!r}"
+        return f"{value.real} {value.imag}"
     return str(value)
 
 
@@ -887,8 +885,7 @@ def write_coefficient_file(path, tag, coeffs: CoefficientVector, headers=(), com
         if value != 0:
             m = "-" if desc.envelope_offset is None else desc.envelope_offset
             lines.append(
-                f"{desc.branch.value} {desc.order_exponent} {desc.lag} {m} "
-                f"{float(value.real)!r} {float(value.imag)!r}"
+                f"{desc.branch.value} {desc.order_exponent} {desc.lag} {m} {_format_value(value)}"
             )
     _write_text(path, lines, comment)
 

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import importlib.resources
-import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DivergenceError, FormatError
+from .errors import (
+    ConfigurationError,
+    DegenerateInputError,
+    DivergenceError,
+    FormatError,
+    _gain,
+    _integer,
+    _positive,
+)
 from .gmp import (
     CoefficientVector,
     _format_value,
@@ -46,16 +53,12 @@ class PaModel:
     def __post_init__(self):
         if not isinstance(self.coefficients, CoefficientVector):
             raise ConfigurationError("coefficients must be a CoefficientVector")
-        gain = complex(self.smallsignal_gain)
-        if not (math.isfinite(gain.real) and math.isfinite(gain.imag)) or gain == 0:
-            raise ConfigurationError(f"smallsignal_gain must be finite and non-zero, got {gain}")
-        object.__setattr__(self, "smallsignal_gain", gain)
+        object.__setattr__(
+            self, "smallsignal_gain", _gain("smallsignal_gain", self.smallsignal_gain)
+        )
         if self.saturation_level is not None:
             level = float(self.saturation_level)
-            if not (math.isfinite(level) and level > 0):
-                raise ConfigurationError(
-                    f"saturation_level must be positive or None, got {self.saturation_level}"
-                )
+            _positive("saturation_level", level)
             object.__setattr__(self, "saturation_level", level)
 
 
@@ -90,19 +93,13 @@ class IlcConfig:
     target_gain: complex | None = None
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
+        _integer("iterations", self.iterations, 1)
         if not (0.0 <= self.learning_rate <= 1.0):
             raise ConfigurationError(
                 f"learning_rate must lie in [0, 1], got {self.learning_rate}"
             )
         if self.target_gain is not None:
-            gain = complex(self.target_gain)
-            if not (math.isfinite(gain.real) and math.isfinite(gain.imag)) or gain == 0:
-                raise ConfigurationError(
-                    f"target_gain must be finite and non-zero, got {self.target_gain}"
-                )
-            object.__setattr__(self, "target_gain", gain)
+            object.__setattr__(self, "target_gain", _gain("target_gain", self.target_gain))
 
 
 @dataclass(frozen=True)

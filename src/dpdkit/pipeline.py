@@ -24,7 +24,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, FormatError
+from .errors import ConfigurationError, DivergenceError, FormatError, _integer, _positive
 from .gmp import (
     GmpStructure,
     _format_value,
@@ -70,8 +70,7 @@ class ScheduleSpec:
 
     def __post_init__(self):
         for name, scale in vars(self).items():
-            if not (math.isfinite(scale) and scale > 0):
-                raise ConfigurationError(f"schedule.{name} must be positive, got {scale}")
+            _positive(f"schedule.{name}", scale)
 
 
 # The config language, one (section, ExperimentConfig field, keys) entry
@@ -126,14 +125,8 @@ class ExperimentConfig:
     base_dir: str = "."
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.standard_lasso_lambda) and self.standard_lasso_lambda > 0
-        ):
-            raise ConfigurationError(
-                f"standard_lasso.lambda must be positive, got {self.standard_lasso_lambda}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"run.seed must fit in 64 bits, got {self.seed}")
+        _positive("standard_lasso.lambda", self.standard_lasso_lambda)
+        _integer("run.seed", self.seed, 0, 2**64 - 1)
 
     def schedule(self) -> RegularizationSchedule:
         return default_schedule(self.structure, **vars(self.schedule_spec))
@@ -194,8 +187,8 @@ class ExperimentConfig:
 
 def write_table(path, columns, rows, comment=None) -> None:
     """Write a CSV table: an optional ``# comment`` line, the column
-    names, then one line per row.  Floats are written with ``repr``,
-    booleans as ``true``/``false`` and None as ``-``."""
+    names, then one line per row.  Values are written as
+    ``gmp._format_value`` writes them, and None as ``-``."""
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join("-" if v is None else _format_value(v) for v in row))

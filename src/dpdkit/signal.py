@@ -22,6 +22,8 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     FormatError,
+    _integer,
+    _positive,
 )
 
 # Metrics are clamped at this floor so perfect reconstructions stay finite.
@@ -81,8 +83,7 @@ class IqSignal:
         if scan and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ConfigurationError("signal samples must be finite")
         rate = float(sample_rate_hz)
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise ConfigurationError(f"sample_rate_hz must be positive, got {rate}")
+        _positive("sample_rate_hz", rate)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate_hz", rate)
@@ -126,11 +127,7 @@ class OfdmConfig:
 
     def __post_init__(self):
         for name in ("n_subcarriers", "n_active", "n_symbols", "oversampling_factor"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+            _integer(name, getattr(self, name), 1)
         if self.n_active >= self.n_subcarriers:
             raise ConfigurationError(
                 "n_active must be smaller than n_subcarriers to leave a guard band "
@@ -141,16 +138,9 @@ class OfdmConfig:
             raise ConfigurationError(
                 f"unknown constellation {self.constellation!r} (known: {known})"
             )
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0 or self.seed >= 2 ** 64:
-            raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not (math.isfinite(self.target_rms) and self.target_rms > 0.0):
-            raise ConfigurationError(f"target_rms must be positive, got {self.target_rms}")
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0.0):
-            raise ConfigurationError(
-                f"sample_rate_hz must be positive, got {self.sample_rate_hz}"
-            )
+        _integer("seed", self.seed, 0, 2**64 - 1)
+        _positive("target_rms", self.target_rms)
+        _positive("sample_rate_hz", self.sample_rate_hz)
 
 
 def active_bin_indices(config: OfdmConfig) -> np.ndarray:

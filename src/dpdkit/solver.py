@@ -62,6 +62,8 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     RankDeficiencyError,
+    _integer,
+    _positive,
 )
 from .gmp import CoefficientVector, effective_memory_depth, kernel_count, normal_system
 from .signal import _ratio_db
@@ -91,23 +93,10 @@ class BcdConfig:
 
     def __post_init__(self):
         # Each sweep keeps a copy of the coefficients in the fit's trace.
-        if not 1 <= self.outer_iterations <= MAX_OUTER_ITERATIONS:
-            raise ConfigurationError(
-                f"outer_iterations must lie in [1, {MAX_OUTER_ITERATIONS}], "
-                f"got {self.outer_iterations}"
-            )
-        if self.inner_ridge_iterations < 1:
-            raise ConfigurationError(
-                f"inner_ridge_iterations must be >= 1, got {self.inner_ridge_iterations}"
-            )
-        if not (math.isfinite(self.inner_tolerance) and self.inner_tolerance > 0):
-            raise ConfigurationError(
-                f"inner_tolerance must be positive, got {self.inner_tolerance}"
-            )
-        if not (math.isfinite(self.ridge_epsilon) and self.ridge_epsilon > 0):
-            raise ConfigurationError(
-                f"ridge_epsilon must be positive, got {self.ridge_epsilon}"
-            )
+        _integer("outer_iterations", self.outer_iterations, 1, MAX_OUTER_ITERATIONS)
+        _integer("inner_ridge_iterations", self.inner_ridge_iterations, 1)
+        _positive("inner_tolerance", self.inner_tolerance)
+        _positive("ridge_epsilon", self.ridge_epsilon)
 
 
 @dataclass(frozen=True)
@@ -122,20 +111,17 @@ class RegularizationSchedule:
             ("lambda_by_order", self.lambda_by_order),
             ("threshold_by_order", self.threshold_by_order),
         ):
-            for k, value in mapping.items():
+            for k in mapping:
                 if k < 0 or k % 2 != 0:
                     raise ConfigurationError(
                         f"{name} keys must be even envelope powers, got {k}"
                     )
-                if not math.isfinite(value):
-                    raise ConfigurationError(f"{name}[{k}] must be finite, got {value}")
         for k, value in self.lambda_by_order.items():
-            if value <= 0:
-                raise ConfigurationError(f"lambda for order {k} must be positive, got {value}")
+            _positive(f"lambda for order {k}", value)
         for k, value in self.threshold_by_order.items():
-            if value < 0:
+            if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(
-                    f"zero threshold for order {k} must be non-negative, got {value}"
+                    f"zero threshold for order {k} must be finite and non-negative, got {value}"
                 )
 
     def lambda_for(self, k: int) -> float:
@@ -527,8 +513,7 @@ def _fold(system, b, u, V, keep, drop, cap):
 def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config: BcdConfig = BcdConfig()):
     """Single-weight complex Lasso solved by iterated ridge regression,
     from uniform first weights."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ConfigurationError(f"lasso penalty must be positive, got {lam}")
+    _positive("lasso penalty", lam)
     if not (math.isfinite(zero_threshold) and zero_threshold >= 0):
         raise ConfigurationError(f"zero_threshold must be >= 0, got {zero_threshold}")
     system = normal_system(S, x)

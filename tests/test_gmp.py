@@ -212,6 +212,16 @@ def test_data_is_the_same_at_any_row_block_and_matches_the_definition(
     assert np.max(np.abs(data - oracle)) <= 1e-14
 
 
+def test_kernel_matrix_keeps_its_own_copy_of_an_array_input():
+    samples = np.array([1, 1j, -1, 2], dtype=np.complex128)
+    structure = full_structure(1, 3, 1)
+    expected = build_kernel_matrix(samples.copy(), structure).data
+    matrix = build_kernel_matrix(samples, structure)
+    samples[:] = 0
+    assert np.array_equal(matrix.data, expected)
+    assert not matrix.samples.flags.writeable
+
+
 # --- model application ---------------------------------------------------
 
 
@@ -227,6 +237,12 @@ def test_apply_model_linear_identity():
     signal = generate_ofdm(OfdmConfig(64, 52, 1, 2, seed=6))
     out = apply_model(signal, CoefficientVector(structure, [0.5 - 0.5j]))
     assert np.allclose(out.samples, (0.5 - 0.5j) * signal.samples, rtol=1e-15)
+
+
+def test_apply_model_keeps_the_sample_rate():
+    coeffs = CoefficientVector(full_structure(1, 3, 1), np.arange(6) + 1j)
+    signal = IqSignal(np.array([1, 1j, -1, 2], dtype=np.complex128), 5.0)
+    assert apply_model(signal, coeffs).sample_rate_hz == 5.0
 
 
 def test_apply_model_matches_matrix_path():
@@ -537,6 +553,12 @@ def test_support_indices():
     assert list(coeffs.support()) == [0, 3]
 
 
+def test_coefficient_values_are_read_only():
+    coeffs = CoefficientVector(full_structure(1, 3, 1), np.ones(6))
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs.values[0] = 0
+
+
 # --- coefficient files ---------------------------------------------------
 
 
@@ -592,8 +614,10 @@ def test_coefficient_file_unknown_kernel(tmp_path):
     write_coefficients(path, coeffs)
     with open(path, "a") as fh:
         fh.write("lagging 2 0 1 0.5 0.0\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as caught:
         read_coefficients(path)
+    last = len(path.read_text().splitlines())
+    assert (caught.value.path, caught.value.offset, caught.value.line) == (path, None, last)
 
 
 def test_coefficient_file_duplicate_record(tmp_path):

@@ -61,6 +61,12 @@ def test_model_rejects_bad_saturation():
         PaModel(coeffs, saturation_level=0.0)
 
 
+def test_model_holds_its_clip_level_as_a_float():
+    structure = full_structure(0, 1, 0)
+    coeffs = CoefficientVector(structure, np.ones(1, dtype=np.complex128))
+    assert type(PaModel(coeffs, saturation_level=2).saturation_level) is float
+
+
 # --- forward pass -------------------------------------------------------------
 
 
@@ -217,6 +223,17 @@ def test_ilc_nan_error_counts_as_rising(monkeypatch):
     samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     with pytest.raises(DivergenceError, match="3 consecutive"):
         ilc_learn(IqSignal(samples, 1.0), _linear_pa(1.0), IlcConfig(iterations=4))
+
+
+def test_ilc_counts_only_consecutive_rises(monkeypatch):
+    # Two rises, a fall, then two rises again: never three in a row.
+    history = [-10.0, -5.0, -4.0, -20.0, -15.0, -10.0]
+    values = iter(history)
+    monkeypatch.setattr(pa_sim, "_ratio_db", lambda err_power, ref_power: next(values))
+    rng = np.random.default_rng(3)
+    samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    result = ilc_learn(IqSignal(samples, 1.0), _linear_pa(1.0), IlcConfig(iterations=5))
+    assert result.error_db == tuple(history)
 
 
 def test_ilc_rejects_zero_reference(preset):

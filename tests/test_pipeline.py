@@ -1,5 +1,6 @@
 """Configuration, experiment outputs, and command-line behavior."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -8,11 +9,14 @@ from pathlib import Path
 import re
 import struct
 import subprocess
+import types
 from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
 
+import dpdkit
 from dpdkit import gmp, pipeline
 from dpdkit.cli import cli
 from dpdkit.errors import ConfigurationError, DivergenceError
@@ -23,6 +27,7 @@ from dpdkit.gmp import (
     effective_memory_depth,
     full_structure,
     kernel_count,
+    max_memory_lag,
     read_coefficients,
     write_coefficients,
 )
@@ -87,6 +92,12 @@ def read_table(path):
     header = lines[0][len("# config-hash: "):]
     rows = [line.split(",") for line in lines[1:]]
     return header, rows[0], rows[1:]
+
+
+def test_write_table_writes_a_numpy_float_as_its_value(tmp_path):
+    path = tmp_path / "table.csv"
+    pipeline.write_table(path, ("a", "b", "c"), [(np.float64(0.1), 0.1, None)])
+    assert path.read_text() == "a,b,c\n0.1,0.1,-\n"
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +476,22 @@ def test_matched_count_finds_an_achieved_count():
     assert matched
     assert kernel_count(coeffs) == want
     assert 0.0 < lam < lam_max
+
+
+def test_matched_count_returns_its_closest_step_not_its_last(monkeypatch):
+    # The first step lands one kernel off the target of 10; every later
+    # step lands seven off, the last one too.
+    matrix, target = _tiny_training_pair()
+    counts = iter([11] + [3] * (pipeline.MATCHED_COUNT_STEPS - 1))
+    penalties = []
+    monkeypatch.setattr(
+        pipeline, "lasso_iterated_ridge",
+        lambda matrix, target, lam, config: penalties.append(lam) or f"fit at {lam}",
+    )
+    monkeypatch.setattr(pipeline, "kernel_count", lambda coeffs: next(counts))
+    lam, coeffs, matched = matched_count_lasso(matrix, target, 10, BcdConfig())
+    assert len(penalties) == pipeline.MATCHED_COUNT_STEPS
+    assert (lam, coeffs, matched) == (penalties[0], f"fit at {penalties[0]}", True)
 
 
 def test_matched_count_reports_unreachable_target():
@@ -861,6 +888,21 @@ def test_cli_sim_pa_matches_library(tmp_path):
     assert np.array_equal(read_iq(y).samples, expected.samples)
 
 
+def test_cli_sim_pa_and_refine_print_their_summary_lines(tmp_path):
+    cfg, s, x = _fit_inputs(tmp_path)
+    y, w, wr = tmp_path / "y.iq", tmp_path / "w.txt", tmp_path / "wr.txt"
+    code, stdout, _ = run_cli(["sim-pa", "--config", str(cfg), "--in", str(s), "--out", str(y)])
+    assert (code, stdout) == (0, f"wrote {y}: 2048 samples\n")
+    run_cli(["fit", "bwlasso", "--config", str(cfg), "--signal", str(s),
+             "--target", str(x), "--out", str(w)])
+    code, stdout, _ = run_cli(["refine", "--signal", str(s), "--target", str(x),
+                               "--coeffs", str(w), "--out", str(wr)])
+    refined = read_coefficients(wr)
+    summary = (f"kernel_count={kernel_count(refined)} max_lag={max_memory_lag(refined)} "
+               f"deepest_sample={effective_memory_depth(refined)}")
+    assert (code, stdout) == (0, f"wrote {wr}: {summary}\n")
+
+
 def _sim_pa_on_damaged_input(tmp_path, damage):
     """Run sim-pa on a generated signal whose IQ file ``damage`` rewrote."""
     cfg = write_cfg(tmp_path)
@@ -1249,6 +1291,31 @@ def test_cli_set_override_reaches_experiment(tmp_path):
     assert code == 0
     _, _, rows = read_table(tmp_path / "out" / "exp1_trace.csv")
     assert len(rows) == 2
+
+
+def test_star_import_binds_the_imported_names_and_no_submodule():
+    # The names the import block of dpdkit/__init__.py binds, and no more.
+    tree = ast.parse(Path(dpdkit.__file__).read_text())
+    imported = sorted(
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    )
+    namespace = {}
+    exec("from dpdkit import *", namespace)
+    del namespace["__builtins__"]
+    assert len(imported) == 58
+    assert dpdkit.__all__ == imported == sorted(namespace)
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
+
+
+def test_pyproject_reads_the_package_version():
+    setuptools_config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        project = setuptools_config.read_configuration(Path(__file__).parent.parent / "pyproject.toml")
+    assert project["project"]["version"] == dpdkit.__version__
 
 
 def test_console_script_is_installed():

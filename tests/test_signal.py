@@ -247,8 +247,9 @@ def test_iq_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as caught:
         read_iq(path)
+    assert (caught.value.path, caught.value.offset, caught.value.line) == (path, 0, None)
 
 
 def test_iq_empty_file(tmp_path):
@@ -262,3 +263,4 @@ def test_nmse_db_arrays_matches_signal_form():
     ref = generate_ofdm(OfdmConfig(64, 52, 1, 2, seed=16))
     est = IqSignal(ref.samples * (1 + 1e-3), 1.0)
     assert nmse_db_arrays(est.samples, ref.samples) == nmse_db(est, ref)
+    assert nmse_db_arrays(list(est.samples), list(ref.samples)) == nmse_db(est, ref)

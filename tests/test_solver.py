@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 import warnings
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -88,6 +88,22 @@ def test_default_schedule_scales():
         assert scaled.threshold_for(k) == base.threshold_for(k) * 0.5
 
 
+def test_orders_only_a_cross_branch_has_are_scheduled():
+    structure = GmpStructure(
+        aligned_orders=(0,),
+        aligned_lags=(0, 1),
+        lagging_orders=(2,),
+        lagging_lags=(0,),
+        lagging_cross=(1,),
+        leading_orders=(4,),
+        leading_lags=(0,),
+        leading_cross=(1,),
+    )
+    assert structure.orders == (0, 2, 4)
+    schedule = default_schedule(structure)
+    assert tuple(schedule.lambda_by_order) == tuple(schedule.threshold_by_order) == (0, 2, 4)
+
+
 def test_default_schedule_rejects_untabulated_order():
     with pytest.raises(ConfigurationError):
         default_schedule(full_structure(2, 17, 1))
@@ -151,6 +167,16 @@ def test_least_squares_residual_orthogonal():
     w = least_squares(S, x)
     residual = x - S @ w
     assert np.max(np.abs(S.conj().T @ residual)) <= 1e-8 * np.linalg.norm(x)
+
+
+def test_plain_designs_may_be_nested_lists():
+    design, target = [[1, 0], [1j, 1], [0, 2]], [2, 1j, 1]
+    expected = least_squares(np.array(design, dtype=np.complex128), np.array(target, dtype=np.complex128))
+    assert np.array_equal(least_squares(design, target), expected)
+
+
+def test_lasso_on_a_design_with_no_columns_keeps_no_coefficients():
+    assert lasso_iterated_ridge(np.zeros((3, 0)), np.ones(3), 1.0).shape == (0,)
 
 
 # --- ls_refine -------------------------------------------------------------
@@ -378,6 +404,14 @@ def test_kkt_certificate_from_normal_equations_matches_data_residual(
     bound = 2.0 * 2.0 * (2 * n + p + 1) * eps * float(np.max(scale))
     assert abs(report.max_violation_active - expected[0]) <= bound
     assert abs(report.max_violation_inactive - expected[1]) <= bound
+
+
+def test_kkt_with_a_schedule_equals_the_per_column_call():
+    matrix, target = _kernel_problem()
+    schedule = default_schedule(matrix.structure, threshold_scale=0.01)
+    coeffs, _ = block_weighted_lasso(matrix, target, schedule)
+    lam = [schedule.lambda_for(d.order_exponent) for d in matrix.columns]
+    assert kkt_check(matrix, target, coeffs, schedule) == kkt_check(matrix, target, coeffs, lam)
 
 
 def test_kkt_rejects_wrong_number_of_penalties():
@@ -958,6 +992,9 @@ def _solved_sizes(call):
     zero_threshold=st.sampled_from([0.0, 1e-4]),
     seed=st.integers(0, 2**32 - 1),
 )
+# A fold that moves capped columns from between kept ones to the end of
+# the active set, so the last iterate must be reordered with it.
+@example(n=12, extra_rows=0, lam_fraction=0.6, zero_threshold=0.0, seed=126)
 def test_lasso_core_fold_matches_gathered_path(
     n, extra_rows, lam_fraction, zero_threshold, seed
 ):
