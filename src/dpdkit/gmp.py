@@ -32,7 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DivergenceError, FormatError
+from .errors import (
+    ConfigurationError, DimensionError, DivergenceError, FormatError, RankDeficiencyError
+)
 from .signal import IqSignal, _power
 
 
@@ -358,6 +360,19 @@ class NormalSystem:
         return values if self.structure is None else CoefficientVector(self.structure, values)
 
 
+def _describe(system):
+    """The design of ``system`` in words, for error messages."""
+    s = system.structure
+    if s is None:
+        return f"{system.rhs.shape[0]}-column design"
+    return (
+        f"structure with {s.kernel_count} kernels "
+        f"(aligned {len(s.aligned_orders)}x{len(s.aligned_lags)}, "
+        f"lagging {len(s.lagging_orders)}x{len(s.lagging_lags)}x{len(s.lagging_cross)}, "
+        f"leading {len(s.leading_orders)}x{len(s.leading_lags)}x{len(s.leading_cross)})"
+    )
+
+
 def normal_system(design, target) -> NormalSystem:
     """The ``NormalSystem`` of a design and a target.
 
@@ -374,6 +389,12 @@ def normal_system(design, target) -> NormalSystem:
     of its own.  A plain matrix forms its system on each call, its Gram
     by one numpy product ``S^H S``, whose strict upper triangle is then
     mirrored from the lower one and whose diagonal is made real.
+
+    This is the one check of what the solvers are given: a design with
+    no columns raises ConfigurationError, and a Gram, correlation or
+    target power that is not finite, as an overflowing design or target
+    gives, raises RankDeficiencyError naming the design.  Of a system,
+    the solvers check only the values that they derive from it.
     """
     km = design if isinstance(design, KernelMatrix) else None
     if km is None:
@@ -385,12 +406,14 @@ def normal_system(design, target) -> NormalSystem:
         raise DimensionError(f"target must be 1-D, got shape {x.shape}")
     if x.size != design.shape[0]:
         raise DimensionError(f"target has {x.size} samples but design has {design.shape[0]} rows")
+    if design.shape[1] == 0:
+        raise ConfigurationError("design has no columns")
     if km is not None:
         last = vars(km).get("_normal_system")
         if last is not None and np.array_equal(last[0], x):
             return last[1]
     # An overflowing design or target gives a system that is not finite,
-    # which the solvers reject, with no numpy warning on the way.
+    # rejected below with no numpy warning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         if km is not None:
             gram, rhs = _kernel_normal_equations(km, x)
@@ -403,6 +426,9 @@ def normal_system(design, target) -> NormalSystem:
     gram.setflags(write=False)
     rhs.setflags(write=False)
     system = NormalSystem(gram, rhs, _power(x), None if km is None else km.structure)
+    finite = np.isfinite(gram).all() and np.isfinite(rhs).all()
+    if not (finite and math.isfinite(system.target_power)):
+        raise RankDeficiencyError(f"normal equations of {_describe(system)} are not finite")
     if km is not None:
         vars(km)["_normal_system"] = (np.array(x, dtype=np.complex128), system)
     return system

@@ -15,12 +15,16 @@ matrix yields a bare array.
 
 Every solver reads one ``gmp.NormalSystem`` and nothing else of its
 design: the Gram ``S^H S``, the correlation ``S^H x`` and ``||x||^2``,
-from ``gmp.normal_system``.  That function owns the checks of the
-design and the target, and the cache: a ``KernelMatrix`` keeps the
-system of its last target, so the fits that follow on one kernel
-matrix and one target, such as the matched-count bisection and the
-refit on a support, make no further pass over the samples.  The
-block-weighted descent and ``ls_refine`` read sub-blocks of that Gram
+from ``gmp.normal_system``.  That function owns the cache: a
+``KernelMatrix`` keeps the system of its last target, so the fits that
+follow on one kernel matrix and one target, such as the matched-count
+bisection and the refit on a support, make no further pass over the
+samples.  It is also the one gate for the design and the target: it
+rejects a design with no columns, and a system that is not finite, for
+every solver alike.  The solvers check only the values they derive
+themselves, where they derive them: the ridge weights on a diagonal,
+the right-hand side of an order block, and a folded right-hand side.
+The block-weighted descent and ``ls_refine`` read sub-blocks of that Gram
 for their order blocks and supports, and the descent tracks the
 correlation ``S^H r`` of the residual instead of the N-sample residual
 ``r`` itself, so no block update touches the N rows (the covariance
@@ -28,12 +32,12 @@ update of Friedman, Hastie and Tibshirani, J. Stat. Softw. 2010);
 ``kkt_check`` forms ``S^H r`` the same way.
 
 Every dense solve is one LAPACK ``zposv``, in ``_factor_solve``, that
-checks the diagonal finite and factors in place a Fortran-ordered
-system owned by its caller.  An l1 call checks its Gram and right-hand
-side finite once and keeps the ridge system of its active set as one
-such array.  An iterate is one solve plus a fixed handful of vector
-operations: copy the array into a work array, add the weights to its
-diagonal, solve, then take the moduli, the largest change and the next
+adds the ridge weights to the diagonal of a Fortran-ordered system
+owned by its caller, checks that diagonal finite and factors the
+system in place.  An l1 call keeps the ridge system of its active set
+as one such array.  An iterate is one solve plus a fixed handful of
+vector operations: copy the array into a work array, solve it with the
+weights, then take the moduli, the largest change and the next
 weights, in the order of the active set.  Masks are formed only when an
 iterate cuts, folds or restores.  The array is cut down when
 coefficients leave the active set, and it sheds the columns whose
@@ -65,7 +69,7 @@ from .errors import (
     _integer,
     _positive,
 )
-from .gmp import CoefficientVector, effective_memory_depth, kernel_count, normal_system
+from .gmp import CoefficientVector, _describe, effective_memory_depth, kernel_count, normal_system
 from .signal import _ratio_db
 
 CONDITION_LIMIT = 1e12
@@ -167,18 +171,6 @@ def default_schedule(
     return RegularizationSchedule(lam, tau)
 
 
-def _describe(system):
-    s = system.structure
-    if s is None:
-        return f"{system.rhs.shape[0]}-column design"
-    return (
-        f"structure with {s.kernel_count} kernels "
-        f"(aligned {len(s.aligned_orders)}x{len(s.aligned_lags)}, "
-        f"lagging {len(s.lagging_orders)}x{len(s.lagging_lags)}x{len(s.lagging_cross)}, "
-        f"leading {len(s.leading_orders)}x{len(s.leading_lags)}x{len(s.leading_cross)})"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dense solves.
 
@@ -197,12 +189,11 @@ def _condition(gram):
 
 def _normal_solve(gram, rhs, what):
     """Solve ``gram w = rhs`` (the normal equations S^H S w = S^H x) with
-    column equilibration and a condition gate, by ``_ridge_solve`` with
+    column equilibration and a condition gate, by ``_factor_solve`` with
     zero weights on the one equilibrated, Fortran-ordered copy of
-    ``gram``.  A Gram that is not finite has no condition number to gate
-    on and raises RankDeficiencyError."""
-    if not np.isfinite(gram).all():
-        raise RankDeficiencyError(f"normal equations of {what} are not finite")
+    ``gram``, a block of a system that ``gmp.normal_system`` checked
+    finite; by Cauchy-Schwarz each equilibrated entry of ``rhs`` is at
+    most ||x||, so none overflows."""
     diag = np.real(np.diagonal(gram))
     if np.any(diag <= 0):
         dead = int(np.flatnonzero(diag <= 0)[0])
@@ -217,7 +208,7 @@ def _normal_solve(gram, rhs, what):
             f"(limit {CONDITION_LIMIT:.0e})"
         )
     try:
-        solution = _ridge_solve(system, rhs / scale, 0.0)
+        solution = _factor_solve(system, rhs / scale, 0.0)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(f"normal equations of {what} failed to factor: {exc}") from exc
     return solution / scale
@@ -230,8 +221,6 @@ def least_squares(S, x):
     condition estimate above 1e12, naming the offending structure.
     """
     system = normal_system(S, x)
-    if system.rhs.shape[0] == 0:
-        raise ConfigurationError("design has no columns")
     return system.coefficients(_normal_solve(system.gram, system.rhs, _describe(system)))
 
 
@@ -240,45 +229,29 @@ def least_squares(S, x):
 _zposv = None
 
 
-def _diagonal(system):
-    """The diagonal of a contiguous square array, as a view: every
-    (n + 1)-th element in memory order."""
-    return system.ravel(order="K")[:: system.shape[0] + 1]
+def _factor_solve(system, rhs, weights):
+    """Solve ``(system + diag(weights)) w = rhs`` by one LAPACK ``zposv``
+    (``potrf`` then ``potrs`` on the upper triangle, the routines behind
+    ``cho_factor``/``cho_solve``), which factors ``system`` in place.
 
-
-def _ridge_solve(system, rhs, weights):
-    """Solve ``(system + diag(weights)) w = rhs`` by Cholesky, in place.
-
-    ``system`` is a Fortran-ordered complex array that the caller owns
-    and has checked finite; ``rhs`` is one column or several, and
-    ``weights`` one per row or one for all.  The weights are added to
-    its diagonal and ``_factor_solve`` solves in it.  A right-hand side
-    that is not finite raises RankDeficiencyError.
-    """
-    if not np.isfinite(rhs).all():
-        raise RankDeficiencyError("ridge system or right-hand side is not finite")
-    diagonal = _diagonal(system)
-    # A finite Gram and finite weights may still sum to inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal += weights
-    return _factor_solve(system, diagonal, rhs)
-
-
-def _factor_solve(system, diagonal, rhs):
-    """Solve ``system w = rhs`` by one LAPACK ``zposv`` (``potrf`` then
-    ``potrs`` on the upper triangle, the routines behind
-    ``cho_factor``/``cho_solve``), which factors ``system`` in place;
-    ``diagonal`` is the view of its diagonal.
-
-    This is the one call of ``zposv``: every least-squares fit, fold and
-    l1 iterate solves here.  A diagonal that is not finite, or a system
-    that is not positive definite, raises RankDeficiencyError.
+    ``system`` is a Fortran-ordered complex array that the caller owns,
+    ``rhs`` one column or several, and ``weights`` one per row or one
+    for all.  This is the one call of ``zposv``: every least-squares
+    fit, fold and l1 iterate solves here.  A diagonal that is not finite
+    once the weights are on it, or a system that is not positive
+    definite, raises RankDeficiencyError.
     """
     global _zposv
     if rhs.shape[0] == 0:
         return np.zeros(0, dtype=np.complex128)
+    # Every (n + 1)-th element in memory order: the diagonal, as a view.
+    diagonal = system.ravel(order="K")[:: system.shape[0] + 1]
+    # A finite system and finite weights may still sum to inf; the one
+    # caller whose weights can be that large, the l1 core, holds numpy's
+    # overflow warnings off.
+    diagonal += weights
     if not np.isfinite(diagonal).all():
-        raise RankDeficiencyError("ridge system or right-hand side is not finite")
+        raise RankDeficiencyError("ridge system is not finite")
     if _zposv is None:
         import scipy.linalg
 
@@ -343,14 +316,16 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     numerically zero.
 
     An iterate copies the ridge system of the free columns into a work
-    array, adds the weights to its diagonal, solves with
+    array, solves it with the weights on its diagonal by
     ``_factor_solve``, and takes the moduli, the largest change and the
     next weights, the coefficients kept in the order of ``active``.  The
-    Gram and ``rhs`` are checked finite once per call, a folded
-    right-hand side once per fold, and the diagonal on every solve, so a
-    weight that overflows to inf raises RankDeficiencyError there.  The
-    survivor and cap masks are built only when a modulus falls below
-    ``zero_threshold`` or the cap count calls for a fold or a restore.
+    Gram was checked finite by ``gmp.normal_system``; ``rhs``, which the
+    block descent forms, is checked once per call, a folded right-hand
+    side once per fold, and the diagonal with the weights on every
+    solve, so a weight that overflows to inf raises RankDeficiencyError
+    there.  The survivor and cap masks are built only when a modulus
+    falls below ``zero_threshold`` or the cap count calls for a fold or
+    a restore.
 
     After an iterate, a free column whose modulus lies in
     [zero_threshold, eps] has the weight cap lam / (2 eps) for the next
@@ -366,13 +341,11 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     """
     n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)
-    if n_col == 0:
-        return omega
     # Zero is optimal whenever the penalty dominates every correlation.
     if lam >= 2.0 * float(np.abs(rhs).max()):
         return omega
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-        raise RankDeficiencyError("ridge system or right-hand side is not finite")
+    if not np.isfinite(rhs).all():
+        raise RankDeficiencyError("right-hand side is not finite")
     eps = config.ridge_epsilon
     # A modulus at or above a zero threshold above eps never has the cap.
     can_fold = zero_threshold <= eps
@@ -385,9 +358,9 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     active, n_free = np.arange(n_col), n_col
     coef = np.zeros(n_col, dtype=np.complex128)
     work = np.empty_like(system)
-    diagonal = _diagonal(work)
-    # Weights may overflow to inf, and the diagonal with them; the
-    # solve's diagonal check turns that into RankDeficiencyError.
+    # Weights may overflow to inf, and the diagonals of the iterates and
+    # the folds with them; the solve's diagonal check turns that into
+    # RankDeficiencyError.
     with np.errstate(over="ignore", invalid="ignore"):
         if initial is not None and np.any(initial):
             start = np.abs(np.asarray(initial, dtype=np.complex128))
@@ -397,8 +370,7 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
         cap = lam / (2.0 * eps)  # the weight of every modulus at or below eps
         for _ in range(config.inner_ridge_iterations):
             np.copyto(work, system)
-            diagonal += weights
-            solved = _factor_solve(work, diagonal, b)
+            solved = _factor_solve(work, b, weights)
             if n_free < active.size:
                 solved = np.concatenate([solved, u - V @ solved])
             moduli = np.abs(solved)
@@ -467,7 +439,6 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
                     n_free = system.shape[0]
                 if work.shape != system.shape:
                     work = np.empty_like(system)
-                    diagonal = _diagonal(work)
             weights = lam / (2.0 * np.maximum(free_moduli, eps))
 
     omega[active] = coef
@@ -493,21 +464,22 @@ def _fold(system, b, u, V, keep, drop, cap):
     """
     k = keep.size
     order = np.concatenate([keep, drop])
-    # Gathered through the transpose, ``block`` keeps the Fortran order.
-    block = system.T.take(order, 0).take(order, 1).T
-    cross = block[:k, k:]
-    solved = _ridge_solve(
-        np.asfortranarray(block[k:, k:]), np.column_stack([block[k:, :k], b[drop]]), cap
-    )
+    # The kept and the dropped rows, in the columns of ``order``, gathered
+    # through the transpose to keep the Fortran order, so that each block
+    # is a contiguous slice.  Both are read: a folded system is Hermitian
+    # only up to rounding.
+    kept = system.T[np.ix_(order, keep)].T
+    dropped = system.T[np.ix_(order, drop)].T
+    schur, cross = kept[:, :k], kept[:, k:]
+    solved = _factor_solve(dropped[:, k:], np.column_stack([dropped[:, :k], b[drop]]), cap)
     v_fold, u_fold = solved[:, :-1], solved[:, -1]
-    schur = block[:k, :k]
     schur -= (v_fold.T @ cross.T).T  # cross @ v_fold, in Fortran order
     b = b[keep] - cross @ u_fold
     if not np.isfinite(b).all():
-        raise RankDeficiencyError("ridge system or right-hand side is not finite")
+        raise RankDeficiencyError("folded right-hand side is not finite")
     u = np.concatenate([u - V.take(drop, 1) @ u_fold, u_fold])
     V = np.vstack([V.take(keep, 1) - V.take(drop, 1) @ v_fold, v_fold])
-    return np.asfortranarray(schur), b, u, V
+    return schur, b, u, V
 
 
 def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config: BcdConfig = BcdConfig()):
@@ -665,7 +637,8 @@ class KktReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.max_violation_active, self.max_violation_inactive)
+        # np.maximum keeps a NaN, where max() may drop it.
+        return float(np.maximum(self.max_violation_active, self.max_violation_inactive))
 
 
 def kkt_check(S, x, coeffs, schedule) -> KktReport:
@@ -674,13 +647,16 @@ def kkt_check(S, x, coeffs, schedule) -> KktReport:
     ``schedule`` may be a RegularizationSchedule (kernel matrices only),
     a scalar penalty, or one penalty per column.  The correlation
     ``2 S^H (x - S w)`` is formed from the normal equations as
-    ``2 (S^H x - S^H S w)``, with no pass over the N samples.
+    ``2 (S^H x - S^H S w)``, with no pass over the N samples.  A
+    solution that is not finite raises ConfigurationError.
     """
     system = normal_system(S, x)
     n_cols = system.rhs.shape[0]
     values = coeffs.values if isinstance(coeffs, CoefficientVector) else np.asarray(coeffs)
     if values.shape != (n_cols,):
         raise DimensionError(f"solution has {values.shape} entries for {n_cols} columns")
+    if not np.isfinite(values).all():
+        raise ConfigurationError("solution must be finite")
     if isinstance(schedule, RegularizationSchedule):
         if system.structure is None:
             raise ConfigurationError(
@@ -701,14 +677,9 @@ def kkt_check(S, x, coeffs, schedule) -> KktReport:
 
     correlation = 2.0 * (system.rhs - system.gram @ values)
     active = values != 0
-    if np.any(active):
-        phases = values[active] / np.abs(values[active])
-        max_active = float(np.max(np.abs(correlation[active] - lam[active] * phases)))
-    else:
-        max_active = 0.0
-    if np.any(~active):
-        slack = np.abs(correlation[~active]) - lam[~active]
-        max_inactive = float(max(0.0, np.max(slack)))
-    else:
-        max_inactive = 0.0
-    return KktReport(max_violation_active=max_active, max_violation_inactive=max_inactive)
+    phases = values[active] / np.abs(values[active])
+    max_active = np.max(np.abs(correlation[active] - lam[active] * phases), initial=0.0)
+    # np.max keeps a NaN slack, such as an overflowing S^H S w gives,
+    # which must not read as no violation.
+    max_inactive = np.max(np.abs(correlation[~active]) - lam[~active], initial=0.0)
+    return KktReport(float(max_active), float(max_inactive))

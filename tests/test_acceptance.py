@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dpdkit.gmp import build_kernel_matrix, full_structure, kernel_count
+from dpdkit.gmp import build_kernel_matrix, full_structure
 from dpdkit.pipeline import load_config, run_experiment1, run_experiment2
 from dpdkit.signal import IqSignal
 from dpdkit.solver import (

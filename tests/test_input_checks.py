@@ -97,10 +97,13 @@ CASES = {
     "design-not-2-D": (lambda t: least_squares(np.ones(3), np.ones(3)), DimensionError, "design matrix"),
     "target-not-1-D": (lambda t: least_squares(np.ones((3, 1)), np.ones((3, 1))), DimensionError, "target"),
     "least-squares-no-columns": (lambda t: least_squares(np.zeros((3, 0)), np.ones(3)), ConfigurationError, "design"),
+    "lasso-no-columns": (lambda t: lasso_iterated_ridge(np.zeros((3, 0)), np.ones(3), 1.0), ConfigurationError, "design"),
+    "kkt-no-columns": (lambda t: kkt_check(np.zeros((3, 0)), np.ones(3), np.zeros(0), 1.0), ConfigurationError, "design"),
     "schedule-of-no-kernels": (lambda t: default_schedule(GmpStructure((), ())), ConfigurationError, "structure"),
     "kernel-matrix-signal-not-1-D": (lambda t: build_kernel_matrix(np.ones((2, 2)), full_structure(0, 1)), DimensionError, "signal"),
     "kernel-matrix-of-no-kernels": (lambda t: build_kernel_matrix(np.ones(2), GmpStructure((), ())), ConfigurationError, "structure"),
     "kkt-solution-length": (lambda t: kkt_check(np.eye(2), np.ones(2), np.zeros(3), 1.0), DimensionError, "solution"),
+    "kkt-solution-not-finite": (lambda t: kkt_check(np.eye(2), np.ones(2), [math.nan, 0.0], 1.0), ConfigurationError, "solution"),
     "kkt-schedule-on-a-plain-matrix": (lambda t: kkt_check(np.eye(2), np.ones(2), np.zeros(2), RegularizationSchedule({0: 1.0}, {0: 0.0})), ConfigurationError, "schedule"),
     "kkt-penalty-negative": (lambda t: kkt_check(np.eye(2), np.ones(2), np.zeros(2), -1.0), ConfigurationError, "penalty"),
     "read-iq-version": (lambda t: read_iq(_iq_file(t, version=2)), FormatError, "version"),

@@ -6,7 +6,7 @@ import pytest
 
 from dpdkit import pa_sim
 from dpdkit.errors import ConfigurationError, DegenerateInputError, DivergenceError, FormatError
-from dpdkit.gmp import Branch, CoefficientVector, GmpStructure, full_structure
+from dpdkit.gmp import Branch, CoefficientVector, full_structure
 from dpdkit.pa_sim import (
     IlcConfig,
     PaModel,

@@ -175,8 +175,11 @@ def test_plain_designs_may_be_nested_lists():
     assert np.array_equal(least_squares(design, target), expected)
 
 
-def test_lasso_on_a_design_with_no_columns_keeps_no_coefficients():
-    assert lasso_iterated_ridge(np.zeros((3, 0)), np.ones(3), 1.0).shape == (0,)
+def test_every_solver_rejects_a_design_with_no_columns():
+    # One answer for every solver, from normal_system.
+    for fit in _FITS_OF_A_TARGET.values():
+        with pytest.raises(ConfigurationError, match="design has no columns"):
+            fit(np.zeros((3, 0)), np.ones(3))
 
 
 # --- ls_refine -------------------------------------------------------------
@@ -752,7 +755,7 @@ def test_kernel_matrix_data_and_gram_are_read_only_and_cached():
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.sampled_from([0, 1, 2, 7, 64, 300]),
-    p=st.integers(0, 40),
+    p=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_hermitian_gram_is_hermitian_and_within_rounding_of_product(n, p, seed):
@@ -822,7 +825,7 @@ def test_kernel_matrix_solvers_agree_with_plain_matrix():
 def test_ridge_system_not_positive_definite_is_rank_deficiency():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
     with pytest.raises(RankDeficiencyError):
-        solver._ridge_solve(indefinite, np.ones(2, dtype=np.complex128), np.full(2, 1e-8))
+        solver._factor_solve(indefinite, np.ones(2, dtype=np.complex128), np.full(2, 1e-8))
 
 
 def test_refine_on_fresh_kernel_matrix_equals_refine_after_a_fit():
@@ -881,19 +884,19 @@ def _hpd_system(rng, n, extra_rows):
     keep=st.floats(0.05, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_ridge_solve_equals_cholesky_reference_bitwise(n, extra_rows, keep, seed):
+def test_factor_solve_equals_cholesky_reference_bitwise(n, extra_rows, keep, seed):
     rng = np.random.default_rng(seed)
     gram, rhs, weights = _hpd_system(rng, n, extra_rows)
     # The solve factors its system in place, so each call gets a
     # Fortran-ordered copy.
     assert np.array_equal(
-        solver._ridge_solve(np.array(gram, order="F"), rhs, weights),
+        solver._factor_solve(np.array(gram, order="F"), rhs, weights),
         cholesky_ridge_solve(gram, rhs, weights),
     )
     active = np.flatnonzero(rng.random(n) < keep)
     sub = gram[np.ix_(active, active)]
     assert np.array_equal(
-        solver._ridge_solve(np.array(sub, order="F"), rhs[active], weights[active]),
+        solver._factor_solve(np.array(sub, order="F"), rhs[active], weights[active]),
         cholesky_ridge_solve(sub, rhs[active], weights[active]),
     )
 
@@ -939,9 +942,9 @@ def test_lasso_core_full_active_set_equals_gathered_path_bitwise(
     layouts = []
     factor_solve = solver._factor_solve
 
-    def spy(system, diagonal, right):
+    def spy(system, right, weights):
         layouts.append(system.flags.f_contiguous)
-        return factor_solve(system, diagonal, right)
+        return factor_solve(system, right, weights)
 
     with mock.patch.object(solver, "_factor_solve", spy):
         direct = solver._lasso_core(gram, rhs, lam, zero_threshold, config, initial=initial)
@@ -975,9 +978,9 @@ def _solved_sizes(call):
     sizes = []
     factor_solve = solver._factor_solve
 
-    def spy(system, diagonal, right):
+    def spy(system, right, weights):
         sizes.append(right.shape[0] + (right.shape[1] - 1 if right.ndim == 2 else 0))
-        return factor_solve(system, diagonal, right)
+        return factor_solve(system, right, weights)
 
     with mock.patch.object(solver, "_factor_solve", spy):
         result = call()
@@ -1137,37 +1140,47 @@ def test_non_finite_ridge_systems_are_rank_deficiency():
     nan_rhs[1] = np.nan
     inf_gram[2, 0] = np.inf  # below the diagonal, where the factorization never reads
     nan_weights[1] = np.nan
-    # The ridge solve checks its diagonal and right-hand side; its
-    # callers check the whole Gram.
-    for right, w in ((nan_rhs, weights), (rhs, nan_weights)):
-        with pytest.raises(RankDeficiencyError):
-            solver._ridge_solve(np.array(gram, order="F"), right, w)
-    for call in (
-        lambda: solver._lasso_core(inf_gram, rhs, 1e-3, 0.0, BcdConfig()),
-        lambda: solver._normal_solve(inf_gram, rhs, "system"),
-    ):
-        with pytest.raises(RankDeficiencyError, match="not finite"):
-            call()
+    # The solve checks its diagonal with the weights on it, and the l1
+    # core the right-hand side it is given, which the block descent forms.
+    with pytest.raises(RankDeficiencyError, match="not finite"):
+        solver._factor_solve(np.array(gram, order="F"), rhs, nan_weights)
+    with pytest.raises(RankDeficiencyError, match="not finite"):
+        solver._lasso_core(gram, nan_rhs, 1e-3, 0.0, BcdConfig())
+    # Neither reads the Gram below the diagonal, so only normal_system,
+    # which checks the whole system, stands between it and a solve.
+    assert np.isfinite(solver._factor_solve(np.array(inf_gram, order="F"), rhs, weights)).all()
 
     nan_x, inf_S = x.copy(), S.copy()
     nan_x[4] = np.nan
-    inf_S[5, 2] = np.inf  # puts non-finite entries in the Gram
-    with np.errstate(invalid="ignore"):  # inf * 0 in the S^H x product
-        for call in (
-            lambda: lasso_iterated_ridge(S, nan_x, 1e-3),
-            lambda: lasso_iterated_ridge(inf_S, x, 1e-3),
-            # The condition gate has no number to read off a non-finite Gram.
-            lambda: least_squares(inf_S, x),
-            lambda: ls_refine(inf_S, x, [0, 2]),
-        ):
-            with pytest.raises(RankDeficiencyError):
-                call()
+    inf_S[5, 2] = np.inf  # puts non-finite entries in the Gram, on both sides
+    for design, target in ((S, nan_x), (inf_S, x)):
+        for fit in _FITS_OF_A_TARGET.values():
+            with pytest.raises(RankDeficiencyError, match="3-column design are not finite"):
+                fit(design, target)
+
+
+def test_kkt_check_keeps_a_nan_slack():
+    # max(0.0, nan) is 0.0, which would read as no violation.  A finite
+    # system and solution whose product overflows: column 2 meets
+    # columns 0 and 1 in 1e150, so row 2 of S^H S w is inf - inf.
+    S = np.zeros((2, 3))
+    S[0, 0] = S[1, 1] = 1.0
+    S[:, 2] = 1e150
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = kkt_check(S, np.ones(2), np.array([1e160, -1e160, 0.0]), 1.0)
+    assert np.isnan(report.max_violation_inactive)
+    assert np.isnan(report.max_violation)
+
+
+def _quietly(call, *args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return call(*args)
 
 
 def test_ridge_diagonal_overflow_is_rank_deficiency_without_warnings():
     # The Gram and the weights are finite, but their sum on the diagonal
-    # overflows, or a weight itself overflows; the off-diagonal entries
-    # are checked once per l1 call, the diagonal on each solve.
+    # overflows, or a weight itself overflows; normal_system checks the
+    # Gram once, the solve its diagonal with the weights on it.
     gram = np.array([[1e308, 0.5], [0.5, 1.0]], dtype=np.complex128)
     rhs = np.ones(2, dtype=np.complex128)
     huge_rhs = np.array([1e308, 1.0], dtype=np.complex128)
@@ -1175,7 +1188,9 @@ def test_ridge_diagonal_overflow_is_rank_deficiency_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (
-            lambda: solver._ridge_solve(np.array(gram, order="F"), rhs, weights),
+            # The solve leaves numpy's overflow warnings to its caller: the
+            # l1 core holds them off for its whole loop, as here.
+            lambda: _quietly(solver._factor_solve, np.array(gram, order="F"), rhs, weights),
             # The first ridge weights are lam/2 = 5e307.
             lambda: solver._lasso_core(gram * 1.5, huge_rhs, 1e308, 0.0, BcdConfig()),
             # The first solve is finite; lam / (2 |w|) then overflows on
