@@ -190,11 +190,7 @@ def _cmd_fit(args):
     else:
         coeffs, trace = block_weighted_lasso(matrix, target, schedule, config.bcd)
         if args.trace:
-            write_table(
-                args.trace,
-                ("iteration", "nmse_db", "kernel_count", "effective_memory_depth"),
-                trace.rows(),
-            )
+            write_table(args.trace, trace.COLUMNS, trace.rows())
     write_coefficients(args.out, coeffs)
     print(f"wrote {args.out}: {_support_summary(coeffs)}")
 

@@ -82,6 +82,13 @@ def _positive(name, value):
         raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
+def _non_negative(name, value):
+    """Raise ConfigurationError unless ``value`` is a finite number at or
+    above zero."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"{name} must be finite and non-negative, got {value}")
+
+
 def _gain(name, value) -> complex:
     """``value`` as a complex number; raise ConfigurationError unless it
     is finite and non-zero."""

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DimensionError, DivergenceError, FormatError, RankDeficiencyError
+    ConfigurationError, DimensionError, DivergenceError, FormatError, RankDeficiencyError, _integer
 )
 from .signal import IqSignal, _power
 
@@ -177,13 +177,11 @@ def full_structure(
     k >= 2 exists; otherwise it holds no offsets at all, so a structure
     of ``max_order = 1`` reads back with both depths 0.
     """
-    if memory_depth < 0:
-        raise ConfigurationError(f"memory_depth must be >= 0, got {memory_depth}")
+    _integer("memory_depth", memory_depth, 0)
     if max_order < 1 or max_order % 2 == 0:
         raise ConfigurationError(f"max_order must be odd and >= 1, got {max_order}")
-    for name, depth in (("lagging_depth", lagging_depth), ("leading_depth", leading_depth)):
-        if depth < 0:
-            raise ConfigurationError(f"{name} must be >= 0, got {depth}")
+    _integer("lagging_depth", lagging_depth, 0)
+    _integer("leading_depth", leading_depth, 0)
     lags = tuple(range(memory_depth + 1))
     aligned_orders = tuple(range(0, max_order, 2))
     cross_orders = tuple(range(2, max_order, 2))

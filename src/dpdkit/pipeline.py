@@ -393,11 +393,7 @@ def run_experiment1(config: ExperimentConfig):
         for record in trace.records
     ]
     with _OutputDir(config) as out:
-        out.write_table(
-            "exp1_trace.csv",
-            ("iteration", "nmse_db", "kernel_count", "effective_memory_depth"),
-            trace.rows(),
-        )
+        out.write_table("exp1_trace.csv", trace.COLUMNS, trace.rows())
         out.write_table(
             "exp1_kernel_maps.csv",
             ("iteration", "branch", "order", "lag", "offset", "magnitude"),

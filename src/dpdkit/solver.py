@@ -38,15 +38,19 @@ system in place.  An l1 call keeps the ridge system of its active set
 as one such array.  An iterate is one solve plus a fixed handful of
 vector operations: copy the array into a work array, solve it with the
 weights, then take the moduli, the largest change and the next
-weights, in the order of the active set.  Masks are formed only when an
-iterate cuts, folds or restores.  The array is cut down when
-coefficients leave the active set, and it sheds the columns whose
-weight has reached its cap: the majorizer gives a modulus at or below
-``ridge_epsilon`` the constant weight lam / (2 ridge_epsilon) (the
-perturbed local quadratic approximation of Hunter and Li, Ann. Stat.
-2005), so such columns are folded out by exact block elimination and
-their coefficients recovered from the solution of the rest.  Most of a
-plain Lasso's coefficients sink there within a few iterates; at the
+weights, in the order of the active set.  The call takes one of two
+regimes, set by its zero threshold.  Above ``ridge_epsilon``, as in
+every block of the block descent, an iterate whose moduli fall below
+the threshold cuts those columns out of the array, and no other
+iterate forms a mask.  At or below it, as in the plain Lasso, the array
+sheds the columns whose weight has reached its cap: the majorizer gives
+a modulus at or below ``ridge_epsilon`` the constant weight
+lam / (2 ridge_epsilon) (the perturbed local quadratic approximation of
+Hunter and Li, Ann. Stat. 2005), so such columns are folded out by
+exact block elimination and their coefficients recovered from the
+solution of the rest; a cut, or a folded coefficient that leaves the
+cap, restores the unfolded array of the survivors.  Most of a plain
+Lasso's coefficients sink to the cap within a few iterates; at the
 count-matched penalty on the 300-kernel ``wideband`` structure the last
 iterates factor 33 columns.  A least-squares fit equilibrates
 its Gram straight into the array that its condition gate reads and
@@ -67,6 +71,7 @@ from .errors import (
     DimensionError,
     RankDeficiencyError,
     _integer,
+    _non_negative,
     _positive,
 )
 from .gmp import CoefficientVector, _describe, effective_memory_depth, kernel_count, normal_system
@@ -123,10 +128,7 @@ class RegularizationSchedule:
         for k, value in self.lambda_by_order.items():
             _positive(f"lambda for order {k}", value)
         for k, value in self.threshold_by_order.items():
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"zero threshold for order {k} must be finite and non-negative, got {value}"
-                )
+            _non_negative(f"zero threshold for order {k}", value)
 
     def lambda_for(self, k: int) -> float:
         try:
@@ -315,29 +317,22 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     coefficient only asymptotically, so anything that small is
     numerically zero.
 
-    An iterate copies the ridge system of the free columns into a work
-    array, solves it with the weights on its diagonal by
-    ``_factor_solve``, and takes the moduli, the largest change and the
-    next weights, the coefficients kept in the order of ``active``.  The
-    Gram was checked finite by ``gmp.normal_system``; ``rhs``, which the
-    block descent forms, is checked once per call, a folded right-hand
-    side once per fold, and the diagonal with the weights on every
-    solve, so a weight that overflows to inf raises RankDeficiencyError
-    there.  The survivor and cap masks are built only when a modulus
-    falls below ``zero_threshold`` or the cap count calls for a fold or
-    a restore.
+    The Gram was checked finite by ``gmp.normal_system``; ``rhs``, which
+    the block descent forms, is checked once per call, a folded
+    right-hand side once per fold, and the diagonal with the weights on
+    every solve, so a weight that overflows to inf raises
+    RankDeficiencyError there.
 
-    After an iterate, a free column whose modulus lies in
-    [zero_threshold, eps] has the weight cap lam / (2 eps) for the next
-    one; once such columns are at least half of the free ones, ``_fold``
-    eliminates them from the system.  The folded coefficients are
-    recovered from each later solve; as long as they stay in that
-    interval their weight stays the cap, so the iterates solve the same
-    equations as on the whole active set, with the sums in another
-    order.  When one leaves it, the unfolded system of the active set is
-    cut afresh from ``gram`` and folded again.  With ``zero_threshold``
-    above eps no column folds, and the iterates are those of the
-    unfolded system bit for bit.
+    With ``zero_threshold`` above eps, as in every block of the block
+    descent, no surviving modulus has the cap weight lam / (2 eps), and
+    an iterate that cuts gathers the survivors out of its system.  At or
+    below eps, as in the plain Lasso, every iterate marks the free
+    columns at the cap; once they are at least half of the free ones,
+    ``_fold`` eliminates them.  The folded coefficients are recovered
+    from each later solve; while they keep the cap, the iterates solve
+    the equations of the whole active set with the sums in another
+    order.  A cut, or a folded coefficient that leaves the cap, restores
+    the unfolded system of the survivors from ``gram``.
     """
     n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)
@@ -348,14 +343,14 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
         raise RankDeficiencyError("right-hand side is not finite")
     eps = config.ridge_epsilon
     # A modulus at or above a zero threshold above eps never has the cap.
-    can_fold = zero_threshold <= eps
-    # ``system`` is the ridge system of the free columns active[:n_free];
-    # the folded ones, active[n_free:], are eliminated from it and
+    folds = zero_threshold <= eps
+    # ``system`` is the ridge system of the free columns active[:b.size];
+    # the folded ones, active[b.size:], are eliminated from it and
     # recovered as u - V @ w from its solution w.  ``coef`` holds the
     # last iterate's coefficients in the order of ``active``.
     system, b = np.array(gram, dtype=np.complex128, order="F"), rhs
     u, V = np.zeros(0, dtype=np.complex128), np.zeros((0, n_col), dtype=np.complex128)
-    active, n_free = np.arange(n_col), n_col
+    active = np.arange(n_col)
     coef = np.zeros(n_col, dtype=np.complex128)
     work = np.empty_like(system)
     # Weights may overflow to inf, and the diagonals of the iterates and
@@ -371,7 +366,7 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
         for _ in range(config.inner_ridge_iterations):
             np.copyto(work, system)
             solved = _factor_solve(work, b, weights)
-            if n_free < active.size:
+            if b.size < active.size:
                 solved = np.concatenate([solved, u - V @ solved])
             moduli = np.abs(solved)
             # Not ``<``: a NaN modulus leaves the active set as well.
@@ -383,63 +378,41 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
             coef = solved
             if delta < config.inner_tolerance or (cut and not survivors.any()):
                 break
-            reshape = cut or (
-                can_fold
-                and (
-                    2 * np.count_nonzero(moduli[:n_free] <= eps) >= n_free
-                    or (n_free < active.size and moduli[n_free:].max() > eps)
-                )
-            )
-            free_moduli = moduli[:n_free]
-            if reshape:
-                if not cut:
-                    survivors = moduli >= zero_threshold
-                kept = active[survivors]
-                stay, folding = survivors[:n_free], False
-                if can_fold:
-                    capped = survivors & (moduli <= eps)
-                    if not capped[n_free:].all():
-                        # A folded coefficient left the cap: restore the
-                        # unfolded system of the active set, to fold again
-                        # below.
-                        full = np.zeros(n_col, dtype=np.complex128)
-                        full[active] = coef
-                        active = np.sort(kept)
-                        n_free = active.size
-                        system, b = np.asfortranarray(gram[np.ix_(active, active)]), rhs[active]
-                        u, V = u[:0], np.zeros((0, n_free), dtype=np.complex128)
-                        coef = full[active]
-                        free_moduli = moduli = np.abs(coef)
-                        stay, capped = moduli >= zero_threshold, moduli <= eps
-                    fold = capped[:n_free]
-                    # Fold once at least half of the free columns have the
-                    # cap, so that each fold at least halves the system: a
-                    # fold costs about one iterate's solve, and folding the
-                    # capped columns after every iterate measured slower on
-                    # both shipped structures.
-                    folding = 2 * np.count_nonzero(fold) >= n_free
-                    if folding:
-                        stay = stay ^ fold
-                if not stay.all():
-                    free, free_coef = active[:n_free], coef[:n_free]
-                    free_moduli = free_moduli[stay]
-                    if folding:
-                        system, b, u, V = _fold(
-                            system, b, u, V, np.flatnonzero(stay), np.flatnonzero(fold), cap
-                        )
-                        active = np.concatenate([free[stay], active[n_free:], free[fold]])
-                        coef = np.concatenate([free_coef[stay], coef[n_free:], free_coef[fold]])
-                    else:
-                        # Gathered through the transpose, the cut keeps
-                        # the Fortran order.
-                        keep = np.flatnonzero(stay)
-                        system = system.T.take(keep, 0).take(keep, 1).T
-                        b, V = b[keep], V[:, keep]
-                        active, coef = kept, coef[survivors]
-                    n_free = system.shape[0]
-                if work.shape != system.shape:
-                    work = np.empty_like(system)
-            weights = lam / (2.0 * np.maximum(free_moduli, eps))
+            if folds:
+                capped = moduli <= eps
+                if cut or not capped[b.size :].all():
+                    # Restore the unfolded system of the survivors, to
+                    # fold again below.
+                    full = np.zeros(n_col, dtype=np.complex128)
+                    full[active] = coef
+                    active = np.sort(active[moduli >= zero_threshold])
+                    system, b = np.asfortranarray(gram[np.ix_(active, active)]), rhs[active]
+                    u, V = u[:0], np.zeros((0, active.size), dtype=np.complex128)
+                    coef = full[active]
+                    moduli = np.abs(coef)
+                    capped = moduli <= eps
+                fold = capped[: b.size]
+                # Fold once at least half of the free columns have the
+                # cap, so that each fold at least halves the system: a
+                # fold costs about one iterate's solve, and folding the
+                # capped columns after every iterate measured slower on
+                # both shipped structures.  With no free column left,
+                # nothing folds.
+                if 2 * np.count_nonzero(fold) >= b.size and fold.any():
+                    order = np.concatenate(
+                        [np.flatnonzero(~fold), np.arange(b.size, active.size), np.flatnonzero(fold)]
+                    )
+                    system, b, u, V = _fold(system, b, u, V, fold, cap)
+                    active, coef, moduli = active[order], coef[order], moduli[order]
+            elif cut:
+                # Gathered through the transpose, the cut keeps the
+                # Fortran order.
+                keep = np.flatnonzero(survivors)
+                system = system.T.take(keep, 0).take(keep, 1).T
+                b, active, coef, moduli = b[keep], active[keep], coef[keep], moduli[keep]
+            if work.shape != system.shape:
+                work = np.empty_like(system)
+            weights = lam / (2.0 * np.maximum(moduli[: b.size], eps))
 
     omega[active] = coef
     floor = max(zero_threshold, 10.0 * config.inner_tolerance, eps)
@@ -447,21 +420,21 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     return omega
 
 
-def _fold(system, b, u, V, keep, drop, cap):
-    """Eliminate the rows ``drop`` of the ridge system ``system w = b`` at
-    the ridge weight ``cap``, and cut every row in neither ``keep`` nor
-    ``drop``.
+def _fold(system, b, u, V, fold, cap):
+    """Eliminate the rows marked in ``fold`` from the ridge system
+    ``system w = b`` at the ridge weight ``cap``.
 
-    With Sigma the dropped block plus ``cap`` on its diagonal, the
-    dropped coefficients are ``Sigma^-1 (b_D - system_DK w_K)`` in the
-    kept ones, which solve the Schur complement
+    With Sigma the folded block plus ``cap`` on its diagonal, the folded
+    coefficients are ``Sigma^-1 (b_D - system_DK w_K)`` in the kept
+    ones, which solve the Schur complement
     ``system_KK - system_KD Sigma^-1 system_DK`` against
     ``b_K - system_KD Sigma^-1 b_D``.  ``(u, V)`` recover the rows folded
     before from the solution of ``system``; the returned pair recovers
-    those, then the dropped ones, from the solution of the returned
+    those, then the newly folded ones, from the solution of the returned
     system.  A folded right-hand side that is not finite raises
     RankDeficiencyError.
     """
+    keep, drop = np.flatnonzero(~fold), np.flatnonzero(fold)
     k = keep.size
     order = np.concatenate([keep, drop])
     # The kept and the dropped rows, in the columns of ``order``, gathered
@@ -486,8 +459,7 @@ def lasso_iterated_ridge(S, x, lam, zero_threshold=0.0, config: BcdConfig = BcdC
     """Single-weight complex Lasso solved by iterated ridge regression,
     from uniform first weights."""
     _positive("lasso penalty", lam)
-    if not (math.isfinite(zero_threshold) and zero_threshold >= 0):
-        raise ConfigurationError(f"zero_threshold must be >= 0, got {zero_threshold}")
+    _non_negative("zero_threshold", zero_threshold)
     system = normal_system(S, x)
     return system.coefficients(_lasso_core(system.gram, system.rhs, lam, zero_threshold, config))
 
@@ -516,6 +488,9 @@ class FitRecord:
 class FitTrace:
     """Per-iteration history of a block-weighted fit."""
 
+    # The columns of ``rows``, which head every written trace table.
+    COLUMNS = ("iteration", "nmse_db", "kernel_count", "effective_memory_depth")
+
     records: tuple
     selected_index: int
 
@@ -524,7 +499,7 @@ class FitTrace:
         return self.records[self.selected_index]
 
     def rows(self):
-        """(iteration, nmse_db, kernel_count, effective_memory_depth) rows."""
+        """One row of ``COLUMNS`` per record."""
         return [
             (r.iteration, r.nmse_db, r.kernel_count, r.effective_memory_depth)
             for r in self.records
@@ -675,7 +650,10 @@ def kkt_check(S, x, coeffs, schedule) -> KktReport:
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0):
             raise ConfigurationError("penalty weights must be positive and finite")
 
-    correlation = 2.0 * (system.rhs - system.gram @ values)
+    # S^H S w may overflow for a finite system and solution; the NaN
+    # slack that follows is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        correlation = 2.0 * (system.rhs - system.gram @ values)
     active = values != 0
     phases = values[active] / np.abs(values[active])
     max_active = np.max(np.abs(correlation[active] - lam[active] * phases), initial=0.0)

@@ -71,6 +71,8 @@ CASES = {
     "BcdConfig-epsilon-nan": (lambda t: BcdConfig(ridge_epsilon=math.nan), ConfigurationError, "ridge_epsilon"),
     "schedule-lambda-zero": (lambda t: RegularizationSchedule({0: 0.0}, {0: 0.1}), ConfigurationError, "lambda for order 0"),
     "lasso-penalty-negative": (lambda t: lasso_iterated_ridge(np.eye(2), np.ones(2), -1.0), ConfigurationError, "lasso penalty"),
+    "schedule-threshold-nan": (lambda t: RegularizationSchedule({0: 1.0}, {0: math.nan}), ConfigurationError, "zero threshold for order 0"),
+    "lasso-zero-threshold-infinite": (lambda t: lasso_iterated_ridge(np.eye(2), np.ones(2), 1.0, math.inf), ConfigurationError, "zero_threshold"),
     "ScheduleSpec-scale-zero": (lambda t: ScheduleSpec(lambda_scale=0.0), ConfigurationError, "schedule.lambda_scale"),
     "config-standard-lasso-negative": (lambda t: parse_config("standard_lasso.lambda = -1"), ConfigurationError, "standard_lasso.lambda"),
     "PaModel-gain-zero": (lambda t: PaModel(_coeffs(), smallsignal_gain=0j), ConfigurationError, "smallsignal_gain"),
@@ -86,6 +88,7 @@ CASES = {
     "axis-duplicates": (lambda t: GmpStructure((0,), (0, 0)), ConfigurationError, "aligned_lags"),
     "axis-below-minimum": (lambda t: GmpStructure((0,), (0,), (2,), (0,), (0,)), ConfigurationError, "lagging_cross"),
     "full-structure-negative-depth": (lambda t: full_structure(-1, 3), ConfigurationError, "memory_depth"),
+    "full-structure-lagging-depth-not-an-integer": (lambda t: full_structure(1, 3, 1.0), ConfigurationError, "lagging_depth"),
     "full-structure-order-zero": (lambda t: full_structure(1, 0), ConfigurationError, "max_order"),
     "CoefficientVector-2-D": (lambda t: CoefficientVector(full_structure(0, 1), [[1.0]]), DimensionError, "coefficients"),
     "CoefficientVector-not-finite": (lambda t: CoefficientVector(full_structure(0, 1), [math.inf]), ConfigurationError, "coefficients"),

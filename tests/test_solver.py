@@ -1019,6 +1019,7 @@ def test_lasso_core_fold_matches_gathered_path(
     [
         (18, 6, 0, 0.5, 0.1, 0.0),  # a folded modulus rises above eps
         (273, 6, 0, 0.5, 1e-3, 1e-4),  # a folded modulus falls below the threshold
+        (91, 8, 12, 0.3, 0.7, 0.588),  # a free modulus is cut while the folded keep the cap
     ],
 )
 def test_lasso_core_unfolds_a_coefficient_that_leaves_the_cap(
@@ -1049,9 +1050,7 @@ def test_fold_recovers_earlier_folds_after_a_second_fold():
     u, V = np.zeros(0, dtype=np.complex128), np.zeros((0, 9), dtype=np.complex128)
     for keep in (6, 4):
         rows = system.shape[0]
-        system, b, u, V = solver._fold(
-            system, b, u, V, np.arange(keep), np.arange(keep, rows), cap
-        )
+        system, b, u, V = solver._fold(system, b, u, V, np.arange(rows) >= keep, cap)
     w = np.linalg.solve(system, b)
     recovered = np.empty(9, dtype=np.complex128)
     recovered[[0, 1, 2, 3, 6, 7, 8, 4, 5]] = np.concatenate([w, u - V @ w])
@@ -1078,6 +1077,63 @@ def test_standard_lasso_solves_ever_smaller_systems_on_desk_scale():
     assert sizes[0] == n_kernels
     assert max(sizes[-10:]) < n_kernels // 2
     assert 0 < np.count_nonzero(coeffs.values) <= sizes[-1]
+
+
+@pytest.mark.parametrize("name", ["desk-scale", "wideband"])
+def test_shipped_l1_calls_keep_to_one_regime(name):
+    # Every l1 call of a shipped run, in the training stage, the
+    # matched-count bisection and exp2's Lasso, is a block of the block
+    # descent (zero threshold above eps) or a plain Lasso (no
+    # threshold).  A block call never folds and its system only shrinks,
+    # by cuts; a plain call never cuts, so its system changes size only
+    # where it folds.
+    config = load_config(SHIPPED_CONFIGS / f"{name}.cfg")
+    calls, current = [], None
+    core, fold, factor_solve = solver._lasso_core, solver._fold, solver._factor_solve
+
+    def spy_core(gram, rhs, lam, zero_threshold, bcd, initial=None):
+        nonlocal current
+        current = []
+        calls.append((zero_threshold, bcd.ridge_epsilon, current))
+        try:
+            return core(gram, rhs, lam, zero_threshold, bcd, initial)
+        finally:
+            current = None
+
+    def spy_solve(system, right, weights):
+        if current is not None and right.ndim == 1:
+            current.append(("solve", right.shape[0]))
+        return factor_solve(system, right, weights)
+
+    def spy_fold(system, b, u, V, mask, cap):
+        current.append(("fold", int(np.count_nonzero(~mask))))
+        return fold(system, b, u, V, mask, cap)
+
+    with (
+        mock.patch.object(solver, "_lasso_core", spy_core),
+        mock.patch.object(solver, "_factor_solve", spy_solve),
+        mock.patch.object(solver, "_fold", spy_fold),
+    ):
+        _, _, learned, matrix, _, _, trace = _training_stage(config)
+        matched_count_lasso(matrix, learned.drive, trace.selected.kernel_count, config.bcd)
+        lasso_iterated_ridge(matrix, learned.drive, config.standard_lasso_lambda, config=config.bcd)
+    cuts = folds = 0
+    for zero_threshold, eps, events in calls:
+        assert zero_threshold == 0.0 or zero_threshold > eps
+        sizes = [size for kind, size in events if kind == "solve"]
+        if zero_threshold > eps:
+            assert all(kind == "solve" for kind, _ in events)
+            assert all(after <= before for before, after in zip(sizes, sizes[1:]))
+            cuts += sum(after < before for before, after in zip(sizes, sizes[1:]))
+        else:
+            size = sizes[0] if sizes else 0
+            for kind, count in events:
+                if kind == "fold":
+                    size, folds = count, folds + 1
+                assert count == size
+    # The spies saw both regimes at work.
+    assert cuts > 0
+    assert folds > 0
 
 
 @pytest.mark.parametrize(
@@ -1166,8 +1222,9 @@ def test_kkt_check_keeps_a_nan_slack():
     S = np.zeros((2, 3))
     S[0, 0] = S[1, 1] = 1.0
     S[:, 2] = 1e150
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = kkt_check(S, np.ones(2), np.array([1e160, -1e160, 0.0]), 1.0)
+    # The suite turns RuntimeWarnings into errors, so an overflow warning
+    # would fail the call instead of returning the report.
+    report = kkt_check(S, np.ones(2), np.array([1e160, -1e160, 0.0]), 1.0)
     assert np.isnan(report.max_violation_inactive)
     assert np.isnan(report.max_violation)
 
