@@ -44,6 +44,16 @@ class Branch(enum.Enum):
     LEADING = "leading"
 
 
+def _index(name, value, axis) -> int:
+    """``value`` as a Python int on the structure axis ``axis``: an even
+    envelope power >= 0 (``orders``), a lag >= 0 (``lags``) or an envelope
+    offset >= 1 (``cross``); else ConfigurationError naming ``name``."""
+    _integer(name, value, 1 if axis == "cross" else 0)
+    if axis == "orders" and value % 2:
+        raise ConfigurationError(f"{name} must be even, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True, order=True)
 class KernelDescriptor:
     """Identity of one model term.
@@ -58,53 +68,39 @@ class KernelDescriptor:
     envelope_offset: int | None = None  # m, None on the aligned branch
 
     def __post_init__(self):
-        if self.order_exponent < 0 or self.order_exponent % 2 != 0:
-            raise ConfigurationError(
-                f"envelope power must be even and non-negative, got {self.order_exponent}"
-            )
-        if self.lag < 0:
-            raise ConfigurationError(f"lag must be non-negative, got {self.lag}")
+        if not isinstance(self.branch, Branch):
+            raise ConfigurationError(f"branch must be a Branch, got {self.branch!r}")
+        k = _index("envelope power", self.order_exponent, "orders")
+        l = _index("lag", self.lag, "lags")
+        m = self.envelope_offset
+        if self.branch is not Branch.ALIGNED:
+            m = _index(f"{self.branch.value} envelope offset", m, "cross")
+        elif m is not None:
+            raise ConfigurationError("aligned kernels take no envelope offset")
+        object.__setattr__(self, "order_exponent", k)
+        object.__setattr__(self, "lag", l)
+        object.__setattr__(self, "envelope_offset", m)
+
+    @property
+    def _shift(self) -> int:
+        """Envelope position against the carrier: 0 aligned, -m lagging, +m leading."""
         if self.branch is Branch.ALIGNED:
-            if self.envelope_offset is not None:
-                raise ConfigurationError("aligned kernels take no envelope offset")
-        else:
-            if self.envelope_offset is None or self.envelope_offset < 1:
-                raise ConfigurationError(
-                    f"{self.branch.value} kernels need envelope offset >= 1"
-                )
+            return 0
+        return -self.envelope_offset if self.branch is Branch.LAGGING else self.envelope_offset
 
     @property
     def deepest_sample(self) -> int:
         """Deepest past-sample index this kernel touches."""
-        if self.branch is Branch.LAGGING:
-            return self.lag + self.envelope_offset
-        return self.lag
-
-
-def _clean_axis(name, values, minimum):
-    out = tuple(sorted(int(v) for v in values))
-    if len(set(out)) != len(out):
-        raise ConfigurationError(f"{name} contains duplicates: {values}")
-    for v in out:
-        if v < minimum:
-            raise ConfigurationError(f"{name} entries must be >= {minimum}, got {v}")
-    return out
-
-
-def _clean_orders(name, values):
-    out = _clean_axis(name, values, 0)
-    for v in out:
-        if v % 2 != 0:
-            raise ConfigurationError(f"{name} entries must be even, got {v}")
-    return out
+        return max(self.lag, self.lag - self._shift)
 
 
 @dataclass(frozen=True)
 class GmpStructure:
     """Index sets of a generalized memory-polynomial model.
 
-    A branch with an empty cross-offset set contributes no kernels, so
-    its order and lag sets are irrelevant.
+    Each axis is a sorted tuple of Python ints.  A branch holds one
+    kernel per combination of its axes, so a branch with any empty axis
+    holds no kernels, and its other axes are irrelevant.
     """
 
     aligned_orders: tuple
@@ -117,32 +113,33 @@ class GmpStructure:
     leading_cross: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "aligned_orders", _clean_orders("aligned_orders", self.aligned_orders))
-        object.__setattr__(self, "aligned_lags", _clean_axis("aligned_lags", self.aligned_lags, 0))
-        object.__setattr__(self, "lagging_orders", _clean_orders("lagging_orders", self.lagging_orders))
-        object.__setattr__(self, "lagging_lags", _clean_axis("lagging_lags", self.lagging_lags, 0))
-        object.__setattr__(self, "lagging_cross", _clean_axis("lagging_cross", self.lagging_cross, 1))
-        object.__setattr__(self, "leading_orders", _clean_orders("leading_orders", self.leading_orders))
-        object.__setattr__(self, "leading_lags", _clean_axis("leading_lags", self.leading_lags, 0))
-        object.__setattr__(self, "leading_cross", _clean_axis("leading_cross", self.leading_cross, 1))
+        for f in fields(self):
+            given = getattr(self, f.name)
+            axis = f.name.rpartition("_")[2]
+            values = tuple(sorted(_index(f"{f.name} entries", v, axis) for v in given))
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{f.name} contains duplicates: {given}")
+            object.__setattr__(self, f.name, values)
 
     @property
-    def kernel_count(self) -> int:
+    def _branches(self) -> tuple:
+        """``(branch, orders, lags, offsets)`` of each branch, in
+        canonical order; the offsets of the aligned branch are
+        ``(None,)``."""
         return (
-            len(self.aligned_orders) * len(self.aligned_lags)
-            + len(self.lagging_orders) * len(self.lagging_lags) * len(self.lagging_cross)
-            + len(self.leading_orders) * len(self.leading_lags) * len(self.leading_cross)
+            (Branch.ALIGNED, self.aligned_orders, self.aligned_lags, (None,)),
+            (Branch.LAGGING, self.lagging_orders, self.lagging_lags, self.lagging_cross),
+            (Branch.LEADING, self.leading_orders, self.leading_lags, self.leading_cross),
         )
 
     @property
+    def kernel_count(self) -> int:
+        return sum(len(ks) * len(ls) * len(ms) for _, ks, ls, ms in self._branches)
+
+    @property
     def orders(self) -> tuple:
-        """All envelope powers present in any populated branch."""
-        present = set(self.aligned_orders) if self.aligned_lags else set()
-        if self.lagging_cross:
-            present |= set(self.lagging_orders)
-        if self.leading_cross:
-            present |= set(self.leading_orders)
-        return tuple(sorted(present))
+        """The envelope powers of the kernels, those of ``descriptors()``."""
+        return tuple(sorted({k for _, ks, ls, ms in self._branches if ls and ms for k in ks}))
 
     def descriptors(self) -> tuple:
         """All kernels in canonical column order, built once per structure."""
@@ -150,19 +147,13 @@ class GmpStructure:
 
     @cached_property
     def _descriptors(self) -> tuple:
-        out = []
-        for k in self.aligned_orders:
-            for l in self.aligned_lags:
-                out.append(KernelDescriptor(Branch.ALIGNED, k, l))
-        for k in self.lagging_orders:
-            for l in self.lagging_lags:
-                for m in self.lagging_cross:
-                    out.append(KernelDescriptor(Branch.LAGGING, k, l, m))
-        for k in self.leading_orders:
-            for l in self.leading_lags:
-                for m in self.leading_cross:
-                    out.append(KernelDescriptor(Branch.LEADING, k, l, m))
-        return tuple(out)
+        return tuple(
+            KernelDescriptor(branch, k, l, m)
+            for branch, ks, ls, ms in self._branches
+            for k in ks
+            for l in ls
+            for m in ms
+        )
 
 
 def full_structure(
@@ -178,25 +169,20 @@ def full_structure(
     of ``max_order = 1`` reads back with both depths 0.
     """
     _integer("memory_depth", memory_depth, 0)
-    if max_order < 1 or max_order % 2 == 0:
-        raise ConfigurationError(f"max_order must be odd and >= 1, got {max_order}")
+    _integer("max_order", max_order, 1)
+    if max_order % 2 == 0:
+        raise ConfigurationError(f"max_order must be odd, got {max_order}")
     _integer("lagging_depth", lagging_depth, 0)
     _integer("leading_depth", leading_depth, 0)
     lags = tuple(range(memory_depth + 1))
-    aligned_orders = tuple(range(0, max_order, 2))
     cross_orders = tuple(range(2, max_order, 2))
-    lagging = tuple(range(1, lagging_depth + 1)) if cross_orders else ()
-    leading = tuple(range(1, leading_depth + 1)) if cross_orders else ()
-    return GmpStructure(
-        aligned_orders=aligned_orders,
-        aligned_lags=lags,
-        lagging_orders=cross_orders if lagging else (),
-        lagging_lags=lags if lagging else (),
-        lagging_cross=lagging,
-        leading_orders=cross_orders if leading else (),
-        leading_lags=lags if leading else (),
-        leading_cross=leading,
-    )
+
+    def cross(depth):
+        offsets = tuple(range(1, depth + 1)) if cross_orders else ()
+        return (cross_orders, lags, offsets) if offsets else ((), (), ())
+
+    aligned_orders = tuple(range(0, max_order, 2))
+    return GmpStructure(aligned_orders, lags, *cross(lagging_depth), *cross(leading_depth))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +349,11 @@ def _describe(system):
     s = system.structure
     if s is None:
         return f"{system.rhs.shape[0]}-column design"
-    return (
-        f"structure with {s.kernel_count} kernels "
-        f"(aligned {len(s.aligned_orders)}x{len(s.aligned_lags)}, "
-        f"lagging {len(s.lagging_orders)}x{len(s.lagging_lags)}x{len(s.lagging_cross)}, "
-        f"leading {len(s.leading_orders)}x{len(s.leading_lags)}x{len(s.leading_cross)})"
+    shapes = ", ".join(
+        f"{branch.value} " + "x".join(str(len(axis)) for axis in axes if axis != (None,))
+        for branch, *axes in s._branches
     )
+    return f"structure with {s.kernel_count} kernels ({shapes})"
 
 
 def normal_system(design, target) -> NormalSystem:
@@ -469,13 +454,9 @@ def _block_layout(bases, lag) -> _BlockLayout:
     lower power at that ``at`` and ``times`` is k/2 less its k/2; for the
     lowest power there, ``below`` is None and ``times`` is k/2.
     """
-    behind = max([d.envelope_offset for d in bases if d.branch is Branch.LAGGING] + [0])
-    ahead = max([d.envelope_offset for d in bases if d.branch is Branch.LEADING] + [0])
-    side = {Branch.ALIGNED: 0, Branch.LAGGING: -1, Branch.LEADING: 1}
-    steps = sorted(
-        (behind + side[d.branch] * (d.envelope_offset or 0), d.order_exponent // 2, b)
-        for b, d in enumerate(bases)
-    )
+    behind = max([-d._shift for d in bases] + [0])
+    ahead = max([d._shift for d in bases] + [0])
+    steps = sorted((behind + d._shift, d.order_exponent // 2, b) for b, d in enumerate(bases))
     recipe, top = [], {}
     for at, half, b in steps:
         below, done = top.get(at, (None, 0))

@@ -74,7 +74,9 @@ from .errors import (
     _non_negative,
     _positive,
 )
-from .gmp import CoefficientVector, _describe, effective_memory_depth, kernel_count, normal_system
+from .gmp import (
+    CoefficientVector, _describe, _index, effective_memory_depth, kernel_count, normal_system
+)
 from .signal import _ratio_db
 
 CONDITION_LIMIT = 1e12
@@ -121,10 +123,7 @@ class RegularizationSchedule:
             ("threshold_by_order", self.threshold_by_order),
         ):
             for k in mapping:
-                if k < 0 or k % 2 != 0:
-                    raise ConfigurationError(
-                        f"{name} keys must be even envelope powers, got {k}"
-                    )
+                _index(f"{name} keys", k, "orders")
         for k, value in self.lambda_by_order.items():
             _positive(f"lambda for order {k}", value)
         for k, value in self.threshold_by_order.items():
@@ -536,7 +535,7 @@ def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config: BcdConf
         raise DegenerateInputError("target signal has zero power")
 
     columns = system.structure.descriptors()
-    orders = sorted({d.order_exponent for d in columns})
+    orders = system.structure.orders
     lam = {k: schedule.lambda_for(k) for k in orders}
     tau = {k: schedule.threshold_for(k) for k in orders}
     blocks = {k: np.flatnonzero([d.order_exponent == k for d in columns]) for k in orders}

@@ -74,6 +74,18 @@ def test_cross_branches_exclude_order_zero():
     assert 0 not in structure.leading_orders
 
 
+def test_indices_are_python_ints_and_axes_sorted_tuples():
+    structure = GmpStructure(np.array([4, 0]), [np.int64(3), 1], [2], (0,), [np.int32(1)])
+    assert structure.aligned_orders == (0, 4) and structure.aligned_lags == (1, 3)
+    axes = [getattr(structure, key) for key in gmp._AXIS_KEYS]
+    assert all(type(axis) is tuple for axis in axes)
+    assert all(type(v) is int for axis in axes for v in axis)
+    descriptor = KernelDescriptor(Branch.LAGGING, np.int64(2), np.int64(0), np.int64(1))
+    assert descriptor == structure.descriptors()[-1]
+    indices = (descriptor.order_exponent, descriptor.lag, descriptor.envelope_offset)
+    assert all(type(v) is int for v in indices)
+
+
 def test_even_max_order_rejected():
     with pytest.raises(ConfigurationError):
         full_structure(4, 6, 1)

@@ -86,10 +86,20 @@ CASES = {
     "KernelDescriptor-aligned-offset": (lambda t: KernelDescriptor(Branch.ALIGNED, 2, 0, 1), ConfigurationError, "envelope offset"),
     "KernelDescriptor-lagging-no-offset": (lambda t: KernelDescriptor(Branch.LAGGING, 2, 0), ConfigurationError, "envelope offset"),
     "axis-duplicates": (lambda t: GmpStructure((0,), (0, 0)), ConfigurationError, "aligned_lags"),
+    "axis-fractional-order": (lambda t: GmpStructure((0, 2.9), (0,)), ConfigurationError, "aligned_orders"),
+    "axis-fractional-lag": (lambda t: GmpStructure((0,), (0, 1.5)), ConfigurationError, "aligned_lags"),
+    "axis-order-a-string": (lambda t: GmpStructure(("2",), (0,)), ConfigurationError, "aligned_orders"),
+    "axis-lag-a-bool": (lambda t: GmpStructure((0,), (0, True)), ConfigurationError, "aligned_lags"),
+    "KernelDescriptor-fractional-offset": (lambda t: KernelDescriptor(Branch.LAGGING, 2, 0, 1.5), ConfigurationError, "lagging envelope offset"),
+    "KernelDescriptor-branch-a-string": (lambda t: KernelDescriptor("aligned", 0, 0), ConfigurationError, "branch"),
+    "schedule-key-a-float": (lambda t: RegularizationSchedule({2.0: 1.0}, {2: 0.1}), ConfigurationError, "lambda_by_order"),
     "axis-below-minimum": (lambda t: GmpStructure((0,), (0,), (2,), (0,), (0,)), ConfigurationError, "lagging_cross"),
     "full-structure-negative-depth": (lambda t: full_structure(-1, 3), ConfigurationError, "memory_depth"),
     "full-structure-lagging-depth-not-an-integer": (lambda t: full_structure(1, 3, 1.0), ConfigurationError, "lagging_depth"),
     "full-structure-order-zero": (lambda t: full_structure(1, 0), ConfigurationError, "max_order"),
+    "full-structure-order-fractional": (lambda t: full_structure(3, 2.5), ConfigurationError, "max_order"),
+    "full-structure-order-a-float": (lambda t: full_structure(3, 3.0), ConfigurationError, "max_order"),
+    "full-structure-order-a-bool": (lambda t: full_structure(3, True), ConfigurationError, "max_order"),
     "CoefficientVector-2-D": (lambda t: CoefficientVector(full_structure(0, 1), [[1.0]]), DimensionError, "coefficients"),
     "CoefficientVector-not-finite": (lambda t: CoefficientVector(full_structure(0, 1), [math.inf]), ConfigurationError, "coefficients"),
     "ls-refine-empty-support": (lambda t: _refine(np.array([], dtype=np.intp)), ConfigurationError, "support"),

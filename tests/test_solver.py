@@ -104,6 +104,13 @@ def test_orders_only_a_cross_branch_has_are_scheduled():
     assert tuple(schedule.lambda_by_order) == tuple(schedule.threshold_by_order) == (0, 2, 4)
 
 
+def test_orders_skip_a_branch_with_an_empty_axis():
+    # The lagging branch has no lags, so its power 16 names no kernel.
+    structure = GmpStructure((0,), (0,), lagging_orders=(16,), lagging_cross=(1,))
+    assert structure.kernel_count == 1 and structure.orders == (0,)
+    assert tuple(default_schedule(structure).lambda_by_order) == (0,)
+
+
 def test_default_schedule_rejects_untabulated_order():
     with pytest.raises(ConfigurationError):
         default_schedule(full_structure(2, 17, 1))
@@ -1445,7 +1452,25 @@ def test_base_sequence_products_match_the_column_products(
 ):
     structure = GmpStructure(*aligned, *lagging, *leading)
     descriptors = structure.descriptors()
+    # The structure's properties agree with its kernels, which are
+    # unique and in canonical order.
+    assert structure.kernel_count == len(descriptors)
+    assert structure.orders == tuple(sorted({d.order_exponent for d in descriptors}))
+    branches = list(Branch)
+    keys = [
+        (branches.index(d.branch), d.order_exponent, d.lag, d.envelope_offset or 0)
+        for d in descriptors
+    ]
+    assert keys == sorted(set(keys))
+    for d in descriptors:
+        reach = d.envelope_offset if d.branch is Branch.LAGGING else 0
+        assert d.deepest_sample == d.lag + reach
     assume(descriptors)
+    bases, _, lag = gmp._bases_of(descriptors)
+    layout = gmp._block_layout(bases, lag)
+    for branch, widest in ((Branch.LAGGING, layout.behind), (Branch.LEADING, layout.ahead)):
+        offsets = [d.envelope_offset for d in descriptors if d.branch is branch]
+        assert widest == max(offsets, default=0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gmp, "ROW_CHUNK", chunk)
         rng = np.random.default_rng(seed)
