@@ -8,7 +8,7 @@ the value rules that several parameter types share.
 
 import cmath
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class DpdError(Exception):
@@ -75,16 +75,24 @@ def _integer(name, value, low, high=None):
         raise ConfigurationError(f"{name} must {bound}, got {value}")
 
 
+def _real(name, value):
+    """Raise ConfigurationError unless ``value`` is a real number, not a bool."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+
+
 def _positive(name, value):
-    """Raise ConfigurationError unless ``value`` is a finite number above
-    zero."""
+    """Raise ConfigurationError unless ``value`` is a finite real number
+    above zero."""
+    _real(name, value)
     if not (math.isfinite(value) and value > 0):
         raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
 def _non_negative(name, value):
-    """Raise ConfigurationError unless ``value`` is a finite number at or
-    above zero."""
+    """Raise ConfigurationError unless ``value`` is a finite real number
+    at or above zero."""
+    _real(name, value)
     if not (math.isfinite(value) and value >= 0):
         raise ConfigurationError(f"{name} must be finite and non-negative, got {value}")
 

@@ -54,9 +54,9 @@ def _index(name, value, axis) -> int:
     return int(value)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class KernelDescriptor:
-    """Identity of one model term.
+    """Identity of one model term: hashable, but with no order of its own.
 
     ``envelope_offset`` is the cross-term distance m; it is None for
     aligned terms.
@@ -80,6 +80,11 @@ class KernelDescriptor:
         object.__setattr__(self, "order_exponent", k)
         object.__setattr__(self, "lag", l)
         object.__setattr__(self, "envelope_offset", m)
+
+    @classmethod
+    def _parse(cls, branch, k, l, m):
+        """The kernel of a record's k, l and m fields, m ``-`` if aligned."""
+        return cls(branch, int(k), int(l), None if m == "-" else int(m))
 
     @property
     def _shift(self) -> int:
@@ -116,7 +121,11 @@ class GmpStructure:
         for f in fields(self):
             given = getattr(self, f.name)
             axis = f.name.rpartition("_")[2]
-            values = tuple(sorted(_index(f"{f.name} entries", v, axis) for v in given))
+            try:
+                entries = iter(given)
+            except TypeError:
+                raise ConfigurationError(f"{f.name} must be iterable, got {given!r}") from None
+            values = tuple(sorted(_index(f"{f.name} entries", v, axis) for v in entries))
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"{f.name} contains duplicates: {given}")
             object.__setattr__(self, f.name, values)
@@ -906,6 +915,8 @@ def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
     missing, wrong, repeated or unknown header, a header value not of its
     kind, axes that form no valid structure, and a record that is
     malformed, repeated, outside the declared structure, or not finite.
+    A record's ``KernelDescriptor``, the key of its column, checks its
+    k, l and m by the index rule of the structure axes.
     """
     lines = list(_text_lines(_read_ascii(path)))
     marks = [i for i, (_, line) in enumerate(lines) if line == "[coefficients]"]
@@ -931,10 +942,7 @@ def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
     except ConfigurationError as exc:
         raise FormatError(f"invalid structure: {exc}", path=path) from exc
 
-    index = {
-        (d.branch, d.order_exponent, d.lag, d.envelope_offset): j
-        for j, d in enumerate(structure.descriptors())
-    }
+    index = {kernel: j for j, kernel in enumerate(structure.descriptors())}
     values = np.zeros(structure.kernel_count, dtype=np.complex128)
     seen = set()
     for lineno, line in lines[marks[0] + 1 :]:
@@ -949,31 +957,23 @@ def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
         except ValueError:
             raise FormatError(f"unknown branch {branch_name!r}", path=path, line=lineno) from None
         try:
-            k = int(k_tok)
-            l = int(l_tok)
-            m = None if m_tok == "-" else int(m_tok)
             value = complex(float(re_tok), float(im_tok))
-        except ValueError:
-            raise FormatError(f"malformed record {tokens}", path=path, line=lineno) from None
+            kernel = KernelDescriptor._parse(branch, k_tok, l_tok, m_tok)
+        except (ValueError, ConfigurationError) as exc:
+            raise FormatError(f"malformed record {tokens}: {exc}", path=path, line=lineno) from None
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise FormatError(
                 f"coefficient must be finite, got {re_tok} {im_tok}", path=path, line=lineno
             )
-        key = (branch, k, l, m)
-        if key not in index:
+        name = f"{branch.value} k={kernel.order_exponent} l={kernel.lag} m={kernel.envelope_offset}"
+        if kernel not in index:
             raise FormatError(
-                f"kernel {branch.value} k={k} l={l} m={m} not in the declared structure",
-                path=path,
-                line=lineno,
+                f"kernel {name} not in the declared structure", path=path, line=lineno
             )
-        if key in seen:
-            raise FormatError(
-                f"duplicate record for {branch.value} k={k} l={l} m={m}",
-                path=path,
-                line=lineno,
-            )
-        seen.add(key)
-        values[index[key]] = value
+        if kernel in seen:
+            raise FormatError(f"duplicate record for {name}", path=path, line=lineno)
+        seen.add(kernel)
+        values[index[kernel]] = value
     return extras, CoefficientVector(structure, values)
 
 

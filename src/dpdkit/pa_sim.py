@@ -22,6 +22,7 @@ from .errors import (
     _gain,
     _integer,
     _positive,
+    _real,
 )
 from .gmp import (
     CoefficientVector,
@@ -57,9 +58,8 @@ class PaModel:
             self, "smallsignal_gain", _gain("smallsignal_gain", self.smallsignal_gain)
         )
         if self.saturation_level is not None:
-            level = float(self.saturation_level)
-            _positive("saturation_level", level)
-            object.__setattr__(self, "saturation_level", level)
+            _positive("saturation_level", self.saturation_level)
+            object.__setattr__(self, "saturation_level", float(self.saturation_level))
 
 
 def pa_forward(signal, model: PaModel) -> IqSignal:
@@ -94,6 +94,7 @@ class IlcConfig:
 
     def __post_init__(self):
         _integer("iterations", self.iterations, 1)
+        _real("learning_rate", self.learning_rate)
         if not (0.0 <= self.learning_rate <= 1.0):
             raise ConfigurationError(
                 f"learning_rate must lie in [0, 1], got {self.learning_rate}"

@@ -82,11 +82,10 @@ class IqSignal:
             raise ConfigurationError("signal must contain at least one sample")
         if scan and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ConfigurationError("signal samples must be finite")
-        rate = float(sample_rate_hz)
-        _positive("sample_rate_hz", rate)
+        _positive("sample_rate_hz", sample_rate_hz)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate_hz", rate)
+        object.__setattr__(self, "sample_rate_hz", float(sample_rate_hz))
 
     def __len__(self):
         return self.samples.size

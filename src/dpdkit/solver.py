@@ -38,28 +38,29 @@ system in place.  An l1 call keeps the ridge system of its active set
 as one such array.  An iterate is one solve plus a fixed handful of
 vector operations: copy the array into a work array, solve it with the
 weights, then take the moduli, the largest change and the next
-weights, in the order of the active set.  The call takes one of two
-regimes, set by its zero threshold.  Above ``ridge_epsilon``, as in
-every block of the block descent, an iterate whose moduli fall below
-the threshold cuts those columns out of the array, and no other
-iterate forms a mask.  At or below it, as in the plain Lasso, the array
-sheds the columns whose weight has reached its cap: the majorizer gives
-a modulus at or below ``ridge_epsilon`` the constant weight
+weights, in the order of the active set.  A cut, where moduli fall
+below the zero threshold, rebuilds the array of the survivors from the
+Gram, in that order.  Above ``ridge_epsilon``, as in every block of the
+block descent, only a cut changes the array, and no other iterate forms
+a mask.  At or below it, as in the plain Lasso, the array also sheds
+the columns whose weight has reached its cap: the majorizer gives a
+modulus at or below ``ridge_epsilon`` the constant weight
 lam / (2 ridge_epsilon) (the perturbed local quadratic approximation of
 Hunter and Li, Ann. Stat. 2005), so such columns are folded out by
 exact block elimination and their coefficients recovered from the
-solution of the rest; a cut, or a folded coefficient that leaves the
-cap, restores the unfolded array of the survivors.  Most of a plain
-Lasso's coefficients sink to the cap within a few iterates; at the
-count-matched penalty on the 300-kernel ``wideband`` structure the last
-iterates factor 33 columns.  A least-squares fit equilibrates
-its Gram straight into the array that its condition gate reads and
-``zposv`` factors.  scipy supplies only ``zposv``; it is imported at the
-first solve, so a process that never fits never loads it.
+solution of the rest; a folded coefficient that leaves the cap takes
+the same rebuild.  Most of a plain Lasso's coefficients sink to the cap
+within a few iterates; at the count-matched penalty on the 300-kernel
+``wideband`` structure the last iterates factor 33 columns.  A
+least-squares fit equilibrates its Gram straight into the array that
+its condition gate reads and ``zposv`` factors.  scipy supplies only
+``zposv``; it is imported at the first solve, so a process that never
+fits never loads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 import math
 
@@ -122,6 +123,8 @@ class RegularizationSchedule:
             ("lambda_by_order", self.lambda_by_order),
             ("threshold_by_order", self.threshold_by_order),
         ):
+            if not isinstance(mapping, Mapping):
+                raise ConfigurationError(f"{name} must be a mapping, got {mapping!r}")
             for k in mapping:
                 _index(f"{name} keys", k, "orders")
         for k, value in self.lambda_by_order.items():
@@ -130,16 +133,17 @@ class RegularizationSchedule:
             _non_negative(f"zero threshold for order {k}", value)
 
     def lambda_for(self, k: int) -> float:
-        try:
-            return self.lambda_by_order[k]
-        except KeyError:
-            raise ConfigurationError(f"schedule has no penalty weight for order {k}") from None
+        return self._lookup(self.lambda_by_order, "penalty weight", k)
 
     def threshold_for(self, k: int) -> float:
+        return self._lookup(self.threshold_by_order, "zero threshold", k)
+
+    @staticmethod
+    def _lookup(table, what, k):
         try:
-            return self.threshold_by_order[k]
+            return table[k]
         except KeyError:
-            raise ConfigurationError(f"schedule has no zero threshold for order {k}") from None
+            raise ConfigurationError(f"schedule has no {what} for order {k}") from None
 
 
 def default_schedule(
@@ -322,16 +326,17 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
     every solve, so a weight that overflows to inf raises
     RankDeficiencyError there.
 
-    With ``zero_threshold`` above eps, as in every block of the block
-    descent, no surviving modulus has the cap weight lam / (2 eps), and
-    an iterate that cuts gathers the survivors out of its system.  At or
-    below eps, as in the plain Lasso, every iterate marks the free
-    columns at the cap; once they are at least half of the free ones,
-    ``_fold`` eliminates them.  The folded coefficients are recovered
-    from each later solve; while they keep the cap, the iterates solve
-    the equations of the whole active set with the sums in another
-    order.  A cut, or a folded coefficient that leaves the cap, restores
-    the unfolded system of the survivors from ``gram``.
+    A cut, or a folded coefficient that leaves the cap, takes the one
+    rebuild: the ridge system of the survivors, gathered from ``gram``
+    in the order of ``active``.  With ``zero_threshold`` above eps, as
+    in every block of the block descent, no surviving modulus has the
+    cap weight lam / (2 eps), so nothing folds and no iterate but a cut
+    forms a mask.  At or below eps, as in the plain Lasso, every iterate
+    marks the free columns at the cap; once they are at least half of
+    the free ones, ``_fold`` eliminates them.  The folded coefficients
+    are recovered from each later solve; while they keep the cap, the
+    iterates solve the equations of the whole active set with the sums
+    in another order.
     """
     n_col = rhs.shape[0]
     omega = np.zeros(n_col, dtype=np.complex128)
@@ -377,20 +382,15 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
             coef = solved
             if delta < config.inner_tolerance or (cut and not survivors.any()):
                 break
+            if cut or (folds and not (moduli[b.size :] <= eps).all()):
+                # The one rebuild: the unfolded system of the survivors.
+                keep = np.flatnonzero(moduli >= zero_threshold)
+                active, coef, moduli = active[keep], coef[keep], moduli[keep]
+                system = np.asfortranarray(gram.take(active, 0).take(active, 1))
+                b = rhs[active]
+                u, V = u[:0], np.zeros((0, active.size), dtype=np.complex128)
             if folds:
-                capped = moduli <= eps
-                if cut or not capped[b.size :].all():
-                    # Restore the unfolded system of the survivors, to
-                    # fold again below.
-                    full = np.zeros(n_col, dtype=np.complex128)
-                    full[active] = coef
-                    active = np.sort(active[moduli >= zero_threshold])
-                    system, b = np.asfortranarray(gram[np.ix_(active, active)]), rhs[active]
-                    u, V = u[:0], np.zeros((0, active.size), dtype=np.complex128)
-                    coef = full[active]
-                    moduli = np.abs(coef)
-                    capped = moduli <= eps
-                fold = capped[: b.size]
+                fold = moduli[: b.size] <= eps
                 # Fold once at least half of the free columns have the
                 # cap, so that each fold at least halves the system: a
                 # fold costs about one iterate's solve, and folding the
@@ -403,12 +403,6 @@ def _lasso_core(gram, rhs, lam, zero_threshold, config, initial=None):
                     )
                     system, b, u, V = _fold(system, b, u, V, fold, cap)
                     active, coef, moduli = active[order], coef[order], moduli[order]
-            elif cut:
-                # Gathered through the transpose, the cut keeps the
-                # Fortran order.
-                keep = np.flatnonzero(survivors)
-                system = system.T.take(keep, 0).take(keep, 1).T
-                b, active, coef, moduli = b[keep], active[keep], coef[keep], moduli[keep]
             if work.shape != system.shape:
                 work = np.empty_like(system)
             weights = lam / (2.0 * np.maximum(moduli[: b.size], eps))
@@ -499,10 +493,7 @@ class FitTrace:
 
     def rows(self):
         """One row of ``COLUMNS`` per record."""
-        return [
-            (r.iteration, r.nmse_db, r.kernel_count, r.effective_memory_depth)
-            for r in self.records
-        ]
+        return [tuple(getattr(r, name) for name in self.COLUMNS) for r in self.records]
 
 
 def block_weighted_lasso(S, x, schedule: RegularizationSchedule, config: BcdConfig = BcdConfig()):

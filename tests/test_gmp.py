@@ -137,6 +137,19 @@ def test_canonical_descriptor_order():
     assert lagging_keys == sorted(lagging_keys)
 
 
+def test_descriptors_have_no_order_and_key_their_columns(tmp_path):
+    # The canonical order is the structure's listing, not an order of
+    # the descriptors; a record's descriptor is the key of its column.
+    structure = full_structure(1, 3, 1)
+    with pytest.raises(TypeError):
+        KernelDescriptor(Branch.ALIGNED, 0, 0) < KernelDescriptor(Branch.ALIGNED, 0, 1)
+    kernel = KernelDescriptor(Branch.LAGGING, 2, 1, 1)
+    column = structure.descriptors().index(kernel)
+    path = tmp_path / "model.txt"
+    write_coefficients(path, CoefficientVector(structure, np.eye(6)[column]))
+    assert read_coefficients(path).support().tolist() == [column]
+
+
 def test_odd_order_exponent_rejected():
     with pytest.raises(ConfigurationError):
         GmpStructure(
@@ -784,6 +797,15 @@ MALFORMED = [
     ("unknown branch", lambda t: t + "sideways 2 1 - 1.0 0.0\n", "unknown branch"),
     ("duplicate record", lambda t: t + "aligned 0 0 - 2.0 0.0\n", "duplicate record"),
     ("NaN record", lambda t: t + "aligned 2 1 - nan 0.0\n", "finite"),
+    # Records the index rule rejects, with the file and the line.
+    ("odd-power record", lambda t: t + "aligned 3 0 - 1.0 0.0\n",
+     r"malformed record .*: envelope power must be even, got 3 \(.*model\.txt, line \d+\)"),
+    ("aligned record with an offset", lambda t: t + "aligned 2 1 1 1.0 0.0\n",
+     "malformed record .*: aligned kernels take no envelope offset"),
+    ("lagging record without an offset", lambda t: t + "lagging 2 0 - 1.0 0.0\n",
+     "malformed record .*: lagging envelope offset must be an integer, got None"),
+    ("record outside the axes", lambda t: t + "aligned 0 5 - 1.0 0.0\n",
+     r"kernel aligned k=0 l=5 m=None not in the declared structure \(.*line \d+\)"),
     ("non-ASCII byte", lambda t: t.replace("[coeff", "# caf\u00e9\n[coeff"), "non-ASCII"),
 ]
 

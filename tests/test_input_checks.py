@@ -64,6 +64,7 @@ CASES = {
     "BcdConfig-inner-a-bool": (lambda t: BcdConfig(inner_ridge_iterations=True), ConfigurationError, "inner_ridge_iterations"),
     "config-run-seed-negative": (lambda t: parse_config("run.seed = -1"), ConfigurationError, "run.seed"),
     "IqSignal-rate-zero": (lambda t: IqSignal([1j], 0.0), ConfigurationError, "sample_rate_hz"),
+    "IqSignal-rate-a-string": (lambda t: IqSignal([1j], "1.0"), ConfigurationError, "sample_rate_hz"),
     "OfdmConfig-target-rms-nan": (lambda t: OfdmConfig(target_rms=math.nan), ConfigurationError, "target_rms"),
     "OfdmConfig-rate-negative": (lambda t: OfdmConfig(sample_rate_hz=-1.0), ConfigurationError, "sample_rate_hz"),
     "PaModel-saturation-infinite": (lambda t: PaModel(_coeffs(), saturation_level=math.inf), ConfigurationError, "saturation_level"),
@@ -77,6 +78,12 @@ CASES = {
     "config-standard-lasso-negative": (lambda t: parse_config("standard_lasso.lambda = -1"), ConfigurationError, "standard_lasso.lambda"),
     "PaModel-gain-zero": (lambda t: PaModel(_coeffs(), smallsignal_gain=0j), ConfigurationError, "smallsignal_gain"),
     "IlcConfig-gain-infinite": (lambda t: IlcConfig(target_gain=complex(math.inf, 0.0)), ConfigurationError, "target_gain"),
+    "BcdConfig-tolerance-a-string": (lambda t: BcdConfig(inner_tolerance="x"), ConfigurationError, "inner_tolerance"),
+    "ScheduleSpec-scale-a-string": (lambda t: ScheduleSpec(lambda_scale="x"), ConfigurationError, "schedule.lambda_scale"),
+    "IlcConfig-rate-a-string": (lambda t: IlcConfig(learning_rate="a"), ConfigurationError, "learning_rate"),
+    "PaModel-saturation-a-string": (lambda t: PaModel(_coeffs(), saturation_level="x"), ConfigurationError, "saturation_level"),
+    "PaModel-saturation-a-bool": (lambda t: PaModel(_coeffs(), saturation_level=True), ConfigurationError, "saturation_level"),
+    "lasso-zero-threshold-a-bool": (lambda t: lasso_iterated_ridge(np.eye(2), np.ones(2), 1.0, True), ConfigurationError, "zero_threshold"),
     # Checks no other test reaches.
     "IqSignal-2-D": (lambda t: IqSignal(np.ones((2, 2))), DimensionError, "samples"),
     "IqSignal-empty": (lambda t: IqSignal([]), ConfigurationError, "signal"),
@@ -86,6 +93,8 @@ CASES = {
     "KernelDescriptor-aligned-offset": (lambda t: KernelDescriptor(Branch.ALIGNED, 2, 0, 1), ConfigurationError, "envelope offset"),
     "KernelDescriptor-lagging-no-offset": (lambda t: KernelDescriptor(Branch.LAGGING, 2, 0), ConfigurationError, "envelope offset"),
     "axis-duplicates": (lambda t: GmpStructure((0,), (0, 0)), ConfigurationError, "aligned_lags"),
+    "axis-an-integer": (lambda t: GmpStructure(2, (0,)), ConfigurationError, "aligned_orders"),
+    "axis-none": (lambda t: GmpStructure(None, (0,)), ConfigurationError, "aligned_orders"),
     "axis-fractional-order": (lambda t: GmpStructure((0, 2.9), (0,)), ConfigurationError, "aligned_orders"),
     "axis-fractional-lag": (lambda t: GmpStructure((0,), (0, 1.5)), ConfigurationError, "aligned_lags"),
     "axis-order-a-string": (lambda t: GmpStructure(("2",), (0,)), ConfigurationError, "aligned_orders"),
@@ -93,6 +102,8 @@ CASES = {
     "KernelDescriptor-fractional-offset": (lambda t: KernelDescriptor(Branch.LAGGING, 2, 0, 1.5), ConfigurationError, "lagging envelope offset"),
     "KernelDescriptor-branch-a-string": (lambda t: KernelDescriptor("aligned", 0, 0), ConfigurationError, "branch"),
     "schedule-key-a-float": (lambda t: RegularizationSchedule({2.0: 1.0}, {2: 0.1}), ConfigurationError, "lambda_by_order"),
+    "schedule-lambdas-a-list": (lambda t: RegularizationSchedule([2], {}), ConfigurationError, "lambda_by_order"),
+    "schedule-thresholds-a-list": (lambda t: RegularizationSchedule({0: 1.0}, [0]), ConfigurationError, "threshold_by_order"),
     "axis-below-minimum": (lambda t: GmpStructure((0,), (0,), (2,), (0,), (0,)), ConfigurationError, "lagging_cross"),
     "full-structure-negative-depth": (lambda t: full_structure(-1, 3), ConfigurationError, "memory_depth"),
     "full-structure-lagging-depth-not-an-integer": (lambda t: full_structure(1, 3, 1.0), ConfigurationError, "lagging_depth"),
