@@ -81,11 +81,6 @@ class KernelDescriptor:
         object.__setattr__(self, "lag", l)
         object.__setattr__(self, "envelope_offset", m)
 
-    @classmethod
-    def _parse(cls, branch, k, l, m):
-        """The kernel of a record's k, l and m fields, m ``-`` if aligned."""
-        return cls(branch, int(k), int(l), None if m == "-" else int(m))
-
     @property
     def _shift(self) -> int:
         """Envelope position against the carrier: 0 aligned, -m lagging, +m leading."""
@@ -210,7 +205,7 @@ class CoefficientVector:
             raise DimensionError(
                 f"structure has {expected} kernels but got {arr.size} coefficients"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ConfigurationError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -818,12 +813,20 @@ def _read_entries(lines, source) -> dict:
     return entries
 
 
+def _number(text, kind="int"):
+    """``text`` as an ``int`` (an optional ``-`` and ASCII digits) or a
+    ``float`` (a token ``float()`` reads, without ``_``); else ValueError."""
+    if "_" in text or (kind == "int" and not (text.isascii() and text.removeprefix("-").isdigit())):
+        raise ValueError(f"{text!r} is not {_VALUE_FORMS[kind]}")
+    return int(text) if kind == "int" else float(text)
+
+
 def _parse_value(key, entry, kind):
     """The value of ``key``'s ``(source, line number, value)`` entry as
     ``kind``: ``str``, ``int``, ``ints`` (a tuple of any number of them),
-    ``float`` or ``complex`` (real and imaginary part).  A kind ending in
-    ``?`` also takes ``none`` as None.  Any other value raises
-    FormatError."""
+    ``float`` or ``complex`` (real and imaginary part), each number read
+    by ``_number``.  A kind ending in ``?`` also takes ``none`` as None.
+    Any other value raises FormatError."""
     source, lineno, raw = entry
     base = kind.rstrip("?")
     if base != kind and raw == "none":
@@ -831,15 +834,12 @@ def _parse_value(key, entry, kind):
     try:
         if base == "str":
             return raw
-        if base == "int":
-            return int(raw)
         if base == "ints":
-            return tuple(int(tok) for tok in raw.split())
-        if base == "float":
-            return float(raw)
+            return tuple(_number(tok) for tok in raw.split())
         if base == "complex":
             real, imag = raw.split()
-            return complex(float(real), float(imag))
+            return complex(_number(real, "float"), _number(imag, "float"))
+        return _number(raw, base)
     except ValueError:
         pass
     form = _VALUE_FORMS[base] + (" or 'none'" if base != kind else "")
@@ -951,17 +951,17 @@ def read_coefficient_file(path, tag, extra_keys=()) -> tuple:
             raise FormatError(
                 f"expected 6 fields per record, got {len(tokens)}", path=path, line=lineno
             )
-        branch_name, k_tok, l_tok, m_tok, re_tok, im_tok = tokens
+        branch_name, *klm, re_tok, im_tok = tokens
         try:
             branch = Branch(branch_name)
         except ValueError:
             raise FormatError(f"unknown branch {branch_name!r}", path=path, line=lineno) from None
         try:
-            value = complex(float(re_tok), float(im_tok))
-            kernel = KernelDescriptor._parse(branch, k_tok, l_tok, m_tok)
+            value = complex(_number(re_tok, "float"), _number(im_tok, "float"))
+            kernel = KernelDescriptor(branch, *(None if t == "-" else _number(t) for t in klm))
         except (ValueError, ConfigurationError) as exc:
             raise FormatError(f"malformed record {tokens}: {exc}", path=path, line=lineno) from None
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        if not np.isfinite(value):
             raise FormatError(
                 f"coefficient must be finite, got {re_tok} {im_tok}", path=path, line=lineno
             )

@@ -123,7 +123,7 @@ def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> 
     """One amplifier pass of the learning loop: the drive as a signal,
     which takes the fresh array over, and the amplifier output.
     Non-finite samples diverge."""
-    if not np.all(np.isfinite(drive)):
+    if not np.isfinite(drive).all():
         raise DivergenceError(f"learning loop diverged: drive not finite at iteration {iteration}")
     driven = IqSignal._own(drive, rate)
     try:

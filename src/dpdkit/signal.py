@@ -80,7 +80,7 @@ class IqSignal:
             raise DimensionError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size < 1:
             raise ConfigurationError("signal must contain at least one sample")
-        if scan and not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if scan and not np.isfinite(arr).all():
             raise ConfigurationError("signal samples must be finite")
         _positive("sample_rate_hz", sample_rate_hz)
         arr.setflags(write=False)

@@ -793,6 +793,13 @@ MALFORMED = [
     ("unknown key", _insert_after_format("colour = blue"), "unknown header keys"),
     ("bad integer axis", lambda t: t.replace("aligned_lags = 0 1", "aligned_lags = 0 one"),
      "aligned_lags expects integers"),
+    # Integers are an optional '-' and digits, floats what float() reads
+    # without '_': no sign or digit separator of Python's own syntax.
+    ("underscore in an axis", lambda t: t.replace("aligned_lags = 0 1", "aligned_lags = 0 1_0"),
+     "aligned_lags expects integers"),
+    ("signed power", lambda t: t + "aligned +2 1 - 1.0 0.0\n", "malformed record"),
+    ("underscore in a lag", lambda t: t + "aligned 2 1_0 - 1.0 0.0\n", "malformed record"),
+    ("underscore in a coefficient", lambda t: t + "aligned 2 1 - 1_0.5 0.0\n", "malformed record"),
     ("5-field record", lambda t: t + "aligned 2 1 - 1.0\n", "expected 6 fields"),
     ("unknown branch", lambda t: t + "sideways 2 1 - 1.0 0.0\n", "unknown branch"),
     ("duplicate record", lambda t: t + "aligned 0 0 - 2.0 0.0\n", "duplicate record"),
@@ -851,6 +858,28 @@ def test_malformed_file_is_format_error(tmp_path, tag, name, edit, message):
     path.write_bytes(edit(path.read_text()).encode("utf-8"))
     with pytest.raises(FormatError, match=message):
         reader(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="-+_.0123456789eEinfa", max_size=8))
+def test_numbers_read_by_one_grammar(token):
+    """An int is an optional '-' and digits; a float is what float()
+    reads, unless it holds an '_'."""
+    entry = ("<test>", 1, token)
+    if re.fullmatch("-?[0-9]+", token):
+        assert gmp._parse_value("n", entry, "int") == int(token)
+    else:
+        with pytest.raises(FormatError, match="n expects an integer"):
+            gmp._parse_value("n", entry, "int")
+    try:
+        expected = None if "_" in token else float(token)
+    except ValueError:
+        expected = None
+    if expected is None:
+        with pytest.raises(FormatError, match="x expects a float"):
+            gmp._parse_value("x", entry, "float")
+    else:
+        assert repr(gmp._parse_value("x", entry, "float")) == repr(expected)
 
 
 def test_coefficient_vector_length_checked():

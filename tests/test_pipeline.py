@@ -229,6 +229,15 @@ CONFIG_ERRORS = [
     ("non-ASCII byte", "signal.seed = 1\n# r\u00e9glage\n", (), "non-ASCII byte 0xc3", 2),
     ("bad override", "signal.n_symbols = 8\n", ("signal.n_active=eight",),
      "signal.n_active expects an integer, got 'eight'", None),
+    # Numbers take no sign or digit separator of Python's own syntax.
+    ("underscore integer", "signal.n_symbols = 8\ndpd.memory_depth = 1_9\n", (),
+     "dpd.memory_depth expects an integer, got '1_9'", 2),
+    ("signed integer", "signal.n_symbols = +64\n", (),
+     "signal.n_symbols expects an integer, got '+64'", 1),
+    ("underscore float", "signal.n_symbols = 8\nschedule.lambda_scale = 1_0.5\n", (),
+     "schedule.lambda_scale expects a float, got '1_0.5'", 2),
+    ("underscore override", "signal.n_symbols = 8\n", ("dpd.memory_depth=1_9",),
+     "dpd.memory_depth expects an integer, got '1_9'", None),
     # The schedule is the tabulated ladder: no key picks another, and no
     # entry sets one order's weight.
     ("leftover schedule.mode", "signal.n_symbols = 8\nschedule.mode = default\n", (),
@@ -1192,7 +1201,8 @@ def test_cli_refine_rejects_empty_support(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "record", ["aligned 0 0 - nan 0.0", "aligned 0 0 - 1.0 0.0  # caf\u00e9"]
+    "record",
+    ["aligned 0 0 - nan 0.0", "aligned 0 0 - 1.0 0.0  # caf\u00e9", "aligned +0 0 - 1.0 0.0"],
 )
 def test_cli_bad_coefficient_record_is_data_error(tmp_path, record):
     _, s, x = _fit_inputs(tmp_path)
