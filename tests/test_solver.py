@@ -1,5 +1,6 @@
 """Least squares, Lasso via iterated ridge, BCD, schedules, KKT."""
 from pathlib import Path
+import re
 import tracemalloc
 from unittest import mock
 import warnings
@@ -833,6 +834,24 @@ def test_ridge_system_not_positive_definite_is_rank_deficiency():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
     with pytest.raises(RankDeficiencyError):
         solver._factor_solve(indefinite, np.ones(2, dtype=np.complex128), np.full(2, 1e-8))
+
+
+def test_the_solve_calls_scipy_linalgs_own_zposv():
+    # The extension that the first solve loads alone holds the function
+    # that scipy.linalg.lapack exports: the same routine, the same bits.
+    import scipy.linalg
+
+    solver._factor_solve(np.eye(2, dtype=np.complex128, order="F"), np.ones(2, complex), 0.0)
+    assert solver._zposv is scipy.linalg.lapack.zposv
+
+
+def test_a_scipy_without_its_lapack_extension_is_named(tmp_path, monkeypatch):
+    import scipy
+
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    (tmp_path / "linalg").mkdir()
+    with pytest.raises(ImportError, match=re.escape(f"_flapack is not in {tmp_path / 'linalg'}")):
+        solver._load_zposv()
 
 
 def test_refine_on_fresh_kernel_matrix_equals_refine_after_a_fit():

@@ -1,10 +1,14 @@
-"""Start-up cost: a process that never solves a system never loads scipy.
+"""Start-up cost: a process that never solves a system never loads scipy,
+and one that solves never loads the scipy.linalg package.
 
-scipy.linalg supplies one routine, the LAPACK ``zposv`` of the dense
-solves, and takes longer to import than the rest of dpdkit; ``solver``
-imports it at the first solve.  Forming a normal system, from a kernel
-matrix or a plain matrix, takes numpy alone.  The probe runs in a fresh
-interpreter, because the test process has imported scipy long before.
+scipy supplies one routine, the LAPACK ``zposv`` of the dense solves.
+``solver`` loads it at the first solve from its compiled extension
+``scipy.linalg._flapack`` alone, which takes a few milliseconds, where
+importing ``scipy.linalg`` takes longer than the rest of dpdkit and
+loads about 300 modules.  Forming a normal system, from a kernel matrix
+or a plain matrix, takes numpy alone.  The probe runs in a fresh
+interpreter, because the test process has imported scipy.linalg long
+before.
 """
 import json
 import os
@@ -17,7 +21,8 @@ import dpdkit
 REPO_ROOT = Path(__file__).parent.parent
 PACKAGE_ROOT = str(Path(dpdkit.__file__).resolve().parent.parent)
 
-# Prints, as its last line, whether scipy was loaded after each step.
+# Prints, as its last line, whether scipy and whether scipy.linalg were
+# loaded after each step.
 _PROBE = """
 import json, sys
 
@@ -25,7 +30,7 @@ steps = []
 
 
 def step(name):
-    steps.append([name, "scipy" in sys.modules])
+    steps.append([name, "scipy" in sys.modules, "scipy.linalg" in sys.modules])
 
 
 import numpy as np
@@ -62,6 +67,10 @@ normal_system(np.eye(3, dtype=complex), np.ones(3))
 step("normal_system, plain matrix")
 dpdkit.least_squares(matrix, reference)
 step("least_squares")
+dpdkit.block_weighted_lasso(matrix, learned.drive, config.schedule(), config.bcd)
+step("block_weighted_lasso")
+assert cli(["exp1", "--config", sys.argv[1], "--set", "output.dir=out"]) == 0
+step("dpdkit exp1")
 print(json.dumps(steps))
 """
 
@@ -78,8 +87,9 @@ def test_scipy_loads_at_the_first_solve_and_not_before(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    steps = dict(json.loads(done.stdout.splitlines()[-1]))
-    assert steps == {
+    steps = json.loads(done.stdout.splitlines()[-1])
+    assert [name for name, _, linalg in steps if linalg] == []
+    assert {name: scipy for name, scipy, _ in steps} == {
         "import dpdkit": False,
         "load_config": False,
         "load_pa_model": False,
@@ -94,4 +104,6 @@ def test_scipy_loads_at_the_first_solve_and_not_before(tmp_path):
         "normal_system": False,
         "normal_system, plain matrix": False,
         "least_squares": True,
+        "block_weighted_lasso": True,
+        "dpdkit exp1": True,
     }
