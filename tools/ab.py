@@ -21,7 +21,7 @@ or a warm file cache favours neither side.  It writes one JSON file:
   the calibration
 - every run's metrics and readings, per pair
 
-    python3 tools/ab.py --base HEAD~1 --out BENCH_36.json
+    python3 tools/ab.py --base HEAD~1 --out BENCH_<n>.json
     python3 tools/ab.py --base HEAD --pairs 6 --out build/ab/self.json
 
 Run against HEAD itself, no metric should change beyond its bound.  A
@@ -42,13 +42,16 @@ import sys
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / "build" / "ab"
 SIDES = ("base", "head")
-# A run of several times --seconds has hung.
+# A run that takes this many times --seconds, plus 300 s, has hung.
 TIME_LIMIT_FACTOR = 10
 
 
 def materialize(rev, side):
     """Extract ``rev`` into ``build/ab/<side>``; returns (tree, full commit)."""
-    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
     tree = BUILD / side
     shutil.rmtree(tree, ignore_errors=True)
     tree.mkdir(parents=True)
@@ -59,21 +62,15 @@ def materialize(rev, side):
     return tree, commit
 
 
-def _git(*args):
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout
-
-
 def run_once(tree, workload, seed, seconds):
     """One ``run.py`` in ``tree``: (result line, record) or (None, error text)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    limit = TIME_LIMIT_FACTOR * seconds + 300
     try:
-        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                              timeout=TIME_LIMIT_FACTOR * seconds + 300)
+        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=limit)
     except subprocess.TimeoutExpired:
-        return None, f"timed out after {TIME_LIMIT_FACTOR * seconds + 300} s"
+        return None, f"timed out after {limit} s"
     if done.returncode != 0:
         return None, done.stderr.strip()[-2000:] or f"exit status {done.returncode}"
     line = json.loads(done.stdout.strip().splitlines()[-1])
