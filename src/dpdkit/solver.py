@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 import math
 import os
@@ -239,12 +239,11 @@ _zposv = None
 
 
 def _load_zposv():
-    """``zposv`` of scipy's ``scipy.linalg._flapack``, loaded outside ``sys.modules``."""
+    """``zposv`` of ``scipy.linalg._flapack``, which enters ``sys.modules`` without its package."""
     import scipy
 
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.linalg._flapack")
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec("scipy.linalg._flapack", [directory])
     if spec is None:
         raise ImportError(f"scipy's LAPACK wrapper _flapack is not in {directory}")
     module = module_from_spec(spec)

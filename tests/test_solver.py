@@ -848,7 +848,7 @@ def test_the_solve_calls_scipy_linalgs_own_zposv():
 def test_a_scipy_without_its_lapack_extension_is_named(tmp_path, monkeypatch):
     import scipy
 
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     (tmp_path / "linalg").mkdir()
     with pytest.raises(ImportError, match=re.escape(f"_flapack is not in {tmp_path / 'linalg'}")):
         solver._load_zposv()

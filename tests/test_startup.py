@@ -21,8 +21,8 @@ import dpdkit
 REPO_ROOT = Path(__file__).parent.parent
 PACKAGE_ROOT = str(Path(dpdkit.__file__).resolve().parent.parent)
 
-# Prints, as its last line, whether scipy and whether scipy.linalg were
-# loaded after each step.
+# Prints, as its last line, whether scipy, scipy.linalg and the LAPACK
+# extension scipy.linalg._flapack were in sys.modules after each step.
 _PROBE = """
 import json, sys
 
@@ -30,7 +30,8 @@ steps = []
 
 
 def step(name):
-    steps.append([name, "scipy" in sys.modules, "scipy.linalg" in sys.modules])
+    modules = ("scipy", "scipy.linalg", "scipy.linalg._flapack")
+    steps.append([name] + [module in sys.modules for module in modules])
 
 
 import numpy as np
@@ -88,8 +89,10 @@ def test_scipy_loads_at_the_first_solve_and_not_before(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     steps = json.loads(done.stdout.splitlines()[-1])
-    assert [name for name, _, linalg in steps if linalg] == []
-    assert {name: scipy for name, scipy, _ in steps} == {
+    assert [name for name, _, linalg, _ in steps if linalg] == []
+    # The solve's extension enters sys.modules with scipy, its package never.
+    assert [name for name, scipy, _, flapack in steps if flapack != scipy] == []
+    assert {name: scipy for name, scipy, _, _ in steps} == {
         "import dpdkit": False,
         "load_config": False,
         "load_pa_model": False,

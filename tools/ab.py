@@ -1,9 +1,10 @@
-"""Paired A/B benchmark: an unchanged ``perfbench/run.py`` in two revisions.
+"""Paired A/B benchmark: an unchanged ``perfbench/run.py`` in a base revision and HEAD.
 
 The script materializes both revisions with ``git archive`` under
 ``build/ab/base`` and ``build/ab/head`` and runs each tree's own
-``perfbench/run.py`` in it, one fresh process at a time.  Pair ``i``
-runs every workload on seed ``seed_start + i`` in both trees; which tree
+``perfbench/run.py`` in it, one fresh process at a time, at the run
+length that ``run.py`` sets.  Pair ``i`` runs every workload of
+``BENCHMARK.json`` on seed ``seed_start + i`` in both trees; which tree
 goes first alternates from pair to pair, so a drift of the host's speed
 or a warm file cache favours neither side.  It writes one JSON file:
 
@@ -25,7 +26,7 @@ or a warm file cache favours neither side.  It writes one JSON file:
     python3 tools/ab.py --base HEAD --pairs 6 --out build/ab/self.json
 
 Run against HEAD itself, no metric should change beyond its bound.  A
-pair of 25 s runs takes about a minute per workload, so 10 pairs of the
+pair of runs takes about a minute per workload, so 10 pairs of the
 three workloads take about half an hour.  The exit status is 1 when a
 run fails or reports a failed op.
 """
@@ -42,8 +43,8 @@ import sys
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / "build" / "ab"
 SIDES = ("base", "head")
-# A run that takes this many times --seconds, plus 300 s, has hung.
-TIME_LIMIT_FACTOR = 10
+# A run that takes this long has hung.
+TIME_LIMIT_S = 600
 
 
 def materialize(rev, side):
@@ -62,15 +63,15 @@ def materialize(rev, side):
     return tree, commit
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """One ``run.py`` in ``tree``: (result line, record) or (None, error text)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    limit = TIME_LIMIT_FACTOR * seconds + 300
+            "--trace", "0"]
     try:
-        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=limit)
+        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                              timeout=TIME_LIMIT_S)
     except subprocess.TimeoutExpired:
-        return None, f"timed out after {limit} s"
+        return None, f"timed out after {TIME_LIMIT_S} s"
     if done.returncode != 0:
         return None, done.stderr.strip()[-2000:] or f"exit status {done.returncode}"
     line = json.loads(done.stdout.strip().splitlines()[-1])
@@ -157,13 +158,9 @@ def summarize(runs, declared):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="base revision, e.g. HEAD~1")
-    parser.add_argument("--head", default="HEAD", help="head revision (default HEAD)")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed-start", type=int, default=100)
-    parser.add_argument("--workload", action="append", dest="workloads",
-                        help="workload to run; repeat for several (default: every one)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -171,9 +168,9 @@ def main(argv=None):
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
     declared = {m["name"]: m for m in benchmark["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     trees, commits = {}, {}
-    for side, rev in zip(SIDES, (args.base, args.head)):
+    for side, rev in zip(SIDES, (args.base, "HEAD")):
         trees[side], commits[side] = materialize(rev, side)
 
     runs = {w: [] for w in workloads}
@@ -184,7 +181,7 @@ def main(argv=None):
         for workload in workloads:
             run = {"seed": seed, "first": order[0]}
             for side in order:
-                line, record = run_once(trees[side], workload, seed, args.seconds)
+                line, record = run_once(trees[side], workload, seed)
                 if line is None:
                     problems.append(f"{side} {workload} seed {seed}: {record}")
                     run[side] = None
@@ -203,10 +200,9 @@ def main(argv=None):
                  "blas_threads_reported", "numpy", "scipy", "python", "machine")
     report = {
         "base": {"rev": args.base, "commit": commits["base"], "source_sha256": sources.get("base")},
-        "head": {"rev": args.head, "commit": commits["head"], "source_sha256": sources.get("head")},
+        "head": {"rev": "HEAD", "commit": commits["head"], "source_sha256": sources.get("head")},
         "host": {k: environment[k] for k in host_keys} if environment else None,
         "pairs": args.pairs,
-        "seconds": args.seconds,
         "seeds": [args.seed_start + i for i in range(args.pairs)],
         "problems": problems,
         "workloads": {
