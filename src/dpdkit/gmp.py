@@ -373,9 +373,12 @@ def normal_system(design, target) -> NormalSystem:
     sequences in one pass (``_kernel_normal_equations``) and caches it
     for the last target, compared by content: the fits that follow on
     one matrix and one target share it, and a new target takes a pass
-    of its own.  A plain matrix forms its system on each call, its Gram
-    by one numpy product ``S^H S``, whose strict upper triangle is then
-    mirrored from the lower one and whose diagonal is made real.
+    of its own.  The cache keeps an ``IqSignal`` target's samples,
+    read-only already, as they are, and a copy of any other target, as
+    ``build_kernel_matrix`` keeps its source.  A plain matrix forms its
+    system on each call, its Gram by one numpy product ``S^H S``, whose
+    strict upper triangle is then mirrored from the lower one and whose
+    diagonal is made real.
 
     This is the one check of what the solvers are given: a design with
     no columns raises ConfigurationError, and a Gram, correlation or
@@ -397,7 +400,7 @@ def normal_system(design, target) -> NormalSystem:
         raise ConfigurationError("design has no columns")
     if km is not None:
         last = vars(km).get("_normal_system")
-        if last is not None and np.array_equal(last[0], x):
+        if last is not None and (last[0] is x or np.array_equal(last[0], x)):
             return last[1]
     # An overflowing design or target gives a system that is not finite,
     # rejected below with no numpy warning on the way.
@@ -417,7 +420,7 @@ def normal_system(design, target) -> NormalSystem:
     if not (finite and math.isfinite(system.target_power)):
         raise RankDeficiencyError(f"normal equations of {_describe(system)} are not finite")
     if km is not None:
-        vars(km)["_normal_system"] = (np.array(x, dtype=np.complex128), system)
+        vars(km)["_normal_system"] = (x if isinstance(target, IqSignal) else x.copy(), system)
     return system
 
 
@@ -676,9 +679,10 @@ def build_kernel_matrix(signal, structure: GmpStructure) -> KernelMatrix:
     """The kernel matrix of ``structure`` on ``signal``: one row per
     source sample, with the samples before the first taken as zero.
 
-    No column is evaluated here: the returned ``KernelMatrix`` keeps a
-    read-only copy of the samples, and its consumers evaluate blocks of
-    the base sequences as they need them.
+    No column is evaluated here: the returned ``KernelMatrix`` keeps
+    the samples, and its consumers evaluate blocks of the base sequences
+    as they need them.  An ``IqSignal``'s samples, read-only already,
+    are kept as they are; any other array is copied and made read-only.
     """
     samples = _signal_samples(signal)
     if not structure.descriptors():

@@ -10,6 +10,7 @@ ground-truth predistorted drive to fit inverse models against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import importlib.resources
 
 import numpy as np
@@ -105,18 +106,25 @@ class IlcConfig:
 
 @dataclass(frozen=True)
 class IlcResult:
-    """Learned drive, matching amplifier output, and the error history.
+    """Learned drive, the amplifier it was learned on, and the error history.
 
     ``error_db`` holds the normalized error power in dB per forward
     pass; entry 0 is the open-loop error of driving with the reference
     itself, entry i the error after i updates.  ``gain`` is the gain the
-    loop normalized the output by.
+    loop normalized the output by.  The amplifier output of the drive
+    is not kept from the loop: ``output`` forms it on first access, bit
+    for bit the loop's last pass.
     """
 
     drive: IqSignal
-    output: IqSignal
+    model: PaModel
     error_db: tuple
     gain: complex
+
+    @cached_property
+    def output(self) -> IqSignal:
+        """The amplifier output of ``drive``."""
+        return pa_forward(self.drive, self.model)
 
 
 def _forward(drive: np.ndarray, rate: float, model: PaModel, iteration: int) -> tuple:
@@ -173,7 +181,7 @@ def ilc_learn(reference: IqSignal, model: PaModel, config: IlcConfig = IlcConfig
                 )
         else:
             rising = 0
-    return IlcResult(drive=driven, output=output, error_db=tuple(history), gain=gain)
+    return IlcResult(drive=driven, model=model, error_db=tuple(history), gain=gain)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ exact settings that produced them.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields, replace
 import hashlib
 import math
@@ -127,6 +128,23 @@ class ExperimentConfig:
     def __post_init__(self):
         _positive("standard_lasso.lambda", self.standard_lasso_lambda)
         _integer("run.seed", self.seed, 0, 2**64 - 1)
+        # The hash names the structure by its dpd keys, so only the
+        # structure those keys build can be hashed.
+        dpd = self._dpd_keys()
+        if self.structure != full_structure(**dpd):
+            raise ConfigurationError(f"structure is not the full structure of dpd keys {dpd}")
+
+    def _dpd_keys(self) -> dict:
+        """The ``dpd`` section's values, derived back from ``structure``."""
+        d = self.structure
+        if not (d.aligned_orders and d.aligned_lags):
+            raise ConfigurationError("structure has no aligned kernels, so no dpd keys build it")
+        return {
+            "memory_depth": max(d.aligned_lags),
+            "max_order": max(d.aligned_orders) + 1,
+            "lagging_depth": max(d.lagging_cross, default=0),
+            "leading_depth": max(d.leading_cross, default=0),
+        }
 
     def schedule(self) -> RegularizationSchedule:
         return default_schedule(self.structure, **vars(self.schedule_spec))
@@ -152,13 +170,7 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         """Fully resolved, ordered serialization; hashes and files use this."""
-        d = self.structure
-        dpd = {
-            "memory_depth": max(d.aligned_lags),
-            "max_order": max(d.aligned_orders) + 1,
-            "lagging_depth": max(d.lagging_cross, default=0),
-            "leading_depth": max(d.leading_cross, default=0),
-        }
+        dpd = self._dpd_keys()
         lines = []
         for section, name, keys in _SECTIONS:
             value = getattr(self, name)
@@ -259,9 +271,14 @@ class _OutputDir:
 
     Each file is written to a temporary file in the output directory.
     When the block exits cleanly, every one is renamed over its final
-    name; when it raises, the temporary files are removed.  A run that
-    fails part-way therefore leaves no half-written hash-stamped file,
-    and the files of an earlier run stay as they were.
+    name; when it raises, the temporary files are removed.  Before the
+    first rename, each final name that exists is hard-linked to a
+    backup; an exception among the renames, KeyboardInterrupt included,
+    puts every backup back, removes the new files that replaced nothing,
+    and then the backups.  A run that fails part-way therefore leaves no
+    half-written hash-stamped file, and the files of an earlier run stay
+    as they were.  This covers exceptions only: a SIGKILL or a power
+    loss between two renames can still leave files of both runs.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -276,16 +293,39 @@ class _OutputDir:
     def __exit__(self, exc_type, exc, tb):
         try:
             if exc_type is None:
-                while self.pending:
-                    os.replace(*self.pending[0])
-                    self.pending.pop(0)
+                self._publish()
         finally:
             for temp, _ in self.pending:
-                try:
+                with contextlib.suppress(OSError):
                     os.unlink(temp)
-                except OSError:
-                    pass
         return False
+
+    def _publish(self):
+        """Rename every staged file over its final name, or none."""
+        backups = {}  # final path -> hard link to the earlier run's file
+        renamed = []
+        try:
+            for _, final in self.pending:
+                backup = final.with_name(f".{final.name}.{os.getpid()}.bak")
+                with contextlib.suppress(FileNotFoundError):
+                    os.link(final, backup)
+                    backups[final] = backup
+            for temp, final in self.pending:
+                os.replace(temp, final)
+                renamed.append(final)
+        except BaseException:
+            for final in renamed:
+                # A backup that cannot be put back is left on disk.
+                with contextlib.suppress(OSError):
+                    if final in backups:
+                        os.replace(backups.pop(final), final)
+                    else:
+                        os.unlink(final)
+            raise
+        finally:
+            for backup in backups.values():
+                with contextlib.suppress(OSError):
+                    os.unlink(backup)
 
     def _stage(self, name) -> Path:
         """Temporary path for ``name``, registered for rename or removal

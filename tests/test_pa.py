@@ -1,5 +1,6 @@
 """Amplifier simulation, learning loop, and amplifier model files."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,6 +166,28 @@ def test_ilc_output_field_consistent(preset, unit_rms_ofdm):
     result = ilc_learn(unit_rms_ofdm, preset, IlcConfig(iterations=2))
     replay = pa_forward(result.drive, preset)
     assert np.array_equal(result.output.samples, replay.samples)
+
+
+def test_ilc_result_keeps_no_output_until_read_and_then_the_last_pass_bitwise(
+    preset, unit_rms_ofdm
+):
+    # The loop's last amplifier output is let go; reading ``output``
+    # forms it again from the drive, bit for bit the loop's last pass.
+    passes = []
+
+    def forward(signal, model):
+        passes.append(pa_forward(signal, model))
+        return passes[-1]
+
+    with mock.patch.object(pa_sim, "pa_forward", forward):
+        result = ilc_learn(unit_rms_ofdm, preset, IlcConfig(iterations=3))
+    assert len(passes) == 4
+    assert "output" not in vars(result)
+    assert result.model is preset
+    output = result.output
+    assert vars(result)["output"] is output
+    assert np.array_equal(output.samples, passes[-1].samples)
+    assert np.array_equal(output.samples, pa_forward(result.drive, preset).samples)
 
 
 def test_ilc_result_names_the_gain_it_normalized_by(preset, unit_rms_ofdm):

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+from dataclasses import replace
 import hashlib
 import io
 import os
@@ -329,6 +330,24 @@ def test_canonical_text_is_every_schema_key_once_in_schema_order(name):
     config = parse_config("") if name is None else load_config(SHIPPED_CONFIGS / f"{name}.cfg")
     keys = [line.partition(" = ")[0] for line in config.canonical_text().splitlines()]
     assert keys == [f"{section}.{key}" for section, key, _, _ in _SCHEMA]
+
+
+def test_a_structure_its_dpd_keys_do_not_build_is_rejected():
+    # canonical_text writes the structure as its dpd keys, so a config
+    # holding another structure would be stamped with the hash of the
+    # full structure those keys build.
+    config = load_config(SHIPPED_CONFIGS / "desk-scale.cfg")
+    pruned = replace(config.structure, aligned_lags=tuple(range(5)), lagging_lags=tuple(range(6)))
+    assert pruned.kernel_count == 38
+    with pytest.raises(ConfigurationError, match="not the full structure of dpd keys"):
+        replace(config, structure=pruned)
+    with pytest.raises(ConfigurationError, match="no aligned kernels"):
+        replace(config, structure=replace(config.structure, aligned_lags=()))
+    # The structure the keys build is accepted, and hashed by its keys.
+    rebuilt = replace(config, structure=full_structure(4, 7, 1))
+    assert rebuilt.config_hash == load_config(
+        SHIPPED_CONFIGS / "desk-scale.cfg", ["dpd.memory_depth=4"]
+    ).config_hash
 
 
 def test_config_hash_is_sha256_of_canonical_text(tmp_path):
@@ -706,6 +725,68 @@ def test_write_failing_mid_file_keeps_the_earlier_run_and_leaves_no_partial_file
         with pytest.raises(OSError, match="device full"):
             run_experiment2(tiny_config(tmp_path, "run.seed = 9\n"))
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == earlier
+
+
+EXP2_FILES = 6
+
+
+def _failing_at(k, real, error):
+    """``real`` (``os.replace`` or ``os.link``), but its k-th call raises ``error``."""
+    calls = []
+
+    def call(src, dst):
+        calls.append(dst)
+        if len(calls) == k:
+            raise error
+        real(src, dst)
+
+    return call
+
+
+def _files(out):
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+
+@pytest.mark.parametrize("earlier_run", [True, False], ids=["over-an-earlier-run", "empty"])
+@pytest.mark.parametrize("k", range(1, EXP2_FILES + 1))
+def test_a_failed_rename_leaves_the_earlier_set_whole(tmp_path, k, earlier_run):
+    # Another seed changes every file, config-hash line included.
+    cfg, out = write_cfg(tmp_path), tmp_path / "out"
+    out.mkdir()
+    if earlier_run:
+        assert run_cli(["exp2", "--config", str(cfg)])[0] == 0
+    earlier = _files(out)
+    assert len(earlier) == (EXP2_FILES if earlier_run else 0)
+    refused = _failing_at(k, os.replace, PermissionError(f"rename {k} refused"))
+    with mock.patch.object(pipeline.os, "replace", refused):
+        code, _, err = run_cli(["exp2", "--config", str(cfg), "--set", "run.seed=9"])
+    assert code == 2
+    assert err.startswith("data error:") and f"rename {k} refused" in err
+    # Every file is the earlier run's, and no temporary or backup is left.
+    assert _files(out) == earlier
+
+
+def test_an_interrupted_rename_restores_the_earlier_set_too(tmp_path):
+    config, out = tiny_config(tmp_path), tmp_path / "out"
+    run_experiment2(config)
+    earlier = _files(out)
+    interrupted = _failing_at(3, os.replace, KeyboardInterrupt())
+    with mock.patch.object(pipeline.os, "replace", interrupted):
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment2(tiny_config(tmp_path, "run.seed = 9\n"))
+    assert _files(out) == earlier
+
+
+def test_a_failed_backup_link_raises_before_any_rename(tmp_path):
+    config, out = tiny_config(tmp_path), tmp_path / "out"
+    run_experiment2(config)
+    earlier = _files(out)
+    refused = _failing_at(2, os.link, PermissionError("link refused"))
+    with mock.patch.object(pipeline.os, "link", refused):
+        with mock.patch.object(pipeline.os, "replace", side_effect=AssertionError("renamed")):
+            with pytest.raises(PermissionError, match="link refused"):
+                run_experiment2(tiny_config(tmp_path, "run.seed = 9\n"))
+    assert _files(out) == earlier
 
 
 # ---------------------------------------------------------------------------

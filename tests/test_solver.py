@@ -785,6 +785,38 @@ def test_first_gram_access_makes_no_copy_of_the_kernel_matrix():
     assert _peak_traced_bytes(lambda: normal_system(matrix, target)) < matrix.data.nbytes / 2
 
 
+def test_kernel_matrix_caches_an_iq_signal_target_without_a_copy():
+    # An IqSignal's samples are read-only, so the cache keeps them as
+    # its key: the matrix retains the system and no copy of the target.
+    rng = np.random.default_rng(8)
+    signal = IqSignal(rng.standard_normal(16384) + 1j * rng.standard_normal(16384), 1.0)
+    matrix = build_kernel_matrix(signal, full_structure(4, 7, 1))
+    target = IqSignal(rng.standard_normal(16384) + 1j * rng.standard_normal(16384), 1.0)
+    tracemalloc.start()
+    try:
+        system = normal_system(matrix, target)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    retained -= system.gram.nbytes + system.rhs.nbytes
+    assert retained < target.samples.nbytes / 2
+    # A signal of the same samples hits the cache by content.
+    assert normal_system(matrix, IqSignal(target.samples, 1.0)) is system
+
+
+def test_kernel_matrix_copies_an_array_target_so_changing_it_forms_a_new_system():
+    matrix, target = _kernel_problem()
+    x = target.samples.copy()
+    system = normal_system(matrix, x)
+    assert normal_system(matrix, x) is system
+    x[0] += 1.0
+    changed = normal_system(matrix, x)
+    assert changed is not system
+    fresh = build_kernel_matrix(matrix.samples, matrix.structure)
+    assert np.array_equal(changed.rhs, normal_system(fresh, x).rhs)
+    assert not np.array_equal(changed.rhs, system.rhs)
+
+
 def test_kernel_matrix_solvers_solve_its_cached_system_bitwise():
     # Each solver solves the one system normal_system(km, x) and forms
     # no other: with the pass that forms it blocked, the solvers still
