@@ -45,10 +45,10 @@ PHASE = np.exp(0.7j)
 # equilibrated Gram and S^H x by 0.72 and 0.78 eps in norm, so the
 # cond * eps bounds above hold for it too.  Measured on 1 and 2 OpenBLAS
 # threads, the coefficients moved by 5.6e-13 (block-weighted), 2.3e-14
-# (plain Lasso) and 1.8e-11 (LS), and the matched lambda not at all.  A
-# lambda is 2 max |S^H x|, moved by about eps, taken through 20 bisection
-# steps that each round a product and a square root on either side: at
-# most 4 eps a step.
+# (plain Lasso) and 1.8e-11 (LS), and the matched lambda not at all.  The
+# matched lambda starts from 2 max |S^H x|, which moves by about eps, and
+# takes 20 bisection steps that each round a product and a square root
+# on either side, at most 4 eps a step: 81 eps in all.
 PHASE_LAMBDA_BOUND = 81 * EPS
 
 # Column scaling.  Each side of the relation forms s |s|^k with about

@@ -187,7 +187,6 @@ def test_ilc_result_keeps_no_output_until_read_and_then_the_last_pass_bitwise(
     output = result.output
     assert vars(result)["output"] is output
     assert np.array_equal(output.samples, passes[-1].samples)
-    assert np.array_equal(output.samples, pa_forward(result.drive, preset).samples)
 
 
 def test_ilc_result_names_the_gain_it_normalized_by(preset, unit_rms_ofdm):
